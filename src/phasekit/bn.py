@@ -16,15 +16,17 @@ bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import diagnostics, torus
+from . import torus
 from .errors import BoundsError, FixedPointError
-from .eos import require_admissible
+# sound_speed_max is bound here for perfbench/tracing.py, which requires it
 from .nsk import (PhysicalParams, SolverConfig, Trajectory, continuity_update,
-                  momentum_update, sound_speed_max, _check_rails)
+                  momentum_update, sound_speed_max, _check_rails, _integrate,
+                  _step_length)
 from .torus import PeriodicGrid
 
 
@@ -43,31 +45,35 @@ class BNState:
     def make(cls, grid: PeriodicGrid, alpha_p, rho_p, rho_m, u,
              params: PhysicalParams, t: float = 0.0,
              helmholtz_backend: str = "fourier") -> "BNState":
-        alpha_p = np.broadcast_to(np.asarray(alpha_p, dtype=float), (grid.n,)).copy()
-        rho_p = np.broadcast_to(np.asarray(rho_p, dtype=float), (grid.n,)).copy()
-        rho_m = np.broadcast_to(np.asarray(rho_m, dtype=float), (grid.n,)).copy()
-        u = np.broadcast_to(np.asarray(u, dtype=float), (grid.n,)).copy()
+        alpha_p, rho_p, rho_m, u = (
+            np.broadcast_to(np.asarray(f, dtype=float), (grid.n,)).copy()
+            for f in (alpha_p, rho_p, rho_m, u))
         if np.any(alpha_p < -1e-12) or np.any(alpha_p > 1.0 + 1e-12):
             raise BoundsError("volume fraction outside [0, 1]")
         alpha_p = np.clip(alpha_p, 0.0, 1.0)
-        alpha_m = 1.0 - alpha_p
         if np.any(rho_p <= 0.0) or np.any(rho_m <= 0.0):
             raise BoundsError("phase densities must be strictly positive")
-        rho_mix = alpha_p * rho_p + alpha_m * rho_m
-        c = torus.helmholtz_solve(grid, rho_mix, params.kappa, params.gamma,
-                                  helmholtz_backend)
-        return cls(grid, t, alpha_p, alpha_m, rho_p, rho_m, u, c)
+        state = cls(grid, t, alpha_p, 1.0 - alpha_p, rho_p, rho_m, u, None)
+        state.c = torus.helmholtz_solve(grid, state.mixture_density, params.kappa,
+                                        params.gamma, helmholtz_backend)
+        return state
 
     def closure_drift(self) -> float:
         return float(np.max(np.abs(self.alpha_p + self.alpha_m - 1.0)))
 
+    @property
+    def mixture_density(self) -> np.ndarray:
+        return self.alpha_p * self.rho_p + self.alpha_m * self.rho_m
+
+    def mixture_pressure(self, eos) -> np.ndarray:
+        """The alpha-weighted artificial mixture pressure."""
+        return (self.alpha_p * eos.artificial_pressure(self.rho_p)
+                + self.alpha_m * eos.artificial_pressure(self.rho_m))
+
 
 def mixture_fields(state: BNState, eos) -> tuple:
     """Mixture density and the alpha-weighted artificial mixture pressure."""
-    rho = state.alpha_p * state.rho_p + state.alpha_m * state.rho_m
-    p_bar = (state.alpha_p * eos.artificial_pressure(state.rho_p)
-             + state.alpha_m * eos.artificial_pressure(state.rho_m))
-    return rho, p_bar
+    return state.mixture_density, state.mixture_pressure(eos)
 
 
 def relaxation_rhs(state: BNState, params: PhysicalParams) -> tuple:
@@ -176,7 +182,7 @@ def _relaxation_substep(alpha_p, alpha_m, rho_p, rho_m, params, dt):
 
 
 def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
-            monitor: dict | None = None) -> BNState:
+            monitor: dict | None = None, dt: float | None = None) -> BNState:
     """One step: semi-Lagrangian advection of the fractions, conservative
     transport of the phase densities, pointwise relaxation, shared mixture
     momentum update, Helmholtz re-solve, closure renormalization.
@@ -186,12 +192,11 @@ def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
     reconstructed as rho_p = mix + alpha_m diff, rho_m = mix - alpha_p diff:
     the alpha-weighted cross terms cancel pointwise, so the discrete mixture
     mass is conserved to round-off, equal phase densities stay equal
-    exactly, and an alpha_p = 1 run reduces to the single-phase update."""
+    exactly, and an alpha_p = 1 run reduces to the single-phase update.
+    dt defaults to the CFL-limited length over both phase densities."""
     grid = state.grid
-    smax = max(sound_speed_max(state.rho_p, state.u, params.eos),
-               sound_speed_max(state.rho_m, state.u, params.eos))
-    dt = config.dt if smax == 0.0 else min(config.dt, config.cfl * grid.h / smax)
-
+    if dt is None:
+        dt, _ = _step_length(state, (state.rho_p, state.rho_m), params, config)
     rho_mix_old, p_bar_old = mixture_fields(state, params.eos)
 
     feet = trace_feet(grid, state.u, state.u, dt)
@@ -237,33 +242,13 @@ def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
 
 def bn_run(initial: BNState, params: PhysicalParams, config: SolverConfig,
            keep_records: bool = True) -> Trajectory:
-    require_admissible(params.eos, 0.0, config.bounds[1])
-    _check_rails(initial.rho_p, config.bounds, initial.t)
-    _check_rails(initial.rho_m, config.bounds, initial.t)
-
-    state = initial
-    snapshots = [state]
-    records = [diagnostics.compute_record(state, params)] if keep_records else []
-    traj = Trajectory(snapshots, records, params, config)
-    traj.extras["monitor"] = {}
-    traj.dxc_sup = torus.max_norm(torus.derivative(state.grid, state.c, 1,
-                                                   "spectral"))
-    t_final = initial.t + config.t_end
-    step = 0
-    while state.t < t_final - 1e-12 * config.t_end:
-        remaining = t_final - state.t
-        step_config = config if remaining >= config.dt else replace(config, dt=remaining)
-        state = bn_step(state, params, step_config, monitor=traj.extras["monitor"])
-        step += 1
-        if keep_records:
-            records.append(diagnostics.compute_record(state, params))
-            traj.dxc_sup = max(traj.dxc_sup, torus.max_norm(
-                torus.derivative(state.grid, state.c, 1, "spectral")))
-        if step % config.snapshot_every == 0 or state.t >= t_final - 1e-12:
-            snapshots.append(state)
-    if snapshots[-1] is not state:
-        snapshots.append(state)
-    traj.n_steps = step
+    """Integrate to t_end with the run loop documented in nsk_run;
+    extras["monitor"] holds the largest closure drift and alpha clip."""
+    monitor = {}
+    traj = _integrate(initial, params, config, keep_records,
+                      partial(bn_step, monitor=monitor),
+                      lambda s: (s.rho_p, s.rho_m))
+    traj.extras["monitor"] = monitor
     return traj
 
 

@@ -43,30 +43,25 @@ class DiagnosticsRecord:
 assert tuple(f.name for f in fields(DiagnosticsRecord)) == RECORD_COLUMNS
 
 
-def _mixture_density_pressure(state, params):
-    """(rho, pressure field entering Sigma) for either solver's state."""
-    if hasattr(state, "alpha_p"):
-        rho = state.alpha_p * state.rho_p + state.alpha_m * state.rho_m
-        p = (state.alpha_p * params.eos.artificial_pressure(state.rho_p)
-             + state.alpha_m * params.eos.artificial_pressure(state.rho_m))
-    else:
-        rho = state.rho
-        p = params.eos.artificial_pressure(rho)
-    return rho, p
-
-
-def energy(state, params, backend: str = "central") -> float:
-    """Total energy: kinetic + pressure potential + coupling + gradient."""
+def _energy(state, params, backend: str, bd_drift: bool) -> float:
     grid = state.grid
-    rho, _ = _mixture_density_pressure(state, params)
+    rho = state.mixture_density
     if np.any(rho <= 0.0):
         raise ValueError("energy needs strictly positive density")
+    v = state.u
+    if bd_drift:
+        v = v + params.mu * torus.derivative(grid, rho, 1, backend) / rho ** 2
     dc = torus.derivative(grid, state.c, 1, backend)
-    dens = (0.5 * rho * state.u ** 2
+    dens = (0.5 * rho * v ** 2
             + params.eos.potential(rho)
             + 0.5 * params.gamma * (rho - state.c) ** 2
             + 0.5 * params.kappa * dc ** 2)
     return float(grid.h * np.sum(dens))
+
+
+def energy(state, params, backend: str = "central") -> float:
+    """Total energy: kinetic + pressure potential + coupling + gradient."""
+    return _energy(state, params, backend, bd_drift=False)
 
 
 def dissipation(state, params, backend: str = "central") -> float:
@@ -78,33 +73,21 @@ def dissipation(state, params, backend: str = "central") -> float:
 def bd_entropy(state, params, backend: str = "central") -> float:
     """Energy with the BD drift mu rho_x / rho^2 added inside the kinetic
     term; the drift is the gradient of phi(r) = mu (1 - 1/r)."""
-    grid = state.grid
-    rho, _ = _mixture_density_pressure(state, params)
-    if np.any(rho <= 0.0):
-        raise ValueError("bd_entropy needs strictly positive density")
-    drift = params.mu * torus.derivative(grid, rho, 1, backend) / rho ** 2
-    dc = torus.derivative(grid, state.c, 1, backend)
-    dens = (0.5 * rho * (state.u + drift) ** 2
-            + params.eos.potential(rho)
-            + 0.5 * params.gamma * (rho - state.c) ** 2
-            + 0.5 * params.kappa * dc ** 2)
-    return float(grid.h * np.sum(dens))
+    return _energy(state, params, backend, bd_drift=True)
 
 
 def effective_viscous_flux(state, params, backend: str = "spectral") -> np.ndarray:
     """Sigma = mu u_x - P_art(rho), with the alpha-weighted mixture pressure
     for two-phase states."""
-    _, p = _mixture_density_pressure(state, params)
     du = torus.derivative(state.grid, state.u, 1, backend)
-    return params.mu * du - p
+    return params.mu * du - state.mixture_pressure(params.eos)
 
 
 def compute_record(state, params, backend: str = "central",
                    diag_backend: str = "spectral") -> DiagnosticsRecord:
     grid = state.grid
-    rho, _ = _mixture_density_pressure(state, params)
+    rho = state.mixture_density
     sigma = effective_viscous_flux(state, params, diag_backend)
-    inv_sqrt = 1.0 / np.sqrt(rho)
     return DiagnosticsRecord(
         t=float(state.t),
         mass=torus.mean(grid, rho),
@@ -117,8 +100,8 @@ def compute_record(state, params, backend: str = "central",
         sigma_grad_l2=torus.l2_norm(grid, torus.derivative(grid, sigma, 1,
                                                            diag_backend)),
         c_h2=torus.sobolev_norm(grid, state.c, 2),
-        inv_sqrt_rho_grad=torus.l2_norm(grid, torus.derivative(grid, inv_sqrt,
-                                                               1, diag_backend)),
+        inv_sqrt_rho_grad=torus.l2_norm(grid, torus.derivative(
+            grid, 1.0 / np.sqrt(rho), 1, diag_backend)),
     )
 
 

@@ -41,9 +41,9 @@ class AdmissibilityReport:
 
 
 class EquationOfState:
-    """Base pressure law.  Subclasses provide pressure/d_pressure closed
-    forms; the potential falls back to adaptive Simpson quadrature of
-    P(s)/s^2 when no closed form is overridden."""
+    """Base pressure law.  Subclasses provide closed forms for pressure,
+    d_pressure and _potential_inner, the antiderivative of P(s)/s^2 that
+    the potential W is built from."""
 
     gamma: float
     domain_max: float
@@ -77,14 +77,10 @@ class EquationOfState:
         if np.any(r <= 0.0):
             raise ValueError("potential needs strictly positive density")
         self._check_domain(r)
-        inner = self._potential_inner(r)
-        return r * (inner - self._potential_inner(self.r_ref))
+        return r * (self._potential_inner(r) - self._potential_inner(self.r_ref))
 
     def _potential_inner(self, r):
-        # quadrature fallback for laws without a closed-form inner integral
-        quad = np.vectorize(lambda s: _adaptive_simpson(
-            lambda t: self.pressure(t) / t ** 2, self.r_ref, float(s), 1e-10))
-        return quad(r) if np.ndim(r) else float(quad(r))
+        raise NotImplementedError
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -243,27 +239,3 @@ def _bisect_root(fun, lo: float, hi: float, tol: float = 1e-10) -> float:
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
-
-
-def _adaptive_simpson(fun, a: float, b: float, tol: float) -> float:
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-
-    def simpson(x0, x2):
-        x1 = 0.5 * (x0 + x2)
-        return (x2 - x0) / 6.0 * (fun(x0) + 4.0 * fun(x1) + fun(x2))
-
-    def recurse(x0, x2, whole, eps, depth):
-        x1 = 0.5 * (x0 + x2)
-        left = simpson(x0, x1)
-        right = simpson(x1, x2)
-        if depth > 40 or abs(left + right - whole) < 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(x0, x1, left, eps / 2.0, depth + 1)
-                + recurse(x1, x2, right, eps / 2.0, depth + 1))
-
-    return sign * recurse(a, b, simpson(a, b), tol, 0)

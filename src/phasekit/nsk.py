@@ -15,7 +15,7 @@ and vanishes at second order in h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,6 +87,13 @@ class FluidState:
         c = torus.helmholtz_solve(grid, rho, params.kappa, params.gamma,
                                   helmholtz_backend)
         return cls(grid, t, rho, u, c)
+
+    @property
+    def mixture_density(self) -> np.ndarray:
+        return self.rho
+
+    def mixture_pressure(self, eos: EquationOfState) -> np.ndarray:
+        return eos.artificial_pressure(self.rho)
 
     def helmholtz_residual(self, params: PhysicalParams) -> float:
         res = (-params.kappa * torus.derivative(self.grid, self.c, 2, "spectral")
@@ -219,13 +226,22 @@ def momentum_update(grid: PeriodicGrid, rho_new: np.ndarray, rho: np.ndarray,
     return torus.solve_cyclic_tridiagonal(lower, diag, upper, rhs)
 
 
-def nsk_step(state: FluidState, params: PhysicalParams,
-             config: SolverConfig) -> FluidState:
-    """Advance one step of size min(config.dt, cfl h / max(|u| + c_s))."""
-    grid = state.grid
-    smax = sound_speed_max(state.rho, state.u, params.eos)
-    dt = config.dt if smax == 0.0 else min(config.dt, config.cfl * grid.h / smax)
+def _step_length(state, fields, params: PhysicalParams, config: SolverConfig,
+                 remaining: float = np.inf) -> tuple:
+    """min(config.dt, remaining, cfl h / max(|u| + c_s) over the density
+    fields), and whether the CFL bound lies below config.dt."""
+    smax = max(sound_speed_max(rho, state.u, params.eos) for rho in fields)
+    cfl_dt = config.cfl * state.grid.h / smax if smax > 0.0 else np.inf
+    return min(config.dt, remaining, cfl_dt), cfl_dt < config.dt
 
+
+def nsk_step(state: FluidState, params: PhysicalParams, config: SolverConfig,
+             dt: float | None = None) -> FluidState:
+    """Advance one step of length dt, by default the CFL-limited
+    min(config.dt, cfl h / max(|u| + c_s))."""
+    grid = state.grid
+    if dt is None:
+        dt, _ = _step_length(state, (state.rho,), params, config)
     rho_new = continuity_update(grid, state.rho, state.u, dt, config.upwind)
     _check_rails(rho_new, config.bounds, state.t + dt)
     u_new = momentum_update(grid, rho_new, state.rho, state.u, state.c,
@@ -237,36 +253,45 @@ def nsk_step(state: FluidState, params: PhysicalParams,
     return FluidState(grid, state.t + dt, rho_new, u_new, c_new)
 
 
-def nsk_run(initial: FluidState, params: PhysicalParams, config: SolverConfig,
-            keep_records: bool = True) -> Trajectory:
-    """Integrate to t_end, collecting per-step diagnostics and snapshots on
-    the snapshot_every schedule (initial and final states always kept)."""
+def _integrate(initial, params: PhysicalParams, config: SolverConfig,
+               keep_records: bool, step, rails) -> Trajectory:
+    """The run loop of nsk_run and bn_run: step(state, params, config, dt=dt)
+    advances one step, rails(state) gives the railed density fields."""
     require_admissible(params.eos, 0.0, config.bounds[1])
-    _check_rails(initial.rho, config.bounds, initial.t)
-
-    state = initial
-    snapshots = [state]
-    records = [diagnostics.compute_record(state, params)] if keep_records else []
-    traj = Trajectory(snapshots, records, params, config)
-    traj.dxc_sup = torus.max_norm(torus.derivative(state.grid, state.c, 1,
-                                                   "spectral"))
+    for rho in rails(initial):
+        _check_rails(rho, config.bounds, initial.t)
+    state, traj = initial, Trajectory([initial], [], params, config)
     t_final = initial.t + config.t_end
-    step = 0
-    while state.t < t_final - 1e-12 * config.t_end:
-        smax = sound_speed_max(state.rho, state.u, params.eos)
-        if smax > 0.0 and config.cfl * state.grid.h / smax < config.dt:
-            traj.cfl_limited = True
-        remaining = t_final - state.t
-        step_config = config if remaining >= config.dt else replace(config, dt=remaining)
-        state = nsk_step(state, params, step_config)
-        step += 1
+    t_stop = t_final - 1e-12 * config.t_end
+    while True:
         if keep_records:
-            records.append(diagnostics.compute_record(state, params))
+            traj.records.append(diagnostics.compute_record(state, params))
         traj.dxc_sup = max(traj.dxc_sup, torus.max_norm(
             torus.derivative(state.grid, state.c, 1, "spectral")))
-        if step % config.snapshot_every == 0 or state.t >= t_final - 1e-12:
-            snapshots.append(state)
-    if snapshots[-1] is not state:
-        snapshots.append(state)
-    traj.n_steps = step
-    return traj
+        if state.t >= t_stop:
+            return traj
+        dt, limited = _step_length(state, rails(state), params, config,
+                                   t_final - state.t)
+        traj.cfl_limited = traj.cfl_limited or limited
+        state = step(state, params, config, dt=dt)
+        traj.n_steps += 1
+        if traj.n_steps % config.snapshot_every == 0 or state.t >= t_stop:
+            traj.snapshots.append(state)
+
+
+def nsk_run(initial: FluidState, params: PhysicalParams, config: SolverConfig,
+            keep_records: bool = True) -> Trajectory:
+    """Integrate from initial.t to t_final = initial.t + config.t_end.
+
+    The run loop, shared with bn_run: the law must be admissible on [0,
+    upper rail] and the railed densities (rho; rho_p and rho_m for BN) start
+    inside the rails.  Each step has length min(config.dt, t_final - t,
+    cfl h / max(|u| + c_s)), the wave speed taken over the railed densities,
+    until t >= t_final - 1e-12 t_end.  keep_records records every state.
+    Snapshots: the initial state, every snapshot_every-th step and the final
+    state, the only one within the end tolerance.  cfl_limited: the CFL
+    bound fell below config.dt on some step; dxc_sup: sup |c_x| over all
+    states, with or without records.
+    """
+    return _integrate(initial, params, config, keep_records, nsk_step,
+                      lambda s: (s.rho,))

@@ -271,6 +271,45 @@ def test_closure_monitored_along_run():
     assert traj.extras["monitor"]["alpha_clip"] <= 1e-12
 
 
+def test_single_final_snapshot_at_end_tolerance():
+    # ten steps end 5e-13 short of t_end: the loop takes one more short
+    # step, and only the state that ends the run is a final snapshot
+    grid = PeriodicGrid(32)
+    params = poly_params()
+    config = SolverConfig(dt=1e-3 - 5e-14, t_end=0.01, bounds=(0.05, 20.0),
+                          snapshot_every=3)
+    state = BNState.make(grid, 0.4, 1.2, 0.8, 0.0, params)
+    traj = bn_run(state, params, config, keep_records=False)
+    times = traj.snapshot_times
+    assert traj.n_steps == 11
+    assert np.sum(times >= config.t_end - 1e-12) == 1
+    assert times[-1] == pytest.approx(config.t_end, abs=1e-14)
+
+
+def cfl_limited_run(keep_records):
+    # dt = 0.05 is far above the CFL bound, so the run takes many short steps
+    grid = PeriodicGrid(32)
+    params = poly_params()
+    config = SolverConfig(dt=0.05, t_end=0.2, cfl=0.4, bounds=(0.05, 20.0))
+    alpha0 = 0.5 + 0.2 * np.sin(2 * np.pi * grid.x)
+    state = BNState.make(grid, alpha0, 1.2, 0.8,
+                         0.3 * np.sin(2 * np.pi * grid.x), params)
+    return bn_run(state, params, config, keep_records=keep_records)
+
+
+def test_run_reports_cfl_limit():
+    traj = cfl_limited_run(keep_records=False)
+    assert traj.n_steps > 4
+    assert traj.cfl_limited
+
+
+def test_dxc_sup_independent_of_records():
+    with_records = cfl_limited_run(keep_records=True)
+    without = cfl_limited_run(keep_records=False)
+    assert with_records.dxc_sup > 0.0
+    assert without.dxc_sup == with_records.dxc_sup
+
+
 # ------------------------------------------------------------------- picard
 
 def test_picard_constant_fixed_point():

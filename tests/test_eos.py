@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from phasekit.eos import (AdmissibilityError, EquationOfState, PolytropicEOS,
-                          VanDerWaalsEOS, check_admissibility, make_eos,
+from phasekit.eos import (AdmissibilityError, PolytropicEOS, VanDerWaalsEOS,
+                          check_admissibility, make_eos,
                           quadratic_growth_constant, require_admissible)
 
 
@@ -83,26 +84,19 @@ def test_potential_defining_relation(eos_args, request):
         assert w2 * r == pytest.approx(float(eos.d_pressure(r)), rel=1e-4, abs=1e-4)
 
 
-def test_potential_quadrature_fallback_matches_closed_form():
-    # route the same laws through the base-class adaptive Simpson and compare
-    class GenericLaw(EquationOfState):
-        def __init__(self, inner):
-            self._inner = inner
-            self.gamma = 1.0
-            self.domain_max = np.inf
-            self.r_ref = 1.0
-
-        def pressure(self, r):
-            return self._inner.pressure(r)
-
-        def d_pressure(self, r):
-            return self._inner.d_pressure(r)
-
-    poly = PolytropicEOS(1.3, 3.0, 1.0)
-    generic = GenericLaw(poly)
-    r = np.array([0.2, 0.7, 1.0, 1.9, 3.4])
-    assert np.allclose(generic.potential(r), poly.potential(r),
-                       rtol=1e-9, atol=1e-9)
+def test_potential_closed_forms_match_quadrature():
+    # W(r) = r * integral_{r_ref}^r P(s)/s^2 ds, integrated numerically
+    cases = [
+        (PolytropicEOS(1.3, 3.0, 1.0), [0.2, 0.7, 1.0, 1.9, 3.4]),
+        (VanDerWaalsEOS(1.0, 1.0, 1.0, 0.2, 2.0), [0.05, 0.3, 0.5, 0.8, 0.97]),
+        (VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0), [0.1, 0.6, 1.0, 2.2, 2.9]),
+    ]
+    for eos, r in cases:
+        expected = [x * quad(lambda s: float(eos.pressure(s)) / s ** 2,
+                             eos.r_ref, x, epsabs=1e-13, epsrel=1e-13)[0]
+                    for x in r]
+        assert np.allclose(eos.potential(np.array(r)), expected,
+                           rtol=1e-10, atol=1e-12)
 
 
 def test_potential_rejects_nonpositive(poly):

@@ -252,3 +252,18 @@ def test_linearized_dispersion_matches_analytic():
     measured = measured_mode_rates(params, rho_bar, k)
     rel = np.abs(measured - analytic) / np.abs(analytic)
     assert np.max(rel) <= 1e-3, (measured, analytic)
+
+
+def test_single_final_snapshot_at_end_tolerance():
+    # ten steps end 5e-13 short of t_end: the loop takes one more short
+    # step, and only the state that ends the run is a final snapshot
+    grid = PeriodicGrid(32)
+    params = poly_params()
+    config = SolverConfig(dt=1e-3 - 5e-14, t_end=0.01, bounds=(0.05, 20.0),
+                          snapshot_every=3)
+    state = FluidState.make(grid, grid.constant(1.0), grid.zeros(), params)
+    traj = nsk_run(state, params, config, keep_records=False)
+    times = traj.snapshot_times
+    assert traj.n_steps == 11
+    assert np.sum(times >= config.t_end - 1e-12) == 1
+    assert times[-1] == pytest.approx(config.t_end, abs=1e-14)
