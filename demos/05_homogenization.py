@@ -5,8 +5,7 @@ grows, the empirical measures of the detailed-scale fields approach the
 two-Dirac measures carried by the two-phase run started from the limit
 data, and the velocities converge in max norm at roughly O(1/n).
 
-Run:  python demos/05_homogenization.py           (about 10 s)
-      PHASEKIT_THREADS=1 python demos/05_homogenization.py   (serial)
+Run:  python demos/05_homogenization.py   (about 10 s)
 """
 
 from phasekit import (FamilyConfig, PeriodicGrid, PhysicalParams,

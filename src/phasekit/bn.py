@@ -43,8 +43,7 @@ class BNState:
 
     @classmethod
     def make(cls, grid: PeriodicGrid, alpha_p, rho_p, rho_m, u,
-             params: PhysicalParams, t: float = 0.0,
-             helmholtz_backend: str = "fourier") -> "BNState":
+             params: PhysicalParams, t: float = 0.0) -> "BNState":
         alpha_p, rho_p, rho_m, u = (
             np.broadcast_to(np.asarray(f, dtype=float), (grid.n,)).copy()
             for f in (alpha_p, rho_p, rho_m, u))
@@ -55,7 +54,7 @@ class BNState:
             raise BoundsError("phase densities must be strictly positive")
         state = cls(grid, t, alpha_p, 1.0 - alpha_p, rho_p, rho_m, u, None)
         state.c = torus.helmholtz_solve(grid, state.mixture_density, params.kappa,
-                                        params.gamma, helmholtz_backend)
+                                        params.gamma)
         return state
 
     def closure_drift(self) -> float:
@@ -235,8 +234,7 @@ def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
                             params, dt, config.force_form, p_flux=p_bar_old)
     if not np.all(np.isfinite(u_new)):
         raise BoundsError(f"non-finite velocity at t = {state.t + dt:.6g}")
-    c_new = torus.helmholtz_solve(grid, rho_mix_new, params.kappa, params.gamma,
-                                  config.helmholtz_backend)
+    c_new = torus.helmholtz_solve(grid, rho_mix_new, params.kappa, params.gamma)
     return BNState(grid, state.t + dt, ap, am, rp, rm, u_new, c_new)
 
 

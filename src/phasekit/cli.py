@@ -138,7 +138,7 @@ def main(argv=None) -> int:
     except AdmissibilityError as exc:
         print(f"admissibility failure: {exc}", file=sys.stderr)
         return AdmissibilityError.exit_code
-    except BoundsError as exc:
+    except (BoundsError, FloatingPointError) as exc:
         print(f"bounds failure: {exc}", file=sys.stderr)
         return BoundsError.exit_code
     except FixedPointError as exc:

@@ -241,13 +241,12 @@ def guard_rails(config: RunConfig) -> tuple:
     return (1.0 / (2.0 * m0), 2.0 * m0)
 
 
-def build_solver(config: RunConfig, upwind: float | None = None) -> SolverConfig:
+def build_solver(config: RunConfig) -> SolverConfig:
     t = config["time"]
     return SolverConfig(dt=t["dt"], t_end=t["t_end"], cfl=t["cfl"],
                         bounds=guard_rails(config),
                         snapshot_every=t["snapshot_every"],
-                        upwind=config["harness"]["upwind"] if upwind is None
-                        else upwind)
+                        upwind=config["harness"]["upwind"])
 
 
 def build_grid(config: RunConfig) -> PeriodicGrid:

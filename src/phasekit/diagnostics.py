@@ -76,32 +76,34 @@ def bd_entropy(state, params, backend: str = "central") -> float:
     return _energy(state, params, backend, bd_drift=True)
 
 
-def effective_viscous_flux(state, params, backend: str = "spectral") -> np.ndarray:
-    """Sigma = mu u_x - P_art(rho), with the alpha-weighted mixture pressure
-    for two-phase states."""
-    du = torus.derivative(state.grid, state.u, 1, backend)
+def effective_viscous_flux(state, params) -> np.ndarray:
+    """Sigma = mu u_x - P_art(rho), u_x spectral, with the alpha-weighted
+    mixture pressure for two-phase states."""
+    du = torus.derivative(state.grid, state.u, 1, "spectral")
     return params.mu * du - state.mixture_pressure(params.eos)
 
 
-def compute_record(state, params, backend: str = "central",
-                   diag_backend: str = "spectral") -> DiagnosticsRecord:
+def compute_record(state, params) -> DiagnosticsRecord:
+    """One diagnostics.csv row.  Energy, dissipation and BD entropy use the
+    solver's central differences; the Sigma and 1/sqrt(rho) gradients are
+    spectral."""
     grid = state.grid
     rho = state.mixture_density
-    sigma = effective_viscous_flux(state, params, diag_backend)
+    sigma = effective_viscous_flux(state, params)
     return DiagnosticsRecord(
         t=float(state.t),
         mass=torus.mean(grid, rho),
         momentum=torus.mean(grid, rho * state.u),
-        energy=energy(state, params, backend),
-        dissipation=dissipation(state, params, backend),
-        bd_entropy=bd_entropy(state, params, backend),
+        energy=energy(state, params),
+        dissipation=dissipation(state, params),
+        bd_entropy=bd_entropy(state, params),
         rho_min=float(np.min(rho)),
         rho_max=float(np.max(rho)),
         sigma_grad_l2=torus.l2_norm(grid, torus.derivative(grid, sigma, 1,
-                                                           diag_backend)),
+                                                           "spectral")),
         c_h2=torus.sobolev_norm(grid, state.c, 2),
         inv_sqrt_rho_grad=torus.l2_norm(grid, torus.derivative(
-            grid, 1.0 / np.sqrt(rho), 1, diag_backend)),
+            grid, 1.0 / np.sqrt(rho), 1, "spectral")),
     )
 
 

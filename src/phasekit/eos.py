@@ -19,7 +19,8 @@ import numpy as np
 
 class AdmissibilityError(RuntimeError):
     """Raised when a solver entry point is asked to run with a pressure law
-    whose artificial pressure is not monotone on the configured interval."""
+    whose domain does not contain the configured interval or whose
+    artificial pressure is not monotone on it."""
 
     exit_code = 3
 
@@ -202,6 +203,12 @@ def check_admissibility(eos: EquationOfState, r_lo: float, r_hi: float,
 
 
 def require_admissible(eos: EquationOfState, r_lo: float, r_hi: float) -> AdmissibilityReport:
+    """Raise unless [r_lo, r_hi] lies inside the law's domain and the law is
+    admissible there; the solver entry points call it with their rails."""
+    if r_hi >= eos.domain_max:
+        raise AdmissibilityError(
+            f"upper rail {r_hi} not inside the law's domain "
+            f"[0, {eos.domain_max})")
     report = check_admissibility(eos, r_lo, r_hi)
     if not report.admissible:
         raise AdmissibilityError(

@@ -4,15 +4,14 @@ For a two-value density profile compressed n-fold, run the detailed-scale
 solver for each n in a family, build the empirical measures of the density
 fields, run the two-phase solver once from the profile's limit data, build
 its two-Dirac measures, and quantify how the empirical measures approach
-the two-Dirac ones as n grows.  Family members are independent jobs; the
-report is always assembled in n order, so results do not depend on worker
-scheduling.
+the two-Dirac ones as n grows.  The members run one after another in n
+order, and a member that leaves its guard rails fails alone: the report
+over the others is still assembled.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,25 +108,6 @@ def suggest_dt(params: PhysicalParams, rho_range: tuple, u_max: float,
     return safety * cfl * grid.h / smax
 
 
-def _run_member(args):
-    n, config_tuple = args
-    (n_grid, v_minus, v_plus, theta, delta, u0, params, solver) = config_tuple
-    grid = PeriodicGrid(n_grid)
-    rho0 = make_oscillating_initial(grid, v_minus, v_plus, theta, n, delta,
-                                    bounds=solver.bounds)
-    state = FluidState.make(grid, rho0, u0, params)
-    return nsk_run(state, params, solver)
-
-
-def _run_member_guarded(args):
-    """Worker wrapper: a member failure must not kill its siblings, so the
-    family can still assemble a partial report."""
-    try:
-        return True, _run_member(args)
-    except (BoundsError, FloatingPointError) as exc:
-        return False, str(exc)
-
-
 def run_family(config: FamilyConfig) -> ConvergenceReport:
     """Run the whole experiment and assemble the convergence report.
 
@@ -144,26 +124,21 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
     bn_state = BNState.make(grid, alpha_p0, rho_p0, rho_m0, u0, config.params)
     bn_traj = bn_run(bn_state, config.params, config.solver)
 
-    member_args = [(n, (config.grid_n, config.v_minus, config.v_plus,
-                        config.theta, config.delta, u0, config.params,
-                        config.solver)) for n in config.n_list]
-    workers = int(os.environ.get("PHASEKIT_THREADS", len(config.n_list)))
-    if workers > 1 and len(config.n_list) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_member_guarded, member_args))
-    else:
-        outcomes = [_run_member_guarded(a) for a in member_args]
-
-    failures = {n: msg for (n, _), (ok, msg) in zip(member_args, outcomes)
-                if not ok}
+    members, failures = [], {}
+    for n in config.n_list:
+        rho0 = make_oscillating_initial(grid, config.v_minus, config.v_plus,
+                                        config.theta, n, config.delta,
+                                        bounds=config.solver.bounds)
+        try:
+            state = FluidState.make(grid, rho0, u0, config.params)
+            members.append(nsk_run(state, config.params, config.solver))
+        except (BoundsError, FloatingPointError) as exc:
+            failures[n] = str(exc)
     if failures:
-        survivors = tuple(n for (n, _), (ok, _) in zip(member_args, outcomes)
-                          if ok)
+        survivors = tuple(n for n in config.n_list if n not in failures)
         partial = None
         if survivors:
-            partial = _assemble_report(
-                config, bn_traj,
-                [traj for ok, traj in outcomes if ok], survivors)
+            partial = _assemble_report(config, bn_traj, members, survivors)
             partial.extras["failures"] = failures
             if config.out_dir is not None:
                 _write_family(config, partial)
@@ -172,7 +147,6 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
             + "; ".join(f"n={n}: {msg}" for n, msg in failures.items()))
         exc.partial_report = partial
         raise exc
-    members = [traj for _, traj in outcomes]
 
     report = _assemble_report(config, bn_traj, members, config.n_list)
     if config.out_dir is not None:

@@ -51,7 +51,6 @@ class SolverConfig:
     snapshot_every: int = 1
     upwind: float = 0.5
     force_form: str = "artificial"  # or "original": P and gamma rho (c - rho)_x
-    helmholtz_backend: str = "fourier"
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.t_end <= 0.0:
@@ -77,15 +76,14 @@ class FluidState:
 
     @classmethod
     def make(cls, grid: PeriodicGrid, rho, u, params: PhysicalParams,
-             t: float = 0.0, helmholtz_backend: str = "fourier") -> "FluidState":
+             t: float = 0.0) -> "FluidState":
         rho = np.asarray(rho, dtype=float)
         u = np.asarray(u, dtype=float)
         if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(u))):
             raise BoundsError("non-finite initial data")
         if np.any(rho <= 0.0):
             raise BoundsError("initial density must be strictly positive")
-        c = torus.helmholtz_solve(grid, rho, params.kappa, params.gamma,
-                                  helmholtz_backend)
+        c = torus.helmholtz_solve(grid, rho, params.kappa, params.gamma)
         return cls(grid, t, rho, u, c)
 
     @property
@@ -116,8 +114,8 @@ class Trajectory:
     def snapshot_times(self):
         return np.array([s.t for s in self.snapshots])
 
-    def sigma_series(self, backend: str = "spectral"):
-        return [diagnostics.effective_viscous_flux(s, self.params, backend)
+    def sigma_series(self):
+        return [diagnostics.effective_viscous_flux(s, self.params)
                 for s in self.snapshots]
 
     def u_series(self):
@@ -248,8 +246,7 @@ def nsk_step(state: FluidState, params: PhysicalParams, config: SolverConfig,
                             params, dt, config.force_form)
     if not np.all(np.isfinite(u_new)):
         raise BoundsError(f"non-finite velocity at t = {state.t + dt:.6g}")
-    c_new = torus.helmholtz_solve(grid, rho_new, params.kappa, params.gamma,
-                                  config.helmholtz_backend)
+    c_new = torus.helmholtz_solve(grid, rho_new, params.kappa, params.gamma)
     return FluidState(grid, state.t + dt, rho_new, u_new, c_new)
 
 

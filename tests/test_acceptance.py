@@ -201,7 +201,7 @@ def test_criterion_06_bn_nsk_degeneracy():
            f"over [0, 0.1] at N = 512")
 
 
-def test_criterion_07_homogeneous_relaxation():
+def test_criterion_07_homogeneous_relaxation(relaxation_oracle):
     grid = PeriodicGrid(8)
     params = poly_params()
     dt, t_end = 2e-4, 1.0
@@ -210,21 +210,7 @@ def test_criterion_07_homogeneous_relaxation():
     state = BNState.make(grid, 0.4, 1.5, 0.5, 0.0, params)
     traj = bn_run(state, params, config, keep_records=False)
 
-    def ode_rhs(v):
-        ap, rp, rm = v
-        dp = float(params.eos.artificial_pressure(np.array(rp))
-                   - params.eos.artificial_pressure(np.array(rm)))
-        return np.array([ap * (1 - ap) * dp, -rp * (1 - ap) * dp,
-                         rm * ap * dp]) / params.mu
-
-    v = np.array([0.4, 1.5, 0.5])
-    fine = dt / 100.0
-    for _ in range(int(round(t_end / fine))):
-        k1 = ode_rhs(v)
-        k2 = ode_rhs(v + 0.5 * fine * k1)
-        k3 = ode_rhs(v + 0.5 * fine * k2)
-        k4 = ode_rhs(v + fine * k3)
-        v = v + fine / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    v = relaxation_oracle([0.4, 1.5, 0.5], params, t_end)
     final = traj.snapshots[-1]
     ode_err = max(abs(final.alpha_p[0] - v[0]), abs(final.rho_p[0] - v[1]),
                   abs(final.rho_m[0] - v[2]))
@@ -234,7 +220,7 @@ def test_criterion_07_homogeneous_relaxation():
             for s in traj.snapshots]
     monotone = all(b <= a + 1e-14 for a, b in zip(gaps, gaps[1:]))
     report(7, ode_err <= 1e-6 and monotone and gaps[-1] < 1e-6,
-           f"homogeneous relaxation: RK4-oracle err {ode_err:.2e} <= 1e-6, "
+           f"homogeneous relaxation: DOP853-oracle err {ode_err:.2e} <= 1e-6, "
            f"pressure gap monotone to {gaps[-1]:.2e} < 1e-6")
 
 

@@ -195,6 +195,52 @@ m0 = 0.55
     assert main(["simulate-nsk", "--config", cfg, "--out", out]) == 4
 
 
+def test_cli_nan_failure_exit_code(tmp_path, capsys):
+    # kinetic energy density 0.5 rho u^2 overflows in the first record
+    cfg = write_cfg(tmp_path, """
+[grid]
+n = 64
+
+[init]
+profile = constant
+u0_mode = 1
+u0_amp = 1e307
+""")
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["simulate-nsk", "--config", cfg, "--out", str(out)]) == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rail_outside_eos_domain_rejected_before_stepping(tmp_path, capsys):
+    # upper rail 2 m0 = 2.8 lies beyond the Van der Waals pole at B = 1.7
+    cfg = write_cfg(tmp_path, """
+[grid]
+n = 64
+
+[time]
+t_end = 0.2
+
+[eos]
+B = 1.7
+
+[bounds]
+m0 = 1.4
+
+[init]
+profile = constant
+u0_mode = 1
+u0_amp = 3
+""")
+    out = tmp_path / "run"
+    assert main(["simulate-nsk", "--config", cfg, "--out", str(out)]) == 3
+    assert "not inside the law's domain" in capsys.readouterr().err
+    assert not out.exists()
+    # check-eos scans the admissible part of the domain and still accepts it
+    assert main(["check-eos", "--config", cfg]) == 0
+
+
 def homogenize_cfg(tmp_path):
     return write_cfg(tmp_path, """
 [physics]
@@ -238,7 +284,6 @@ directory = fam_out
 
 def test_cli_homogenize_deterministic(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("PHASEKIT_THREADS", "1")
     cfg = homogenize_cfg(tmp_path)
     assert main(["homogenize", "--config", cfg, "--out", "fam1"]) == 0
     assert main(["homogenize", "--config", cfg, "--out", "fam2"]) == 0
@@ -252,14 +297,3 @@ def test_cli_homogenize_deterministic(tmp_path, monkeypatch):
         assert header.startswith("t,1*xi^0,1*xi^1")
     header = open(tmp_path / "fam1" / "convergence.csv").readline()
     assert header.startswith("n,sup_t_measure_dist,sup_t_u_err,dist_t")
-
-
-def test_cli_homogenize_parallel_matches_serial(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    cfg = homogenize_cfg(tmp_path)
-    monkeypatch.setenv("PHASEKIT_THREADS", "1")
-    assert main(["homogenize", "--config", cfg, "--out", "serial"]) == 0
-    monkeypatch.setenv("PHASEKIT_THREADS", "2")
-    assert main(["homogenize", "--config", cfg, "--out", "parallel"]) == 0
-    assert (open(tmp_path / "serial" / "convergence.csv", "rb").read()
-            == open(tmp_path / "parallel" / "convergence.csv", "rb").read())

@@ -95,8 +95,7 @@ def tree_digest(out_dir) -> str:
 
 
 @pytest.mark.parametrize("command", sorted(CASES))
-def test_output_tree_matches_pin(command, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PHASEKIT_THREADS", "1")
+def test_output_tree_matches_pin(command, tmp_path, capsys):
     text, pin = CASES[command]
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
