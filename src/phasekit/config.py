@@ -95,8 +95,6 @@ SCHEMA = {
     },
     "harness": {
         "n_list": (_parse_int_list, [2, 4]),
-        "m_x": (_parse_int, 4),
-        "k_max": (_parse_int, 4),
         "upwind": (_parse_float, 0.5),
     },
     "output": {
@@ -198,7 +196,7 @@ def _validate(config: RunConfig, path: str):
     if not 0.0 < time_sec["cfl"] <= 1.0:
         err(f"[time].cfl must lie in (0, 1], got {time_sec['cfl']}")
     if time_sec["snapshot_every"] < 1:
-        err(f"[time].snapshot_every must be at least 1")
+        err("[time].snapshot_every must be at least 1")
     if config["bounds"]["m0"] <= 0.0:
         err(f"[bounds].m0 must be positive, got {config['bounds']['m0']}")
     init = config["init"]
@@ -301,4 +299,4 @@ def build_family(config: RunConfig, out_dir: str | None = None) -> FamilyConfig:
         v_plus=init["v_plus"], theta=init["theta"], delta=init["delta"],
         u0=u0_field(config, build_grid(config)), params=build_params(config),
         solver=build_solver(config), grid_n=config["grid"]["n"],
-        m_x=har["m_x"], k_max=har["k_max"], out_dir=out_dir)
+        out_dir=out_dir)

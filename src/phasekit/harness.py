@@ -4,9 +4,11 @@ For a two-value density profile compressed n-fold, run the detailed-scale
 solver for each n in a family, build the empirical measures of the density
 fields, run the two-phase solver once from the profile's limit data, build
 its two-Dirac measures, and quantify how the empirical measures approach
-the two-Dirac ones as n grows.  The members run one after another in n
-order, and a member that leaves its guard rails fails alone: the report
-over the others is still assembled.
+the two-Dirac ones as n grows.  Every member's initial data is built
+before the first run, so a member the grid cannot resolve stops the family
+before any solver step.  The members run one after another in n order, and
+a member that leaves its guard rails fails alone: the report over the
+others is still assembled.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ class FamilyConfig:
     params: PhysicalParams
     solver: SolverConfig
     grid_n: int
-    m_x: int = 4
-    k_max: int = 4
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -68,6 +68,9 @@ class FamilyConfig:
                                (grid.n,)).copy()
 
 
+MONOTONE_SLACK = 1.2   # allowed growth of the sup error from member to member
+
+
 @dataclass
 class ConvergenceReport:
     n_list: tuple
@@ -79,7 +82,7 @@ class ConvergenceReport:
     sup_uerr: list
     monotone_dist: bool
     monotone_uerr: bool
-    slack: float = 1.2
+    slack: float = MONOTONE_SLACK
     extras: dict = field(default_factory=dict)
 
 
@@ -119,16 +122,17 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
     grid = config.grid()
     u0 = config.u0_field(grid)
 
+    # every member's data first: an unresolvable member fails before any run
+    member_rho0 = [make_oscillating_initial(
+        grid, config.v_minus, config.v_plus, config.theta, n, config.delta,
+        bounds=config.solver.bounds) for n in config.n_list]
     alpha_p0, alpha_m0, rho_p0, rho_m0 = limit_initial_data(
         config.v_minus, config.v_plus, config.theta, config.delta, grid)
     bn_state = BNState.make(grid, alpha_p0, rho_p0, rho_m0, u0, config.params)
     bn_traj = bn_run(bn_state, config.params, config.solver)
 
     members, failures = [], {}
-    for n in config.n_list:
-        rho0 = make_oscillating_initial(grid, config.v_minus, config.v_plus,
-                                        config.theta, n, config.delta,
-                                        bounds=config.solver.bounds)
+    for n, rho0 in zip(config.n_list, member_rho0):
         try:
             state = FluidState.make(grid, rho0, u0, config.params)
             members.append(nsk_run(state, config.params, config.solver))
@@ -158,20 +162,21 @@ def _assemble_report(config: FamilyConfig, bn_traj, members, n_list
                      ) -> ConvergenceReport:
     times = bn_traj.snapshot_times
     box = config.solver.bounds
-    dictionary = TestDictionary(box, m_x=config.m_x, k_max=config.k_max)
+    dictionary = TestDictionary(box)
     bn_measures = [two_dirac_from_bn(s, box) for s in bn_traj.snapshots]
 
-    dist_series, uerr_series, w1_series = [], [], []
+    member_measures, dist_series, uerr_series, w1_series = [], [], [], []
     for n, traj in zip(n_list, members):
         if traj.cfl_limited or traj.snapshot_times.shape != times.shape or \
                 np.max(np.abs(traj.snapshot_times - times)) > 1e-10:
             raise ConfigError(
                 f"member n={n} left the shared time grid (CFL-limited: "
                 f"{traj.cfl_limited}); lower [time].dt and rerun")
+        measures = [empirical_from_state(s, box) for s in traj.snapshots]
+        member_measures.append(measures)
         dists, uerrs, w1s = [], [], []
-        for s_n, s_bn, m_bn in zip(traj.snapshots, bn_traj.snapshots,
-                                   bn_measures):
-            m_n = empirical_from_state(s_n, box)
+        for s_n, s_bn, m_n, m_bn in zip(traj.snapshots, bn_traj.snapshots,
+                                        measures, bn_measures):
             dists.append(distance(m_n, m_bn, dictionary))
             w1s.append(wasserstein_avg(m_n, m_bn))
             uerrs.append(float(np.max(np.abs(s_n.u - s_bn.u))))
@@ -181,16 +186,15 @@ def _assemble_report(config: FamilyConfig, bn_traj, members, n_list
 
     sup_dist = [float(np.max(d)) for d in dist_series]
     sup_uerr = [float(np.max(e)) for e in uerr_series]
-    slack = 1.2
     return ConvergenceReport(
         n_list=tuple(n_list), times=times, dist_series=dist_series,
         uerr_series=uerr_series, wasserstein_series=w1_series,
         sup_dist=sup_dist, sup_uerr=sup_uerr,
-        monotone_dist=_monotone_with_slack(sup_dist, slack),
-        monotone_uerr=_monotone_with_slack(sup_uerr, slack),
-        slack=slack,
+        monotone_dist=_monotone_with_slack(sup_dist, MONOTONE_SLACK),
+        monotone_uerr=_monotone_with_slack(sup_uerr, MONOTONE_SLACK),
         extras={"bn_trajectory": bn_traj, "members": members,
-                "dictionary": dictionary},
+                "dictionary": dictionary, "bn_measures": bn_measures,
+                "member_measures": member_measures},
     )
 
 
@@ -198,34 +202,26 @@ def _monotone_with_slack(values, slack: float) -> bool:
     return all(b <= slack * a for a, b in zip(values, values[1:]))
 
 
-def _pairing_matrix(measures, dictionary):
-    return np.array([[m.pair(b) for _, b in dictionary.entries]
-                     for m in measures])
-
-
 def _write_family(config: FamilyConfig, report: ConvergenceReport):
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
     io.write_convergence(os.path.join(out, "convergence.csv"), report)
-    box = config.solver.bounds
-    dictionary = report.extras["dictionary"]
-    bn_traj = report.extras["bn_trajectory"]
-    io.write_trajectory(os.path.join(out, "bn"), bn_traj, "bn")
-    bn_measures = [two_dirac_from_bn(s, box) for s in bn_traj.snapshots]
+    extras = report.extras
+    dictionary = extras["dictionary"]
+    io.write_trajectory(os.path.join(out, "bn"), extras["bn_trajectory"], "bn")
     io.write_measure_summary(os.path.join(out, "bn", "measures.csv"),
                              report.times, dictionary.names(),
-                             _pairing_matrix(bn_measures, dictionary))
-    for n, traj, dists, w1s in zip(report.n_list, report.extras["members"],
-                                   report.dist_series,
-                                   report.wasserstein_series):
+                             [m.pair(dictionary) for m in extras["bn_measures"]])
+    for n, traj, measures, dists, w1s in zip(
+            report.n_list, extras["members"], extras["member_measures"],
+            report.dist_series, report.wasserstein_series):
         member_dir = os.path.join(out, f"member_n{n}")
         io.write_trajectory(member_dir, traj, "nsk")
         io.write_distances(os.path.join(member_dir, "distances.csv"),
                            report.times, dists, w1s)
-        measures = [empirical_from_state(s, box) for s in traj.snapshots]
         io.write_measure_summary(os.path.join(member_dir, "measures.csv"),
                                  report.times, dictionary.names(),
-                                 _pairing_matrix(measures, dictionary))
+                                 [m.pair(dictionary) for m in measures])
 
 
 def kinetic_consistency(trajectory, kind: str, params: PhysicalParams,

@@ -71,7 +71,8 @@ def write_trajectory(out_dir, trajectory, kind):
 
 
 def write_measure_summary(path, times, names, pairings):
-    """pairings: array (n_times, n_dict_entries) in dictionary order."""
+    """One row per time: t, then that snapshot's pairings, one value per
+    name (a measure's pair(dictionary) with names = dictionary.names())."""
     header = ["t"] + list(names)
     rows = ([t] + list(row) for t, row in zip(times, pairings))
     write_csv(path, header, rows)

@@ -5,14 +5,16 @@ density field (one atom per node, the measure with pairings
 h sum_i b(x_i, rho_i)) and the two-Dirac measure of a two-phase state
 (atoms rho_p, rho_m with weights alpha_p, alpha_m).  Distances combine a
 finite test dictionary (a computable surrogate for weak-star convergence)
-with the x-averaged per-node 1D Wasserstein distance, and the weak-form
+with the x-averaged per-node 1D Wasserstein distance; the dictionary
+stacks its entries (an x-factor times a power of xi) in one array, so a
+measure is paired with all of them in one reduction.  The weak-form
 residual of the kinetic transport equation driven by the effective viscous
 flux is evaluated by exact atom pairing in (x, xi) and trapezoid in time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from .torus import PeriodicGrid
 
 @dataclass
 class ParamMeasure:
-    kind: str                 # "empirical" or "two_dirac"
     grid: PeriodicGrid
     atoms: np.ndarray         # (n_atoms_per_node, n)
     weights: np.ndarray       # (n_atoms_per_node, n); per-node masses sum to 1
@@ -37,11 +38,13 @@ class ParamMeasure:
                 f"atoms outside the support box [{lo}, {hi}]: range "
                 f"[{np.min(self.atoms)}, {np.max(self.atoms)}]")
 
-    def pair(self, b) -> float:
-        """<measure, b> for a vectorized test function b(x, xi)."""
+    def pair(self, b):
+        """<measure, b> for a vectorized test function b(x, xi); one value
+        per entry when b stacks several along a leading axis (a dictionary)."""
         x = np.broadcast_to(self.grid.x, self.atoms.shape)
-        vals = b(x, self.atoms)
-        return float(self.grid.h * np.sum(self.weights * vals))
+        vals = self.grid.h * np.sum(self.weights * b(x, self.atoms),
+                                    axis=(-2, -1))
+        return float(vals) if vals.ndim == 0 else vals
 
     def total_mass(self) -> float:
         return float(self.grid.h * np.sum(self.weights))
@@ -50,8 +53,9 @@ class ParamMeasure:
 def empirical_from_field(grid: PeriodicGrid, rho: np.ndarray,
                          support_box: tuple) -> ParamMeasure:
     rho = np.asarray(rho, dtype=float)
-    return ParamMeasure("empirical", grid, rho[None, :],
-                        np.ones((1, grid.n)), tuple(support_box))
+    # unit weights as a read-only view: a family keeps all its measures
+    return ParamMeasure(grid, rho[None, :], np.broadcast_to(1.0, (1, grid.n)),
+                        tuple(support_box))
 
 
 def empirical_from_state(state, support_box: tuple) -> ParamMeasure:
@@ -61,51 +65,57 @@ def empirical_from_state(state, support_box: tuple) -> ParamMeasure:
 def two_dirac_from_bn(state, support_box: tuple) -> ParamMeasure:
     atoms = np.stack([state.rho_p, state.rho_m])
     weights = np.stack([state.alpha_p, state.alpha_m])
-    return ParamMeasure("two_dirac", state.grid, atoms, weights,
-                        tuple(support_box))
+    return ParamMeasure(state.grid, atoms, weights, tuple(support_box))
+
+
+def _x_factors() -> dict:
+    """name -> (g, g') for the x-factors 1, cos(2 pi m x) and sin(2 pi m x),
+    m = 1..4, in dictionary order."""
+    factors = {"1": (np.ones_like, np.zeros_like)}
+    for m in range(1, 5):
+        w = 2.0 * np.pi * m
+        factors[f"cos{m}"] = (lambda x, w=w: np.cos(w * x),
+                              lambda x, w=w: -w * np.sin(w * x))
+        factors[f"sin{m}"] = (lambda x, w=w: np.sin(w * x),
+                              lambda x, w=w: w * np.cos(w * x))
+    return factors
+
+
+def _xi_powers() -> dict:
+    """k -> (p, p') for xi^k, k = 0..4."""
+    return {k: (lambda xi, k=k: xi ** k,
+                lambda xi, k=k: k * xi ** (k - 1) if k else np.zeros_like(xi))
+            for k in range(5)}
 
 
 @dataclass
 class TestDictionary:
-    """Products of low trigonometric modes in x with monomials in xi,
-    normalized to sup-norm one on the torus times the support box."""
+    """Products g(x) xi^k of every x-factor with every power of xi, normalized
+    to sup-norm one on the torus times the support box.  Called on (x, xi)
+    of shape (A, n), it returns the 45 entries as one (45, A, n) array, in
+    names() order."""
     __test__ = False  # not a pytest class, despite the name
     support_box: tuple
-    m_x: int = 4
-    k_max: int = 4
-    entries: list = field(default_factory=list)
-
-    def __post_init__(self):
-        lo, hi = self.support_box
-        xi_sup = max(abs(lo), abs(hi))
-        x_factors = [("1", None)]
-        for m in range(1, self.m_x + 1):
-            x_factors.append((f"cos{m}", (np.cos, m)))
-            x_factors.append((f"sin{m}", (np.sin, m)))
-        self.entries = []
-        for x_name, x_spec in x_factors:
-            for k in range(self.k_max + 1):
-                scale = xi_sup ** k if k > 0 else 1.0
-                self.entries.append(
-                    (f"{x_name}*xi^{k}", _make_entry(x_spec, k, scale)))
-        if not self.entries:
-            raise ValueError("empty test dictionary")
 
     def names(self):
-        return [name for name, _ in self.entries]
+        return [f"{x_name}*xi^{k}" for x_name in _x_factors()
+                for k in _xi_powers()]
 
-
-def _make_entry(x_spec, k, scale):
-    if x_spec is None:
-        return lambda x, xi: xi ** k / scale
-    fun, m = x_spec
-    return lambda x, xi: fun(2.0 * np.pi * m * x) * xi ** k / scale
+    def __call__(self, x, xi):
+        lo, hi = self.support_box
+        xi_sup = max(abs(lo), abs(hi))
+        gs = np.stack([g(x) for g, _ in _x_factors().values()])
+        ps = np.stack([p(xi) for p, _ in _xi_powers().values()])
+        scale = np.array([xi_sup ** k for k in _xi_powers()])
+        vals = gs[:, None] * ps
+        vals /= scale[:, None, None]
+        return vals.reshape(-1, *ps.shape[1:])
 
 
 def distance(m1: ParamMeasure, m2: ParamMeasure,
              dictionary: TestDictionary) -> float:
     """Max pairing difference over the dictionary (a pseudometric)."""
-    return max(abs(m1.pair(b) - m2.pair(b)) for _, b in dictionary.entries)
+    return float(np.max(np.abs(m1.pair(dictionary) - m2.pair(dictionary))))
 
 
 def wasserstein_avg(m1: ParamMeasure, m2: ParamMeasure) -> float:
@@ -159,27 +169,6 @@ def _time_window(t_end: float):
     return psi, dpsi
 
 
-_X_FACTORS = {
-    "1": (lambda x: np.ones_like(np.asarray(x, dtype=float)),
-          lambda x: np.zeros_like(np.asarray(x, dtype=float))),
-    "cos1": (lambda x: np.cos(2 * np.pi * x),
-             lambda x: -2 * np.pi * np.sin(2 * np.pi * x)),
-    "sin1": (lambda x: np.sin(2 * np.pi * x),
-             lambda x: 2 * np.pi * np.cos(2 * np.pi * x)),
-    "cos2": (lambda x: np.cos(4 * np.pi * x),
-             lambda x: -4 * np.pi * np.sin(4 * np.pi * x)),
-}
-
-_XI_FACTORS = {
-    "1": (lambda xi: np.ones_like(np.asarray(xi, dtype=float)),
-          lambda xi: np.zeros_like(np.asarray(xi, dtype=float))),
-    "xi": (lambda xi: np.asarray(xi, dtype=float),
-           lambda xi: np.ones_like(np.asarray(xi, dtype=float))),
-    "xi^2": (lambda xi: np.asarray(xi, dtype=float) ** 2,
-             lambda xi: 2.0 * np.asarray(xi, dtype=float)),
-}
-
-
 def smoke_test_set(t_end: float, mean_free_only: bool = False) -> list:
     """Fixed set of separable test functions for kinetic-residual checks.
 
@@ -187,15 +176,16 @@ def smoke_test_set(t_end: float, mean_free_only: bool = False) -> list:
     the transport terms is exactly zero on equispaced nodes.
     """
     psi, dpsi = _time_window(t_end)
-    combos = [("cos1", "xi"), ("sin1", "xi^2"), ("cos2", "xi"),
-              ("cos1", "1"), ("1", "xi"), ("1", "xi^2")]
+    x_factors, xi_powers = _x_factors(), _xi_powers()
+    combos = [("cos1", 1), ("sin1", 2), ("cos2", 1), ("cos1", 0), ("1", 1),
+              ("1", 2)]
     out = []
-    for x_name, xi_name in combos:
+    for x_name, k in combos:
         if mean_free_only and x_name == "1":
             continue
-        g, dg = _X_FACTORS[x_name]
-        p, dp = _XI_FACTORS[xi_name]
-        out.append(SeparableTest(f"{x_name}*{xi_name}", psi, dpsi, g, dg, p, dp))
+        xi_name = {0: "1", 1: "xi"}.get(k, f"xi^{k}")
+        out.append(SeparableTest(f"{x_name}*{xi_name}", psi, dpsi,
+                                 *x_factors[x_name], *xi_powers[k]))
     return out
 
 

@@ -176,8 +176,7 @@ def sobolev_norm(grid: PeriodicGrid, f: np.ndarray, order: int) -> float:
     k = grid.wavenumbers()
     weights = np.full(k.size, 2.0)
     weights[0] = 1.0
-    if grid.n % 2 == 0:
-        weights[-1] = 1.0
+    weights[-1] = 1.0   # the Nyquist mode; n is always even
     sym = (1.0 + k ** 2) ** order
     return float(np.sqrt(np.sum(weights * sym * np.abs(fh) ** 2)))
 

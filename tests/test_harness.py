@@ -127,6 +127,21 @@ def test_member_failure_aborts_with_partial_report(monkeypatch, tmp_path):
     assert (tmp_path / "fam" / "convergence.csv").exists()
 
 
+def test_unresolvable_member_fails_before_any_run(monkeypatch):
+    import phasekit.harness as hmod
+
+    calls = []
+    for name in ("bn_run", "nsk_run"):
+        real = getattr(hmod, name)
+        monkeypatch.setattr(hmod, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    cfg = family(grid_n=128, n_list=(1, 2))
+    cfg.delta = 0.05   # n = 2 compresses the ramps below four cells
+    with pytest.raises(ValueError, match="unresolved transitions"):
+        run_family(cfg)
+    assert calls == []
+
+
 def test_kinetic_consistency_wrapper():
     params = vdw_params()
     grid = PeriodicGrid(128)

@@ -47,8 +47,8 @@ def test_two_dirac_pure_phase_equals_empirical():
     state = BNState.make(grid, 1.0, rho, rho, 0.0, params)
     m2 = two_dirac_from_bn(state, BOX)
     m1 = empirical_from_field(grid, rho, BOX)
-    for _, b in TestDictionary(BOX).entries:
-        assert abs(m1.pair(b) - m2.pair(b)) <= 1e-12
+    d = TestDictionary(BOX)
+    assert np.max(np.abs(m1.pair(d) - m2.pair(d))) <= 1e-12
 
 
 def test_moment_consistency_along_run():
@@ -70,14 +70,45 @@ def test_support_box_enforced():
 
 
 def test_dictionary_layout():
-    d = TestDictionary(BOX, m_x=4, k_max=4)
-    assert len(d.entries) == (1 + 2 * 4) * 5
+    d = TestDictionary(BOX)
+    assert len(d.names()) == (1 + 2 * 4) * 5
     assert d.names()[0] == "1*xi^0"
     # normalization: pairing of any entry against any unit measure is <= 1
     grid = PeriodicGrid(32)
     m = empirical_from_field(grid, np.full(grid.n, 3.2), BOX)
-    for _, b in d.entries:
-        assert abs(m.pair(b)) <= 1.0 + 1e-12
+    assert np.all(np.abs(m.pair(d)) <= 1.0 + 1e-12)
+
+
+def entry_from_name(name):
+    """The test function a dictionary entry name such as "cos3*xi^2"
+    stands for, built from the name alone."""
+    x_name, power = name.split("*xi^")
+    k = int(power)
+    scale = max(abs(BOX[0]), abs(BOX[1])) ** k
+    if x_name == "1":
+        return lambda x, xi: xi ** k / scale
+    fun = {"cos": np.cos, "sin": np.sin}[x_name[:3]]
+    m = int(x_name[3:])
+    return lambda x, xi: fun(2.0 * np.pi * m * x) * xi ** k / scale
+
+
+def test_dictionary_entries_match_their_names():
+    # oracle: the stacked pairing, entry by entry, equals the pairing with
+    # the scalar test function each name spells out
+    grid = PeriodicGrid(64)
+    rng = np.random.default_rng(5)
+    state = BNState.make(grid, rng.uniform(0.0, 1.0, grid.n),
+                         rng.uniform(0.5, 2.5, grid.n),
+                         rng.uniform(0.5, 2.5, grid.n), 0.0, poly_params())
+    d = TestDictionary(BOX)
+    names = d.names()
+    assert len(names) == 45
+    for m in (empirical_from_field(grid, rng.uniform(0.5, 2.5, grid.n), BOX),
+              two_dirac_from_bn(state, BOX)):
+        stacked = m.pair(d)
+        assert stacked.shape == (45,)
+        for i, name in enumerate(names):
+            assert stacked[i] == m.pair(entry_from_name(name)), name
 
 
 def test_distance_example_values():

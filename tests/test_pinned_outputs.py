@@ -43,7 +43,7 @@ snapshot_every = 50
 [init]
 u0_mode = 1
 u0_amp = 0.2
-""", "3ed3131837ed4302867e06104165903d32f76c51431c7eada9134956eba93380"),
+""", "8ba442c88f1cc091719cc562747d82f85615a35711ff4ef50ed5c6076085414f"),
     # dt far above the CFL bound: every step is CFL-limited
     "simulate-bn": (COMMON + """
 [grid]
@@ -57,7 +57,7 @@ snapshot_every = 20
 [init]
 u0_mode = 1
 u0_amp = 0.2
-""", "e3b15f286a481e3ad97066d673ee06ab9c8e352e42329d5f3ce5dd1344c3521f"),
+""", "cb3efee7788ece7097f6b6ca8a9ff4b7ccc1243d53318f91928521b979e0eec4"),
     # the criterion-12 family: a BN reference and two NSK members
     "homogenize": (COMMON + """
 [grid]
@@ -74,7 +74,7 @@ v_plus = 1.6
 
 [harness]
 n_list = 2, 4
-""", "22df07d86f46d06cd5c69baf579108381f1575386de4a83fd12b7b6005cc88af"),
+""", "55648734762a489040849b55e1e822252cbdc055a85fe973fdd9189b09d609ab"),
 }
 
 
