@@ -130,7 +130,7 @@ def balance_check(records, tol_mass: float = 1e-12, tol_momentum: float = np.inf
     diss_cum = np.concatenate(
         [[0.0], np.cumsum(0.5 * (d[1:] + d[:-1]) * np.diff(t))])
     energy_residual = float(np.max(np.abs(e - e[0] + diss_cum)))
-    e_scale = abs(e[0]) if e[0] != 0.0 else 1.0
+    e_scale = float(abs(e[0])) if e[0] != 0.0 else 1.0
 
     report = {
         "mass_drift": float(np.max(np.abs(mass - mass[0]))),
@@ -144,7 +144,6 @@ def balance_check(records, tol_mass: float = 1e-12, tol_momentum: float = np.inf
         "rho_min": float(np.min([r.rho_min for r in records])),
         "rho_max": float(np.max([r.rho_max for r in records])),
     }
-    e_scale = float(e_scale)
     report["mass_ok"] = bool(report["mass_drift"] <= tol_mass)
     report["momentum_ok"] = bool(report["momentum_drift"] <= tol_momentum)
     report["energy_ok"] = bool(

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import io
 from .bn import BNState, bn_run
-from .eos import require_admissible
 from .errors import BoundsError, ConfigError
 from .measures import (TestDictionary, distance, empirical_from_state,
                        kinetic_residual, smoke_test_set, two_dirac_from_bn,
@@ -57,8 +56,6 @@ class FamilyConfig:
             raise ValueError(
                 f"profile values ({self.v_minus}, {self.v_plus}) outside the "
                 f"guard rails {self.solver.bounds}")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
 
     def grid(self) -> PeriodicGrid:
         return PeriodicGrid(self.grid_n)
@@ -117,8 +114,6 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
     If a member run violates its guard rails the family is aborted with a
     BoundsError whose ``partial_report`` attribute holds the report over
     the members that finished (written to out_dir as well, when set)."""
-    _, hi = config.solver.bounds
-    require_admissible(config.params.eos, 0.0, hi)
     grid = config.grid()
     u0 = config.u0_field(grid)
 
@@ -164,8 +159,9 @@ def _assemble_report(config: FamilyConfig, bn_traj, members, n_list
     box = config.solver.bounds
     dictionary = TestDictionary(box)
     bn_measures = [two_dirac_from_bn(s, box) for s in bn_traj.snapshots]
+    bn_pairings = [m.pair(dictionary) for m in bn_measures]
 
-    member_measures, dist_series, uerr_series, w1_series = [], [], [], []
+    member_pairings, dist_series, uerr_series, w1_series = [], [], [], []
     for n, traj in zip(n_list, members):
         if traj.cfl_limited or traj.snapshot_times.shape != times.shape or \
                 np.max(np.abs(traj.snapshot_times - times)) > 1e-10:
@@ -173,16 +169,16 @@ def _assemble_report(config: FamilyConfig, bn_traj, members, n_list
                 f"member n={n} left the shared time grid (CFL-limited: "
                 f"{traj.cfl_limited}); lower [time].dt and rerun")
         measures = [empirical_from_state(s, box) for s in traj.snapshots]
-        member_measures.append(measures)
-        dists, uerrs, w1s = [], [], []
-        for s_n, s_bn, m_n, m_bn in zip(traj.snapshots, bn_traj.snapshots,
-                                        measures, bn_measures):
-            dists.append(distance(m_n, m_bn, dictionary))
-            w1s.append(wasserstein_avg(m_n, m_bn))
-            uerrs.append(float(np.max(np.abs(s_n.u - s_bn.u))))
-        dist_series.append(np.array(dists))
-        uerr_series.append(np.array(uerrs))
-        w1_series.append(np.array(w1s))
+        pairings = [m.pair(dictionary) for m in measures]
+        member_pairings.append(pairings)
+        dist_series.append(np.array(
+            [distance(p_n, p_bn) for p_n, p_bn in zip(pairings, bn_pairings)]))
+        w1_series.append(np.array(
+            [wasserstein_avg(m_n, m_bn)
+             for m_n, m_bn in zip(measures, bn_measures)]))
+        uerr_series.append(np.array(
+            [float(np.max(np.abs(s_n.u - s_bn.u)))
+             for s_n, s_bn in zip(traj.snapshots, bn_traj.snapshots)]))
 
     sup_dist = [float(np.max(d)) for d in dist_series]
     sup_uerr = [float(np.max(e)) for e in uerr_series]
@@ -193,8 +189,8 @@ def _assemble_report(config: FamilyConfig, bn_traj, members, n_list
         monotone_dist=_monotone_with_slack(sup_dist, MONOTONE_SLACK),
         monotone_uerr=_monotone_with_slack(sup_uerr, MONOTONE_SLACK),
         extras={"bn_trajectory": bn_traj, "members": members,
-                "dictionary": dictionary, "bn_measures": bn_measures,
-                "member_measures": member_measures},
+                "dictionary": dictionary, "bn_pairings": bn_pairings,
+                "member_pairings": member_pairings},
     )
 
 
@@ -211,17 +207,16 @@ def _write_family(config: FamilyConfig, report: ConvergenceReport):
     io.write_trajectory(os.path.join(out, "bn"), extras["bn_trajectory"], "bn")
     io.write_measure_summary(os.path.join(out, "bn", "measures.csv"),
                              report.times, dictionary.names(),
-                             [m.pair(dictionary) for m in extras["bn_measures"]])
-    for n, traj, measures, dists, w1s in zip(
-            report.n_list, extras["members"], extras["member_measures"],
+                             extras["bn_pairings"])
+    for n, traj, pairings, dists, w1s in zip(
+            report.n_list, extras["members"], extras["member_pairings"],
             report.dist_series, report.wasserstein_series):
         member_dir = os.path.join(out, f"member_n{n}")
         io.write_trajectory(member_dir, traj, "nsk")
         io.write_distances(os.path.join(member_dir, "distances.csv"),
                            report.times, dists, w1s)
         io.write_measure_summary(os.path.join(member_dir, "measures.csv"),
-                                 report.times, dictionary.names(),
-                                 [m.pair(dictionary) for m in measures])
+                                 report.times, dictionary.names(), pairings)
 
 
 def kinetic_consistency(trajectory, kind: str, params: PhysicalParams,

@@ -62,6 +62,8 @@ class SolverConfig:
             raise ValueError(f"bounds must satisfy 0 < lower < upper, got {self.bounds}")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be at least 1")
+        if self.upwind < 0.0:
+            raise ValueError(f"upwind must be nonnegative, got {self.upwind}")
         if self.force_form not in ("artificial", "original"):
             raise ValueError(f"unknown force_form {self.force_form!r}")
 

@@ -99,6 +99,11 @@ def test_builders(tmp_path):
     assert np.allclose(bn_state.alpha_p, 1.0)
     family = build_family(parse_config(POLY_SMOOTH + "[grid]\nn = 256\n"))
     assert family.n_list == (2, 4)
+    # the velocity is u0 + u0_amp sin(2 pi u0_mode x) for a negative mode too
+    config = parse_config(POLY_SMOOTH + "u0 = 0.5\nu0_mode = -2\nu0_amp = 1\n")
+    x = np.arange(64) / 64
+    assert np.allclose(build_nsk_initial(config, params).u,
+                       0.5 - np.sin(4 * np.pi * x), rtol=0.0, atol=1e-15)
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -107,10 +112,26 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+# values that only the grid, the pressure law or the solver settings check:
+# refused at load, naming the file and the section
+REFUSED_AT_LOAD = [
+    ("[bounds]", "[bounds]\nm0 = 0.5\n"),    # rails (1, 1)
+    ("[eos]", "[eos]\nA = -1\n"),
+    ("[eos]", "[eos]\ntype = polytropic\nbeta = 1.5\n"),
+    ("[harness]", "[harness]\nupwind = -1\n"),
+]
+
+
 def test_cli_config_error_exit_code(tmp_path):
     path = write_cfg(tmp_path, "[physics]\ngamma = -1\n")
     assert main(["check-eos", "--config", path]) == 2
     assert main(["check-eos", "--config", str(tmp_path / "missing.cfg")]) == 2
+    for i, (section, text) in enumerate(REFUSED_AT_LOAD):
+        path = write_cfg(tmp_path, text, f"bad{i}.cfg")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text, path=path)
+        assert path in str(exc.value) and section in str(exc.value), text
+        assert main(["check-eos", "--config", path]) == 2, text
 
 
 def test_cli_check_eos_accepts_and_rejects(tmp_path, capsys):

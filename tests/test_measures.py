@@ -154,13 +154,13 @@ def test_distance_is_pseudometric():
                          rng.uniform(0.5, 2.5, grid.n),
                          rng.uniform(0.5, 2.5, grid.n), 0.0, params)
     measures.append(two_dirac_from_bn(state, BOX))
-    for m in measures:
-        assert distance(m, m, d) == 0.0
-    for m1, m2 in itertools.combinations(measures, 2):
-        assert distance(m1, m2, d) == pytest.approx(distance(m2, m1, d), abs=0.0)
-    for m1, m2, m3 in itertools.permutations(measures, 3):
-        assert (distance(m1, m3, d)
-                <= distance(m1, m2, d) + distance(m2, m3, d) + 1e-15)
+    pairings = [m.pair(d) for m in measures]
+    for p in pairings:
+        assert distance(p, p) == 0.0
+    for p1, p2 in itertools.combinations(pairings, 2):
+        assert distance(p1, p2) == pytest.approx(distance(p2, p1), abs=0.0)
+    for p1, p2, p3 in itertools.permutations(pairings, 3):
+        assert distance(p1, p3) <= distance(p1, p2) + distance(p2, p3) + 1e-15
 
 
 def test_kinetic_residual_constant_state_is_zero():

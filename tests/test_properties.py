@@ -1,5 +1,7 @@
 """Property tests over randomly drawn admissible data."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
+from phasekit.config import RunConfig, parse_config  # noqa: E402
 from phasekit.nsk import continuity_update  # noqa: E402
 from phasekit.torus import PeriodicGrid, mean, solve_cyclic_tridiagonal  # noqa: E402
 
@@ -57,3 +60,74 @@ def test_continuity_update_conserves_mass(n, rho_modes, u_modes, u_mean,
     rho_new = continuity_update(grid, rho, u, dt, upwind)
     mass = mean(grid, rho)
     assert abs(mean(grid, rho_new) - mass) <= n * np.finfo(float).eps * mass
+
+
+def positive(hi):
+    return st.floats(1e-6, hi, allow_nan=False, allow_infinity=False)
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def unit_open():
+    return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+# valid configs: every value inside the range its owner accepts
+CONFIGS = st.fixed_dictionaries({
+    "physics": st.fixed_dictionaries({
+        "mu": positive(10.0), "kappa": positive(10.0),
+        "gamma": finite(0.0, 10.0)}),
+    "eos": st.fixed_dictionaries({
+        "type": st.sampled_from(["van_der_waals", "polytropic"]),
+        "A": positive(10.0), "B": positive(10.0), "R": positive(10.0),
+        "T_star": positive(10.0), "a": positive(10.0),
+        "beta": finite(2.0, 6.0)}),
+    "grid": st.fixed_dictionaries({"n": st.integers(4, 4096).map(lambda k: 2 * k)}),
+    "time": st.fixed_dictionaries({
+        "dt": positive(1.0), "cfl": st.floats(0.0, 1.0, exclude_min=True),
+        "t_end": positive(10.0), "snapshot_every": st.integers(1, 1000)}),
+    "bounds": st.fixed_dictionaries({
+        "m0": st.floats(0.5, 100.0, exclude_min=True)}),
+    "init": st.fixed_dictionaries({
+        "profile": st.sampled_from(["two_value", "constant"]),
+        "rho0": positive(10.0), "v_minus": positive(10.0),
+        "v_plus": positive(10.0), "theta": unit_open(),
+        "delta": positive(1.0), "n_osc": st.integers(1, 64),
+        "u0": finite(-10.0, 10.0), "u0_mode": st.integers(-8, 8),
+        "u0_amp": finite(-10.0, 10.0)}),
+    "bn": st.fixed_dictionaries({
+        "from_profile": st.booleans(), "alpha_p": finite(0.0, 1.0),
+        "rho_p": positive(10.0), "rho_m": positive(10.0)}),
+    "harness": st.fixed_dictionaries({
+        "n_list": st.lists(st.integers(1, 64), min_size=1, max_size=5,
+                           unique=True).map(sorted),
+        "upwind": finite(0.0, 2.0)}),
+    "output": st.fixed_dictionaries({
+        "directory": st.text("abcxyz0123_-/.", min_size=1, max_size=12)}),
+})
+
+
+def config_text(config) -> str:
+    """The config file that spells out every value of `config`."""
+    lines = []
+    for section, values in config.to_dict().items():
+        lines.append(f"[{section}]")
+        for key, value in values.items():
+            if isinstance(value, bool):
+                value = str(value).lower()
+            elif isinstance(value, list):
+                value = ", ".join(str(v) for v in value)
+            elif isinstance(value, float):
+                value = repr(value)
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@FAST
+@given(payload=CONFIGS)
+def test_config_round_trips(payload):
+    config = RunConfig.from_dict(payload)
+    assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+    assert parse_config(config_text(config)) == config
