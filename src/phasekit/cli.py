@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Subcommands: simulate-nsk, simulate-bn, homogenize, check-eos, diagnose.
-Exit codes: 0 success, 2 config error, 3 admissibility failure, 4 bounds or
-NaN failure, 5 fixed-point non-convergence.
+Exit codes: 0 success, 2 config error, 3 admissibility failure, 4 failed
+run (a guard rail or a non-finite field, as the run loop decides).  No
+subcommand returns 5, the fixed-point failure of the library's picard_bn.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .config import (build_bn_initial, build_eos, build_family,
                      guard_rails, load_config)
 from .diagnostics import balance_check
 from .eos import AdmissibilityError, check_admissibility
-from .errors import BoundsError, ConfigError, FixedPointError
+from .errors import BoundsError, ConfigError
 from .harness import run_family
 from .nsk import nsk_run
 
@@ -138,12 +139,9 @@ def main(argv=None) -> int:
     except AdmissibilityError as exc:
         print(f"admissibility failure: {exc}", file=sys.stderr)
         return AdmissibilityError.exit_code
-    except (BoundsError, FloatingPointError) as exc:
+    except BoundsError as exc:
         print(f"bounds failure: {exc}", file=sys.stderr)
         return BoundsError.exit_code
-    except FixedPointError as exc:
-        print(f"fixed-point failure: {exc}", file=sys.stderr)
-        return FixedPointError.exit_code
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return ConfigError.exit_code

@@ -21,6 +21,13 @@ from .nsk import (FluidState, PhysicalParams, SolverConfig,
 from .torus import PeriodicGrid
 
 
+def _parse_float(raw):
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 def _parse_bool(raw):
     lowered = raw.lower()
     if lowered in ("true", "yes", "1"):
@@ -37,52 +44,52 @@ def _parse_int_list(raw):
 # section -> key -> (parser, default)
 SCHEMA = {
     "physics": {
-        "mu": (float, 0.1),
-        "kappa": (float, 0.1),
-        "gamma": (float, 2.0),
+        "mu": (_parse_float, 0.1),
+        "kappa": (_parse_float, 0.1),
+        "gamma": (_parse_float, 2.0),
     },
     "eos": {
         "type": (str, "van_der_waals"),
-        "A": (float, 1.0),
-        "B": (float, 3.0),
-        "R": (float, 1.0),
-        "T_star": (float, 0.2),
-        "a": (float, 1.0),
-        "beta": (float, 2.0),
+        "A": (_parse_float, 1.0),
+        "B": (_parse_float, 3.0),
+        "R": (_parse_float, 1.0),
+        "T_star": (_parse_float, 0.2),
+        "a": (_parse_float, 1.0),
+        "beta": (_parse_float, 2.0),
     },
     "grid": {
         "n": (int, 256),
     },
     "time": {
-        "dt": (float, 1e-4),
-        "cfl": (float, 0.4),
-        "t_end": (float, 0.1),
+        "dt": (_parse_float, 1e-4),
+        "cfl": (_parse_float, 0.4),
+        "t_end": (_parse_float, 0.1),
         "snapshot_every": (int, 50),
     },
     "bounds": {
-        "m0": (float, 1.4),
+        "m0": (_parse_float, 1.4),
     },
     "init": {
         "profile": (str, "two_value"),
-        "rho0": (float, 1.2),
-        "v_minus": (float, 0.8),
-        "v_plus": (float, 1.6),
-        "theta": (float, 0.5),
-        "delta": (float, 0.1),
+        "rho0": (_parse_float, 1.2),
+        "v_minus": (_parse_float, 0.8),
+        "v_plus": (_parse_float, 1.6),
+        "theta": (_parse_float, 0.5),
+        "delta": (_parse_float, 0.1),
         "n_osc": (int, 4),
-        "u0": (float, 0.0),
+        "u0": (_parse_float, 0.0),
         "u0_mode": (int, 0),
-        "u0_amp": (float, 0.0),
+        "u0_amp": (_parse_float, 0.0),
     },
     "bn": {
         "from_profile": (_parse_bool, True),
-        "alpha_p": (float, 0.5),
-        "rho_p": (float, 1.6),
-        "rho_m": (float, 0.8),
+        "alpha_p": (_parse_float, 0.5),
+        "rho_p": (_parse_float, 1.6),
+        "rho_m": (_parse_float, 0.8),
     },
     "harness": {
         "n_list": (_parse_int_list, [2, 4]),
-        "upwind": (float, 0.5),
+        "upwind": (_parse_float, 0.5),
     },
     "output": {
         "directory": (str, "out"),
@@ -102,22 +109,20 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
-        config = _defaults()
+        """Load a to_dict() payload by writing it out as config text, so it
+        meets the same parsers and checks as a file."""
+        lines = []
         for section, values in payload.items():
-            if section not in SCHEMA:
-                raise ConfigError(f"unknown section [{section}]")
+            lines.append(f"[{section}]")
             for key, value in values.items():
-                if key not in SCHEMA[section]:
-                    raise ConfigError(f"unknown key [{section}].{key}")
-                config.sections[section][key] = value
-        _validate(config, path="<dict>")
-        return config
-
-
-def _defaults() -> RunConfig:
-    return RunConfig({sec: {k: (list(d) if isinstance(d, list) else d)
-                            for k, (_, d) in keys.items()}
-                      for sec, keys in SCHEMA.items()})
+                text = (", ".join(map(str, value)) if isinstance(value, list)
+                        else str(value))
+                # one line, no comment mark, no padding that parsing drops
+                if "#" in text or text.splitlines(True) != [text.strip()]:
+                    raise ConfigError(f"<dict>: [{section}].{key}: {value!r} "
+                                      f"is not one config value")
+                lines.append(f"{key} = {text}")
+        return parse_config("\n".join(lines), path="<dict>")
 
 
 def load_config(path: str) -> RunConfig:
@@ -130,7 +135,9 @@ def load_config(path: str) -> RunConfig:
 
 
 def parse_config(text: str, path: str = "<string>") -> RunConfig:
-    config = _defaults()
+    config = RunConfig({sec: {k: (list(d) if isinstance(d, list) else d)
+                              for k, (_, d) in keys.items()}
+                        for sec, keys in SCHEMA.items()})
     section = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()

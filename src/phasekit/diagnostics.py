@@ -46,8 +46,6 @@ assert tuple(f.name for f in fields(DiagnosticsRecord)) == RECORD_COLUMNS
 def _energy(state, params, backend: str, bd_drift: bool) -> float:
     grid = state.grid
     rho = state.mixture_density
-    if np.any(rho <= 0.0):
-        raise ValueError("energy needs strictly positive density")
     v = state.u
     if bd_drift:
         v = v + params.mu * torus.derivative(grid, rho, 1, backend) / rho ** 2

@@ -131,7 +131,7 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
         try:
             state = FluidState.make(grid, rho0, u0, config.params)
             members.append(nsk_run(state, config.params, config.solver))
-        except (BoundsError, FloatingPointError) as exc:
+        except BoundsError as exc:
             failures[n] = str(exc)
     if failures:
         survivors = tuple(n for n in config.n_list if n not in failures)

@@ -53,8 +53,8 @@ class SolverConfig:
     force_form: str = "artificial"  # or "original": P and gamma rho (c - rho)_x
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.t_end <= 0.0:
-            raise ValueError("dt and t_end must be positive")
+        if not (0.0 < self.dt < np.inf and 0.0 < self.t_end < np.inf):
+            raise ValueError("dt and t_end must be positive and finite")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         lo, hi = self.bounds
@@ -81,8 +81,6 @@ class FluidState:
              t: float = 0.0) -> "FluidState":
         rho = np.asarray(rho, dtype=float)
         u = np.asarray(u, dtype=float)
-        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(u))):
-            raise BoundsError("non-finite initial data")
         if np.any(rho <= 0.0):
             raise BoundsError("initial density must be strictly positive")
         c = torus.helmholtz_solve(grid, rho, params.kappa, params.gamma)
@@ -172,15 +170,18 @@ def sound_speed_max(rho: np.ndarray, u: np.ndarray, eos: EquationOfState) -> flo
         eos.d_artificial_pressure(rho), 0.0))))
 
 
-def _check_rails(rho: np.ndarray, bounds: tuple, t: float):
-    if not np.all(np.isfinite(rho)):
-        raise BoundsError(f"non-finite density at t = {t:.6g}")
+def _check_state(state, fields: tuple, bounds: tuple):
+    """The one test of a failed run: the railed density fields, u and c
+    finite and the railed densities inside the rails, else BoundsError."""
+    if not all(np.all(np.isfinite(f)) for f in (*fields, state.u, state.c)):
+        raise BoundsError(f"non-finite field at t = {state.t:.6g}")
     lo, hi = bounds
-    rmin, rmax = float(np.min(rho)), float(np.max(rho))
-    if rmin < lo or rmax > hi:
-        raise BoundsError(
-            f"density guard rail violated at t = {t:.6g}: "
-            f"range [{rmin:.6g}, {rmax:.6g}] outside [{lo}, {hi}]")
+    for rho in fields:
+        rmin, rmax = float(np.min(rho)), float(np.max(rho))
+        if rmin < lo or rmax > hi:
+            raise BoundsError(
+                f"density guard rail violated at t = {state.t:.6g}: "
+                f"range [{rmin:.6g}, {rmax:.6g}] outside [{lo}, {hi}]")
 
 
 def continuity_update(grid: PeriodicGrid, rho: np.ndarray, u: np.ndarray,
@@ -238,16 +239,14 @@ def _step_length(state, fields, params: PhysicalParams, config: SolverConfig,
 def nsk_step(state: FluidState, params: PhysicalParams, config: SolverConfig,
              dt: float | None = None) -> FluidState:
     """Advance one step of length dt, by default the CFL-limited
-    min(config.dt, cfl h / max(|u| + c_s))."""
+    min(config.dt, cfl h / max(|u| + c_s)).  The result is not checked here;
+    the run loop checks every state."""
     grid = state.grid
     if dt is None:
         dt, _ = _step_length(state, (state.rho,), params, config)
     rho_new = continuity_update(grid, state.rho, state.u, dt, config.upwind)
-    _check_rails(rho_new, config.bounds, state.t + dt)
     u_new = momentum_update(grid, rho_new, state.rho, state.u, state.c,
                             params, dt, config.force_form)
-    if not np.all(np.isfinite(u_new)):
-        raise BoundsError(f"non-finite velocity at t = {state.t + dt:.6g}")
     c_new = torus.helmholtz_solve(grid, rho_new, params.kappa, params.gamma)
     return FluidState(grid, state.t + dt, rho_new, u_new, c_new)
 
@@ -257,19 +256,19 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig,
     """The run loop of nsk_run and bn_run: step(state, params, config, dt=dt)
     advances one step, rails(state) gives the railed density fields."""
     require_admissible(params.eos, 0.0, config.bounds[1])
-    for rho in rails(initial):
-        _check_rails(rho, config.bounds, initial.t)
     state, traj = initial, Trajectory([initial], [], params, config)
     t_final = initial.t + config.t_end
     t_stop = t_final - 1e-12 * config.t_end
     while True:
+        fields = rails(state)
+        _check_state(state, fields, config.bounds)
         if keep_records:
             traj.records.append(diagnostics.compute_record(state, params))
         traj.dxc_sup = max(traj.dxc_sup, torus.max_norm(
             torus.derivative(state.grid, state.c, 1, "spectral")))
         if state.t >= t_stop:
             return traj
-        dt, limited = _step_length(state, rails(state), params, config,
+        dt, limited = _step_length(state, fields, params, config,
                                    t_final - state.t)
         traj.cfl_limited = traj.cfl_limited or limited
         state = step(state, params, config, dt=dt)
@@ -283,14 +282,16 @@ def nsk_run(initial: FluidState, params: PhysicalParams, config: SolverConfig,
     """Integrate from initial.t to t_final = initial.t + config.t_end.
 
     The run loop, shared with bn_run: the law must be admissible on [0,
-    upper rail] and the railed densities (rho; rho_p and rho_m for BN) start
-    inside the rails.  Each step has length min(config.dt, t_final - t,
-    cfl h / max(|u| + c_s)), the wave speed taken over the railed densities,
-    until t >= t_final - 1e-12 t_end.  keep_records records every state.
-    Snapshots: the initial state, every snapshot_every-th step and the final
-    state, the only one within the end tolerance.  cfl_limited: the CFL
-    bound fell below config.dt on some step; dxc_sup: sup |c_x| over all
-    states, with or without records.
+    upper rail].  Each state, the initial one and each step's result, is
+    checked once before it is recorded or stepped: the railed densities (rho;
+    rho_p and rho_m for BN), u and c finite and the railed densities inside
+    the rails, else BoundsError.  Each step has length min(config.dt,
+    t_final - t, cfl h / max(|u| + c_s)), the wave speed taken over the
+    railed densities, until t >= t_final - 1e-12 t_end.  keep_records
+    records every state.  Snapshots: the initial state, every
+    snapshot_every-th step and the final state, the only one within the end
+    tolerance.  cfl_limited: the CFL bound fell below config.dt on some
+    step; dxc_sup: sup |c_x| over all states, with or without records.
     """
     return _integrate(initial, params, config, keep_records, nsk_step,
                       lambda s: (s.rho,))

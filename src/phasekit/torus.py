@@ -6,6 +6,9 @@ Grid fields are plain 1D numpy arrays sampled at the nodes of a
 telescoping sense) and ``"spectral"`` (discrete-Fourier differentiation,
 exact on resolved trigonometric polynomials).  The backend is always an
 explicit argument, never module state.
+
+The kernels check shapes, not values: NaN and inf propagate to the result,
+and the run loop (``nsk._integrate``) decides whether a state is valid.
 """
 
 from __future__ import annotations
@@ -54,8 +57,6 @@ def _check_field(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (grid.n,):
         raise ValueError(f"field has shape {f.shape}, grid expects ({grid.n},)")
-    if not np.all(np.isfinite(f)):
-        raise FloatingPointError("non-finite values in grid field")
     return f
 
 
@@ -159,10 +160,9 @@ def solve_cyclic_tridiagonal(lower: np.ndarray, diag: np.ndarray,
     v[0] = 1.0
     v[n - 1] = corner_low / alpha
 
-    y = solve_banded((1, 1), ab, rhs)
-    z = solve_banded((1, 1), ab, u)
-    x = y - z * (v @ y) / (1.0 + v @ z)
-    return x
+    y, z = solve_banded((1, 1), ab, np.column_stack([rhs, u]),
+                        check_finite=False).T
+    return y - z * (v @ y) / (1.0 + v @ z)
 
 
 def sobolev_norm(grid: PeriodicGrid, f: np.ndarray, order: int) -> float:

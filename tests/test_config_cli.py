@@ -81,6 +81,14 @@ def test_round_trip_through_dict():
     config = parse_config(POLY_SMOOTH)
     clone = RunConfig.from_dict(json.loads(json.dumps(config.to_dict())))
     assert clone == config
+    # a payload meets the file's parsers: a value reads as its config text
+    # would, and one no config line can hold is refused
+    assert RunConfig.from_dict({"time": {"snapshot_every": "5"}}) == \
+        parse_config("[time]\nsnapshot_every = 5\n")
+    for payload in ({"grid": {"n": 64.7}}, {"output": {"directory": "a#b"}},
+                    {"fluid": {}}, {"grid": {"size": 64}}):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(payload)
 
 
 def test_guard_rails_from_m0():
@@ -112,13 +120,17 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
-# values that only the grid, the pressure law or the solver settings check:
-# refused at load, naming the file and the section
+# values refused at load, naming the file and the section: the first four
+# only the grid, the pressure law or the solver settings check, and no
+# float may be nan or infinite
 REFUSED_AT_LOAD = [
     ("[bounds]", "[bounds]\nm0 = 0.5\n"),    # rails (1, 1)
     ("[eos]", "[eos]\nA = -1\n"),
     ("[eos]", "[eos]\ntype = polytropic\nbeta = 1.5\n"),
     ("[harness]", "[harness]\nupwind = -1\n"),
+    ("[time]", "[time]\nt_end = inf\n"),
+    ("[time]", "[time]\ndt = nan\n"),
+    ("[init]", "[init]\nu0 = nan\n"),
 ]
 
 
@@ -206,37 +218,7 @@ rho_m = 0.7
     assert header == "x,alpha_p,alpha_m,rho_p,rho_m,u,c"
 
 
-def test_cli_bounds_failure_exit_code(tmp_path):
-    cfg = write_cfg(tmp_path, POLY_SMOOTH + """
-[bounds]
-m0 = 0.55
-""")
-    # rails (1/1.1, 1.1) around rho0 = 1.2 fail immediately
-    out = str(tmp_path / "run")
-    assert main(["simulate-nsk", "--config", cfg, "--out", out]) == 4
-
-
-def test_cli_nan_failure_exit_code(tmp_path, capsys):
-    # kinetic energy density 0.5 rho u^2 overflows in the first record
-    cfg = write_cfg(tmp_path, """
-[grid]
-n = 64
-
-[init]
-profile = constant
-u0_mode = 1
-u0_amp = 1e307
-""")
-    out = tmp_path / "run"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["simulate-nsk", "--config", cfg, "--out", str(out)]) == 4
-    assert "non-finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_cli_rail_outside_eos_domain_rejected_before_stepping(tmp_path, capsys):
-    # upper rail 2 m0 = 2.8 lies beyond the Van der Waals pole at B = 1.7
-    cfg = write_cfg(tmp_path, """
+RAIL_PAST_POLE = """
 [grid]
 n = 64
 
@@ -253,13 +235,48 @@ m0 = 1.4
 profile = constant
 u0_mode = 1
 u0_amp = 3
-""")
+"""
+
+# u = 1e307 sin(2 pi x): the first step overflows
+BLOW_UP = """
+[grid]
+n = 64
+
+[init]
+profile = constant
+u0_mode = 1
+u0_amp = 1e307
+"""
+
+# one config per cause: command, config, exit code, text on stderr
+EXIT_CODES = {
+    "ok": ("simulate-nsk", POLY_SMOOTH, 0, ""),
+    # check-eos scans the part of [0, 2 m0] inside the law's domain
+    "check-eos": ("check-eos", RAIL_PAST_POLE, 0, ""),
+    "config": ("simulate-nsk", "[physics]\ngamma = -1\n", 2, "config error"),
+    # upper rail 2 m0 = 2.8 lies beyond the Van der Waals pole at B = 1.7
+    "admissibility": ("simulate-nsk", RAIL_PAST_POLE, 3,
+                      "not inside the law's domain"),
+    # rails (1/1.1, 1.1) around rho0 = 1.2 fail at t = 0
+    "rails": ("simulate-nsk", POLY_SMOOTH + "[bounds]\nm0 = 0.55\n", 4,
+              "guard rail violated"),
+    "non-finite": ("simulate-nsk", BLOW_UP, 4, "non-finite"),
+    "non-finite-bn": ("simulate-bn", BLOW_UP, 4, "non-finite"),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CODES)
+def test_cli_exit_code(tmp_path, capsys, case):
+    command, text, code, message = EXIT_CODES[case]
     out = tmp_path / "run"
-    assert main(["simulate-nsk", "--config", cfg, "--out", str(out)]) == 3
-    assert "not inside the law's domain" in capsys.readouterr().err
-    assert not out.exists()
-    # check-eos scans the admissible part of the domain and still accepts it
-    assert main(["check-eos", "--config", cfg]) == 0
+    args = [command, "--config", write_cfg(tmp_path, text)]
+    if command != "check-eos":
+        args += ["--out", str(out)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args) == code
+    assert message in capsys.readouterr().err
+    # a failed run writes no output directory
+    assert out.exists() == (code == 0 and command != "check-eos")
 
 
 def homogenize_cfg(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phasekit.bn import BNState, bn_run
 from phasekit.diagnostics import balance_check
 from phasekit.eos import AdmissibilityError, PolytropicEOS, VanDerWaalsEOS
 from phasekit.errors import BoundsError
@@ -176,6 +177,25 @@ def test_guard_rail_violation_raises():
     with pytest.raises(BoundsError):
         nsk_run(state, params, config)
     assert BoundsError.exit_code == 4
+
+
+@pytest.mark.parametrize("keep_records", [True, False])
+@pytest.mark.parametrize("solver", ["nsk", "bn"])
+def test_blow_up_raises_bounds_error(solver, keep_records):
+    # u = 1e307 sin(2 pi x) overflows in the first step; the run loop
+    # reports it, with or without records
+    grid = PeriodicGrid(64)
+    params = poly_params()
+    config = SolverConfig(dt=1e-3, t_end=0.1, bounds=(0.05, 20.0))
+    u0 = 1e307 * np.sin(2 * np.pi * grid.x)
+    if solver == "nsk":
+        run, state = nsk_run, FluidState.make(grid, grid.constant(1.2), u0,
+                                              params)
+    else:
+        run, state = bn_run, BNState.make(grid, 0.5, 1.2, 1.0, u0, params)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(BoundsError, match="non-finite"):
+        run(state, params, config, keep_records=keep_records)
 
 
 def test_inadmissible_eos_refused():

@@ -9,8 +9,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
+from phasekit.bn import BNState, bn_step  # noqa: E402
 from phasekit.config import RunConfig, parse_config  # noqa: E402
-from phasekit.nsk import continuity_update  # noqa: E402
+from phasekit.eos import PolytropicEOS, VanDerWaalsEOS  # noqa: E402
+from phasekit.nsk import (FluidState, PhysicalParams,  # noqa: E402
+                          SolverConfig, continuity_update, nsk_step)
 from phasekit.torus import PeriodicGrid, mean, solve_cyclic_tridiagonal  # noqa: E402
 
 FAST = settings(max_examples=30, deadline=None)
@@ -60,6 +63,32 @@ def test_continuity_update_conserves_mass(n, rho_modes, u_modes, u_mean,
     rho_new = continuity_update(grid, rho, u, dt, upwind)
     mass = mean(grid, rho)
     assert abs(mean(grid, rho_new) - mass) <= n * np.finfo(float).eps * mass
+
+
+@FAST
+@given(n=st.sampled_from([32, 64, 128]), law=st.sampled_from(["vdw", "poly"]),
+       rho_modes=modes(0.4), u_modes=modes(1.0), u_mean=st.floats(-1.0, 1.0),
+       courant=st.floats(0.01, 1.0), upwind=st.floats(0.0, 1.0))
+def test_pure_phase_bn_step_is_nsk_step(n, law, rho_modes, u_modes, u_mean,
+                                        courant, upwind):
+    # alpha_p = 1 and rho_p = rho_m = rho: five BN steps equal five NSK
+    # steps of the same explicit length bit for bit
+    grid = PeriodicGrid(n)
+    eos = VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0) if law == "vdw" else \
+        PolytropicEOS(1.0, 2.0, 2.0)
+    params = PhysicalParams(mu=0.1, kappa=0.1, gamma=2.0, eos=eos)
+    config = SolverConfig(dt=1.0, t_end=1.0, upwind=upwind)
+    rho = smooth_field(rho_modes, grid, 1.0)
+    u = smooth_field(u_modes, grid, u_mean)
+    dt = courant * grid.h / (1.0 + np.max(np.abs(u)))
+    nsk = FluidState.make(grid, rho, u, params)
+    bn = BNState.make(grid, 1.0, rho, rho, u, params)
+    for _ in range(5):
+        nsk = nsk_step(nsk, params, config, dt=dt)
+        bn = bn_step(bn, params, config, dt=dt)
+        for field in (bn.rho_p, bn.rho_m, bn.mixture_density):
+            assert np.array_equal(field, nsk.rho)
+        assert np.array_equal(bn.u, nsk.u) and np.array_equal(bn.c, nsk.c)
 
 
 def positive(hi):
