@@ -26,7 +26,8 @@ from . import torus
 from .errors import BoundsError, FixedPointError
 # sound_speed_max is bound here for perfbench/tracing.py, which requires it
 from .nsk import (PhysicalParams, SolverConfig, Trajectory, continuity_update,
-                  momentum_update, sound_speed_max, _integrate, _step_length)
+                  momentum_update, sound_speed_max, stack_states, _integrate,
+                  _step_length)
 from .torus import PeriodicGrid
 
 
@@ -56,6 +57,8 @@ class BNState:
         state.c = torus.helmholtz_solve(grid, state.mixture_density, params.kappa,
                                         params.gamma)
         return state
+
+    stack = classmethod(stack_states)
 
     def closure_drift(self) -> float:
         return float(np.max(np.abs(self.alpha_p + self.alpha_m - 1.0)))
@@ -132,9 +135,7 @@ def transport_with_source(grid: PeriodicGrid, a0: np.ndarray,
         raise FloatingPointError("non-finite velocity series")
 
     if conservative:
-        f_eff = f_series - np.stack(
-            [torus.derivative(grid, u_series[k], 1, "central")
-             for k in range(times.size)])
+        f_eff = f_series - torus.derivative(grid, u_series, 1, "central")
     else:
         f_eff = f_series
 

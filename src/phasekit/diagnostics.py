@@ -6,6 +6,11 @@ the velocity), the effective viscous flux Sigma = mu u_x - P_art(rho), and
 the per-run balance report.  Energy and dissipation default to the solver's
 central-difference backend so that balance residuals measure scheme error
 rather than backend mismatch.
+
+The state functionals also take a stacked state (``FluidState.stack`` or
+``BNState.stack``, fields of shape (K, n)) and then return one value per
+state, bitwise equal to K separate calls; ``DiagnosticsRecord.unstack``
+splits such a record into K float records.
 """
 
 from __future__ import annotations
@@ -39,11 +44,16 @@ class DiagnosticsRecord:
     def as_row(self):
         return [getattr(self, name) for name in RECORD_COLUMNS]
 
+    def unstack(self) -> list:
+        """The K float records of a record computed on a stacked state."""
+        return [DiagnosticsRecord(*row)
+                for row in np.column_stack(self.as_row()).tolist()]
+
 
 assert tuple(f.name for f in fields(DiagnosticsRecord)) == RECORD_COLUMNS
 
 
-def _energy(state, params, backend: str, bd_drift: bool) -> float:
+def _energy(state, params, backend: str, bd_drift: bool):
     grid = state.grid
     rho = state.mixture_density
     v = state.u
@@ -54,21 +64,21 @@ def _energy(state, params, backend: str, bd_drift: bool) -> float:
             + params.eos.potential(rho)
             + 0.5 * params.gamma * (rho - state.c) ** 2
             + 0.5 * params.kappa * dc ** 2)
-    return float(grid.h * np.sum(dens))
+    return torus.row_values(grid.h * np.sum(dens, axis=-1))
 
 
-def energy(state, params, backend: str = "central") -> float:
+def energy(state, params, backend: str = "central"):
     """Total energy: kinetic + pressure potential + coupling + gradient."""
     return _energy(state, params, backend, bd_drift=False)
 
 
-def dissipation(state, params, backend: str = "central") -> float:
+def dissipation(state, params, backend: str = "central"):
     grid = state.grid
     du = torus.derivative(grid, state.u, 1, backend)
-    return float(grid.h * params.mu * np.sum(du ** 2))
+    return torus.row_values(grid.h * params.mu * np.sum(du ** 2, axis=-1))
 
 
-def bd_entropy(state, params, backend: str = "central") -> float:
+def bd_entropy(state, params, backend: str = "central"):
     """Energy with the BD drift mu rho_x / rho^2 added inside the kinetic
     term; the drift is the gradient of phi(r) = mu (1 - 1/r)."""
     return _energy(state, params, backend, bd_drift=True)
@@ -82,21 +92,21 @@ def effective_viscous_flux(state, params) -> np.ndarray:
 
 
 def compute_record(state, params) -> DiagnosticsRecord:
-    """One diagnostics.csv row.  Energy, dissipation and BD entropy use the
-    solver's central differences; the Sigma and 1/sqrt(rho) gradients are
-    spectral."""
+    """One diagnostics.csv row, or K rows for a stacked state.  Energy,
+    dissipation and BD entropy use the solver's central differences; the
+    Sigma and 1/sqrt(rho) gradients are spectral."""
     grid = state.grid
     rho = state.mixture_density
     sigma = effective_viscous_flux(state, params)
     return DiagnosticsRecord(
-        t=float(state.t),
+        t=torus.row_values(state.t),
         mass=torus.mean(grid, rho),
         momentum=torus.mean(grid, rho * state.u),
         energy=energy(state, params),
         dissipation=dissipation(state, params),
         bd_entropy=bd_entropy(state, params),
-        rho_min=float(np.min(rho)),
-        rho_max=float(np.max(rho)),
+        rho_min=torus.row_values(np.min(rho, axis=-1)),
+        rho_max=torus.row_values(np.max(rho, axis=-1)),
         sigma_grad_l2=torus.l2_norm(grid, torus.derivative(grid, sigma, 1,
                                                            "spectral")),
         c_h2=torus.sobolev_norm(grid, state.c, 2),

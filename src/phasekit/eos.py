@@ -202,13 +202,18 @@ def check_admissibility(eos: EquationOfState, r_lo: float, r_hi: float,
     )
 
 
-def require_admissible(eos: EquationOfState, r_lo: float, r_hi: float) -> AdmissibilityReport:
-    """Raise unless [r_lo, r_hi] lies inside the law's domain and the law is
-    admissible there; the solver entry points call it with their rails."""
+def require_in_domain(eos: EquationOfState, r_hi: float) -> None:
+    """Raise unless the upper rail r_hi lies inside the law's domain."""
     if r_hi >= eos.domain_max:
         raise AdmissibilityError(
             f"upper rail {r_hi} not inside the law's domain "
             f"[0, {eos.domain_max})")
+
+
+def require_admissible(eos: EquationOfState, r_lo: float, r_hi: float) -> AdmissibilityReport:
+    """Raise unless [r_lo, r_hi] lies inside the law's domain and the law is
+    admissible there; the solver entry points call it with their rails."""
+    require_in_domain(eos, r_hi)
     report = check_admissibility(eos, r_lo, r_hi)
     if not report.admissible:
         raise AdmissibilityError(

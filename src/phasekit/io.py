@@ -33,6 +33,23 @@ def write_csv(path, header, rows):
             f.write(",".join(fmt(v) for v in row) + "\n")
 
 
+# rows converted to Python floats at a time: bounds the writer's memory
+_ROWS_PER_BLOCK = 1024
+
+
+def write_float_csv(path, header, columns):
+    """write_csv for float-only rows: the columns (1D, or 2D for several)
+    side by side, each value as fmt writes a float."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _ROWS_PER_BLOCK):
+            block = np.column_stack(
+                [c[start:start + _ROWS_PER_BLOCK] for c in columns])
+            f.writelines(",".join(map(repr, row)) + "\n"
+                         for row in block.tolist())
+
+
 def write_diagnostics(path, records):
     write_csv(path, RECORD_COLUMNS, (r.as_row() for r in records))
 
@@ -49,14 +66,14 @@ def read_diagnostics(path):
 
 
 def write_nsk_snapshot(path, state):
-    rows = zip(state.grid.x, state.rho, state.u, state.c)
-    write_csv(path, NSK_SNAPSHOT_COLUMNS, rows)
+    write_float_csv(path, NSK_SNAPSHOT_COLUMNS,
+                    (state.grid.x, state.rho, state.u, state.c))
 
 
 def write_bn_snapshot(path, state):
-    rows = zip(state.grid.x, state.alpha_p, state.alpha_m, state.rho_p,
-               state.rho_m, state.u, state.c)
-    write_csv(path, BN_SNAPSHOT_COLUMNS, rows)
+    write_float_csv(path, BN_SNAPSHOT_COLUMNS,
+                    (state.grid.x, state.alpha_p, state.alpha_m, state.rho_p,
+                     state.rho_m, state.u, state.c))
 
 
 def write_trajectory(out_dir, trajectory, kind):
@@ -73,15 +90,12 @@ def write_trajectory(out_dir, trajectory, kind):
 def write_measure_summary(path, times, names, pairings):
     """One row per time: t, then that snapshot's pairings, one value per
     name (a measure's pair(dictionary) with names = dictionary.names())."""
-    header = ["t"] + list(names)
-    rows = ([t] + list(row) for t, row in zip(times, pairings))
-    write_csv(path, header, rows)
+    write_float_csv(path, ["t"] + list(names), (times, np.asarray(pairings)))
 
 
 def write_distances(path, times, dict_distances, wasserstein):
-    header = ("t", "dict_distance", "wasserstein_avg")
-    rows = zip(times, dict_distances, wasserstein)
-    write_csv(path, header, rows)
+    write_float_csv(path, ("t", "dict_distance", "wasserstein_avg"),
+                    (times, dict_distances, wasserstein))
 
 
 def write_convergence(path, report):

@@ -1,7 +1,12 @@
 """Discrete calculus on the periodic unit interval (the torus R/Z).
 
 Grid fields are plain 1D numpy arrays sampled at the nodes of a
-:class:`PeriodicGrid`.  Two derivative backends are provided everywhere:
+:class:`PeriodicGrid`.  ``derivative``, ``mean``, ``l2_norm``,
+``sobolev_norm`` and ``max_norm`` also act along the last axis of a
+``(K, n)`` stack of K fields: the result has one row (or one value) per
+field, bitwise equal to K separate calls, and a reduction of a single field
+is a Python float.  ``primitive``, ``helmholtz_solve`` and ``dealias`` take
+one field.  Two derivative backends are provided everywhere:
 ``"central"`` (second-order finite differences, exactly conservative in the
 telescoping sense) and ``"spectral"`` (discrete-Fourier differentiation,
 exact on resolved trigonometric polynomials).  The backend is always an
@@ -53,39 +58,50 @@ class PeriodicGrid:
         return TWO_PI * np.arange(self.n // 2 + 1)
 
 
-def _check_field(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
+def _check_field(grid: PeriodicGrid, f: np.ndarray,
+                 stack: bool = True) -> np.ndarray:
+    """f as a float array of shape (n,), or (K, n) when stack is set."""
     f = np.asarray(f, dtype=float)
-    if f.shape != (grid.n,):
-        raise ValueError(f"field has shape {f.shape}, grid expects ({grid.n},)")
+    if f.shape[-1:] != (grid.n,) or f.ndim > (2 if stack else 1):
+        allowed = f"({grid.n},) or (K, {grid.n})" if stack else f"({grid.n},)"
+        raise ValueError(f"field has shape {f.shape}, grid expects {allowed}")
     return f
+
+
+def row_values(v):
+    """A reduction over the last axis: a float for one field, one value per
+    row for a stack."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def derivative(grid: PeriodicGrid, f: np.ndarray, order: int = 1,
                backend: str = "central") -> np.ndarray:
-    """Discrete d/dx or d2/dx2 of a periodic nodal field."""
+    """Discrete d/dx or d2/dx2 of a periodic nodal field (or of each row)."""
     f = _check_field(grid, f)
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     if backend == "central":
         if order == 1:
-            return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * grid.h)
-        return (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / grid.h ** 2
+            return (np.roll(f, -1, axis=-1)
+                    - np.roll(f, 1, axis=-1)) / (2.0 * grid.h)
+        return (np.roll(f, -1, axis=-1) - 2.0 * f
+                + np.roll(f, 1, axis=-1)) / grid.h ** 2
     if backend == "spectral":
         fh = np.fft.rfft(f)
         k = grid.wavenumbers()
         if order == 1:
             fh = fh * (1j * k)
-            fh[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
+            fh[..., -1] = 0.0  # Nyquist mode has no well-defined odd derivative
         else:
             fh = fh * (-(k ** 2))
         return np.fft.irfft(fh, n=grid.n)
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def mean(grid: PeriodicGrid, f: np.ndarray) -> float:
+def mean(grid: PeriodicGrid, f: np.ndarray):
     """h * sum(f), the trapezoid rule on the torus (no boundary terms)."""
     f = _check_field(grid, f)
-    return float(np.sum(f) * grid.h)
+    return row_values(np.sum(f, axis=-1) * grid.h)
 
 
 def primitive(grid: PeriodicGrid, f: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -93,7 +109,7 @@ def primitive(grid: PeriodicGrid, f: np.ndarray, tol: float = 1e-10) -> np.ndarr
 
     Requires mean(f) = 0 up to tol; the caller subtracts the mean first.
     """
-    f = _check_field(grid, f)
+    f = _check_field(grid, f, stack=False)
     m = mean(grid, f)
     scale = max(1.0, float(np.max(np.abs(f))))
     if abs(m) > tol * scale:
@@ -114,7 +130,7 @@ def helmholtz_solve(grid: PeriodicGrid, rho: np.ndarray, kappa: float,
     (kappa k^2 + gamma); the fd backend solves the cyclic tridiagonal
     second-order discretization.
     """
-    rho = _check_field(grid, rho)
+    rho = _check_field(grid, rho, stack=False)
     if kappa <= 0.0 or gamma <= 0.0:
         raise ValueError(f"kappa and gamma must be positive, got {kappa}, {gamma}")
     if backend == "fourier":
@@ -165,7 +181,7 @@ def solve_cyclic_tridiagonal(lower: np.ndarray, diag: np.ndarray,
     return y - z * (v @ y) / (1.0 + v @ z)
 
 
-def sobolev_norm(grid: PeriodicGrid, f: np.ndarray, order: int) -> float:
+def sobolev_norm(grid: PeriodicGrid, f: np.ndarray, order: int):
     """Discrete H^k norm via Fourier symbols, matching the continuum norm.
 
     ||f||_{H^k}^2 = sum_m (1 + (2 pi m)^2)^k |f_hat_m|^2 with the DFT
@@ -178,16 +194,16 @@ def sobolev_norm(grid: PeriodicGrid, f: np.ndarray, order: int) -> float:
     weights[0] = 1.0
     weights[-1] = 1.0   # the Nyquist mode; n is always even
     sym = (1.0 + k ** 2) ** order
-    return float(np.sqrt(np.sum(weights * sym * np.abs(fh) ** 2)))
+    return row_values(np.sqrt(np.sum(weights * sym * np.abs(fh) ** 2, axis=-1)))
 
 
-def l2_norm(grid: PeriodicGrid, f: np.ndarray) -> float:
+def l2_norm(grid: PeriodicGrid, f: np.ndarray):
     f = _check_field(grid, f)
-    return float(np.sqrt(grid.h * np.sum(f ** 2)))
+    return row_values(np.sqrt(grid.h * np.sum(f ** 2, axis=-1)))
 
 
-def max_norm(f: np.ndarray) -> float:
-    return float(np.max(np.abs(f)))
+def max_norm(f: np.ndarray):
+    return row_values(np.max(np.abs(f), axis=-1))
 
 
 def dealias(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
@@ -196,7 +212,7 @@ def dealias(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
     Not applied by default anywhere; exposed for aliasing stress tests of
     the nodal pseudo-spectral products.
     """
-    f = _check_field(grid, f)
+    f = _check_field(grid, f, stack=False)
     fh = np.fft.rfft(f)
     cutoff = grid.n // 3
     fh[cutoff + 1:] = 0.0

@@ -147,11 +147,12 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 def test_cli_check_eos_accepts_and_rejects(tmp_path, capsys):
+    # B = 2.5 puts the upper rail 2 m0 = 2 inside the law's domain
     good = write_cfg(tmp_path, """
 [eos]
 type = van_der_waals
 A = 1.0
-B = 1.0
+B = 2.5
 R = 1.0
 T_star = 0.2
 
@@ -169,7 +170,7 @@ m0 = 1.0
 [eos]
 type = van_der_waals
 A = 1.0
-B = 1.0
+B = 2.5
 R = 1.0
 T_star = 0.2
 
@@ -251,8 +252,9 @@ u0_amp = 1e307
 # one config per cause: command, config, exit code, text on stderr
 EXIT_CODES = {
     "ok": ("simulate-nsk", POLY_SMOOTH, 0, ""),
-    # check-eos scans the part of [0, 2 m0] inside the law's domain
-    "check-eos": ("check-eos", RAIL_PAST_POLE, 0, ""),
+    # check-eos refuses a rail past the pole as the solvers do
+    "check-eos": ("check-eos", RAIL_PAST_POLE, 3,
+                  "not inside the law's domain"),
     "config": ("simulate-nsk", "[physics]\ngamma = -1\n", 2, "config error"),
     # upper rail 2 m0 = 2.8 lies beyond the Van der Waals pole at B = 1.7
     "admissibility": ("simulate-nsk", RAIL_PAST_POLE, 3,
@@ -277,6 +279,15 @@ def test_cli_exit_code(tmp_path, capsys, case):
     assert message in capsys.readouterr().err
     # a failed run writes no output directory
     assert out.exists() == (code == 0 and command != "check-eos")
+
+
+def test_cli_check_eos_names_the_refused_interval(tmp_path, capsys):
+    assert main(["check-eos", "--config",
+                 write_cfg(tmp_path, RAIL_PAST_POLE)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "requested interval [0.0, 2.8]" in captured.err
+    assert "upper rail 2.8 not inside the law's domain [0, 1.7)" in captured.err
 
 
 def homogenize_cfg(tmp_path):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from phasekit import nsk
 from phasekit.bn import BNState, bn_run
-from phasekit.diagnostics import balance_check
+from phasekit.diagnostics import balance_check, compute_record
 from phasekit.eos import AdmissibilityError, PolytropicEOS, VanDerWaalsEOS
 from phasekit.errors import BoundsError
 from phasekit.nsk import (FluidState, PhysicalParams, SolverConfig,
                           make_oscillating_initial, nsk_run, nsk_step)
-from phasekit.torus import PeriodicGrid, mean
+from phasekit.torus import PeriodicGrid, derivative, max_norm, mean
 
 
 def poly_params(mu=0.1, kappa=0.02, gamma=1.0):
@@ -287,3 +288,56 @@ def test_single_final_snapshot_at_end_tolerance():
     assert traj.n_steps == 11
     assert np.sum(times >= config.t_end - 1e-12) == 1
     assert times[-1] == pytest.approx(config.t_end, abs=1e-14)
+
+
+def chunk_run(solver, bounds=(0.05, 20.0), keep_records=True):
+    """A run of 2.5 record chunks, every state a snapshot, whose peak
+    density and sup |c_x| are reached inside the second chunk."""
+    grid = PeriodicGrid(128)
+    params = poly_params()
+    chunk = max(1, nsk._CHUNK_ELEMENTS // grid.n)
+    config = SolverConfig(dt=1e-3, t_end=1e-3 * (2 * chunk + chunk // 2 + 1),
+                          bounds=bounds)
+    rho0 = 1.0 + 0.1 * np.cos(2 * np.pi * grid.x)
+    u0 = -0.5 * np.sin(2 * np.pi * grid.x)
+    if solver == "nsk":
+        state = FluidState.make(grid, rho0, u0, params)
+        return chunk, nsk_run(state, params, config, keep_records), (
+            lambda s: (s.rho,))
+    state = BNState.make(grid, 0.3, rho0, 1.1 * rho0, u0, params)
+    return chunk, bn_run(state, params, config, keep_records), (
+        lambda s: (s.rho_p, s.rho_m))
+
+
+@pytest.mark.parametrize("solver", ["nsk", "bn"])
+def test_chunked_records_equal_per_state_records(solver):
+    chunk, traj, _ = chunk_run(solver)
+    assert traj.n_steps % chunk != 0 and traj.n_steps > 2 * chunk
+    assert len(traj.records) == traj.n_steps + 1 == len(traj.snapshots)
+    for rec, state in zip(traj.records, traj.snapshots):
+        expected = compute_record(state, traj.params).as_row()
+        assert np.array(rec.as_row()).tobytes() == np.array(expected).tobytes()
+        assert all(type(v) is float for v in rec.as_row())
+    dxc = [max_norm(derivative(s.grid, s.c, 1, "spectral"))
+           for s in traj.snapshots]
+    assert 0 < int(np.argmax(dxc)) - chunk < chunk - 1
+    assert traj.dxc_sup == max(dxc)
+    assert chunk_run(solver, keep_records=False)[1].dxc_sup == traj.dxc_sup
+
+
+@pytest.mark.parametrize("solver", ["nsk", "bn"])
+def test_rail_failure_inside_a_chunk(solver):
+    # the upper rail lies just below the peak railed density, which the
+    # run first reaches inside the second chunk
+    chunk, traj, rails = chunk_run(solver)
+    peaks = [max(float(np.max(f)) for f in rails(s)) for s in traj.snapshots]
+    fail = int(np.argmax(peaks))
+    assert 0 < fail - chunk < chunk - 1
+    bounds = (0.05, 0.5 * (peaks[fail] + max(peaks[:fail])))
+    with pytest.raises(BoundsError) as expected:
+        nsk._check_state(traj.snapshots[fail], rails(traj.snapshots[fail]),
+                         bounds)
+    for keep_records in (True, False):
+        with pytest.raises(BoundsError) as exc:
+            chunk_run(solver, bounds, keep_records)
+        assert str(exc.value) == str(expected.value)

@@ -1,6 +1,7 @@
 """Property tests over randomly drawn admissible data."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from phasekit.bn import BNState, bn_step  # noqa: E402
 from phasekit.config import RunConfig, parse_config  # noqa: E402
+from phasekit.diagnostics import compute_record  # noqa: E402
 from phasekit.eos import PolytropicEOS, VanDerWaalsEOS  # noqa: E402
 from phasekit.nsk import (FluidState, PhysicalParams,  # noqa: E402
                           SolverConfig, continuity_update, nsk_step)
-from phasekit.torus import PeriodicGrid, mean, solve_cyclic_tridiagonal  # noqa: E402
+from phasekit.torus import (PeriodicGrid, derivative, l2_norm,  # noqa: E402
+                            max_norm, mean, sobolev_norm,
+                            solve_cyclic_tridiagonal)
 
 FAST = settings(max_examples=30, deadline=None)
 
@@ -89,6 +93,65 @@ def test_pure_phase_bn_step_is_nsk_step(n, law, rho_modes, u_modes, u_mean,
         for field in (bn.rho_p, bn.rho_m, bn.mixture_density):
             assert np.array_equal(field, nsk.rho)
         assert np.array_equal(bn.u, nsk.u) and np.array_equal(bn.c, nsk.c)
+
+
+def stack_of(data, grid, k, max_amp, base):
+    """k smooth fields drawn row by row, as a (k, n) array."""
+    return np.stack([smooth_field(data.draw(modes(max_amp)), grid, base)
+                     for _ in range(k)])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@FAST
+@given(data=st.data(), n=st.integers(4, 256).map(lambda k: 2 * k),
+       k=st.integers(1, 6), base=st.floats(-2.0, 2.0))
+def test_stacked_kernels_equal_row_by_row_calls(data, n, k, base):
+    grid = PeriodicGrid(n)
+    f = stack_of(data, grid, k, 3.0, base)
+    for backend in ("central", "spectral"):
+        for order in (1, 2):
+            assert same_bits(derivative(grid, f, order, backend),
+                             [derivative(grid, row, order, backend) for row in f])
+    for norm in (partial(mean, grid), partial(l2_norm, grid), max_norm,
+                 partial(sobolev_norm, grid, order=0),
+                 partial(sobolev_norm, grid, order=2)):
+        rows = [norm(row) for row in f]
+        assert all(type(v) is float for v in rows)
+        assert same_bits(norm(f), rows)
+
+
+def record_bits(records):
+    return np.array([r.as_row() for r in records]).tobytes()
+
+
+@FAST
+@given(data=st.data(), n=st.integers(4, 128).map(lambda k: 2 * k),
+       k=st.integers(1, 6), two_phase=st.booleans())
+def test_stacked_record_equals_per_state_records(data, n, k, two_phase):
+    grid = PeriodicGrid(n)
+    eos = VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0)
+    params = PhysicalParams(mu=0.1, kappa=0.1, gamma=2.0, eos=eos)
+    rho = stack_of(data, grid, k, 0.6, 1.0)
+    u = stack_of(data, grid, k, 2.0, 0.0)
+    times = data.draw(st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k))
+    if two_phase:
+        alpha = stack_of(data, grid, k, 0.4, 0.5)
+        ratio = stack_of(data, grid, k, 0.4, 1.0)
+        states = [BNState.make(grid, a, r, r * q, v, params, t=t)
+                  for a, r, q, v, t in zip(alpha, rho, ratio, u, times)]
+        stacked = BNState.stack(states)
+    else:
+        states = [FluidState.make(grid, r, v, params, t=t)
+                  for r, v, t in zip(rho, u, times)]
+        stacked = FluidState.stack(states)
+    records = compute_record(stacked, params).unstack()
+    per_state = [compute_record(s, params) for s in states]
+    assert all(type(v) is float for r in records for v in r.as_row())
+    assert record_bits(records) == record_bits(per_state)
 
 
 def positive(hi):

@@ -21,6 +21,20 @@ def test_grid_validation():
     assert np.allclose(g.x, np.arange(8) / 8)
 
 
+def test_field_shapes(grid):
+    # the norms and derivative take a (K, n) stack; the solves take one field
+    stack = np.ones((3, grid.n))
+    assert derivative(grid, stack).shape == (3, grid.n)
+    assert mean(grid, stack).shape == (3,)
+    for bad in (np.ones(grid.n + 2), np.ones((2, 3, grid.n)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="grid expects"):
+            mean(grid, bad)
+    for solve in (lambda f: helmholtz_solve(grid, f, 0.1, 2.0),
+                  lambda f: primitive(grid, f)):
+        with pytest.raises(ValueError, match="grid expects"):
+            solve(stack)
+
+
 @pytest.mark.parametrize("backend", ["central", "spectral"])
 def test_derivative_of_constant(grid, backend):
     f = grid.constant(7.0)
