@@ -172,10 +172,10 @@ def check_admissibility(eos: EquationOfState, r_lo: float, r_hi: float,
 
     The pair (P, gamma) is admissible on the interval when the minimum of
     P_art' is nonnegative.  Sign changes of P' are refined by bisection to
-    locate the spinodal interval [B1, B2].
+    locate the spinodal interval [B1, B2].  An interval reaching the end of
+    the law's domain is refused with ValueError.
     """
-    if np.isfinite(eos.domain_max):
-        r_hi = min(r_hi, eos.domain_max - 1e-6)
+    _require_below_domain_max(eos, r_hi)
     if not (0.0 <= r_lo < r_hi):
         raise ValueError(f"invalid scan interval [{r_lo}, {r_hi}]")
     r = np.linspace(r_lo, r_hi, n_scan)
@@ -200,6 +200,12 @@ def check_admissibility(eos: EquationOfState, r_lo: float, r_hi: float,
         spinodal=spinodal,
         scan_interval=(float(r_lo), float(r_hi)),
     )
+
+
+def _require_below_domain_max(eos: EquationOfState, r_hi: float) -> None:
+    if r_hi >= eos.domain_max:
+        raise ValueError(f"interval end {r_hi} not inside the law's domain "
+                         f"[0, {eos.domain_max})")
 
 
 def require_in_domain(eos: EquationOfState, r_hi: float) -> None:
@@ -230,9 +236,8 @@ def quadratic_growth_constant(eos: EquationOfState, r_hi: float,
     The quadratic growth bound r^2 <= C (1 + W) refers to a nonnegative
     potential; our gauge W(r_ref) = 0 lets W dip below zero inside a
     spinodal well, so the scan shifts W to its nonnegative representative
-    before taking the sup."""
-    if np.isfinite(eos.domain_max):
-        r_hi = min(r_hi, eos.domain_max - 1e-6)
+    before taking the sup.  r_hi must lie inside the law's domain."""
+    _require_below_domain_max(eos, r_hi)
     r = np.linspace(r_hi / n_scan, r_hi, n_scan)
     w = eos.potential(r)
     w = w - min(0.0, float(np.min(w)))

@@ -6,9 +6,12 @@ fields, run the two-phase solver once from the profile's limit data, build
 its two-Dirac measures, and quantify how the empirical measures approach
 the two-Dirac ones as n grows.  Every member's initial data is built
 before the first run, so a member the grid cannot resolve stops the family
-before any solver step.  The members run one after another in n order, and
-a member that leaves its guard rails fails alone: the report over the
-others is still assembled.
+before any solver step.  The members run as one batch, one row per member
+(see nsk_run), and a member that leaves its guard rails fails alone: the
+report over the others is still assembled.  The members share the grid,
+the time step and the snapshot times with the two-phase run; a member whose
+CFL bound falls below the time step shortens the step of every member, and
+the family stops with a ConfigError that names it.
 """
 
 from __future__ import annotations
@@ -126,13 +129,12 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
     bn_state = BNState.make(grid, alpha_p0, rho_p0, rho_m0, u0, config.params)
     bn_traj = bn_run(bn_state, config.params, config.solver)
 
-    members, failures = [], {}
-    for n, rho0 in zip(config.n_list, member_rho0):
-        try:
-            state = FluidState.make(grid, rho0, u0, config.params)
-            members.append(nsk_run(state, config.params, config.solver))
-        except BoundsError as exc:
-            failures[n] = str(exc)
+    batch = FluidState.make(grid, np.stack(member_rho0),
+                            np.tile(u0, (len(member_rho0), 1)), config.params)
+    runs = nsk_run(batch, config.params, config.solver)
+    members = [run for run in runs if not isinstance(run, BoundsError)]
+    failures = {n: str(run) for n, run in zip(config.n_list, runs)
+                if isinstance(run, BoundsError)}
     if failures:
         survivors = tuple(n for n in config.n_list if n not in failures)
         partial = None
@@ -156,18 +158,22 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
 def _assemble_report(config: FamilyConfig, bn_traj, members, n_list
                      ) -> ConvergenceReport:
     times = bn_traj.snapshot_times
+    # the members share one step length, so a CFL-limited member moves them
+    # all off the time grid: it is named before the others
+    for n, traj in sorted(zip(n_list, members),
+                          key=lambda member: not member[1].cfl_limited):
+        if traj.cfl_limited or traj.snapshot_times.shape != times.shape or \
+                np.max(np.abs(traj.snapshot_times - times)) > 1e-10:
+            raise ConfigError(
+                f"member n={n} left the shared time grid (CFL-limited: "
+                f"{traj.cfl_limited}); lower [time].dt and rerun")
     box = config.solver.bounds
     dictionary = TestDictionary(box)
     bn_measures = [two_dirac_from_bn(s, box) for s in bn_traj.snapshots]
     bn_pairings = [m.pair(dictionary) for m in bn_measures]
 
     member_pairings, dist_series, uerr_series, w1_series = [], [], [], []
-    for n, traj in zip(n_list, members):
-        if traj.cfl_limited or traj.snapshot_times.shape != times.shape or \
-                np.max(np.abs(traj.snapshot_times - times)) > 1e-10:
-            raise ConfigError(
-                f"member n={n} left the shared time grid (CFL-limited: "
-                f"{traj.cfl_limited}); lower [time].dt and rerun")
+    for traj in members:
         measures = [empirical_from_state(s, box) for s in traj.snapshots]
         pairings = [m.pair(dictionary) for m in measures]
         member_pairings.append(pairings)

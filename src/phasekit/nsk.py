@@ -16,6 +16,7 @@ and vanishes at second order in h.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,14 +70,30 @@ class SolverConfig:
             raise ValueError(f"unknown force_form {self.force_form!r}")
 
 
-def stack_states(cls, states):
-    """The classmethod stack(states) of the state classes: K states on one
-    grid as one state with t of shape (K,) and every field of shape (K, n),
-    for the record functionals."""
+def _field_names(cls) -> list:
     _, _, *names = (f.name for f in dataclasses.fields(cls))
-    return cls(states[0].grid, np.array([s.t for s in states]),
-               *(np.stack([getattr(s, name) for s in states])
-                 for name in names))
+    return names
+
+
+def stack_states(cls, states):
+    """The classmethod stack(states) of the state classes: states on one
+    grid, single or batches, as one state with a row per state or batch
+    row, for the record functionals: fields of shape (rows, n), t of shape
+    (rows,)."""
+    rows = [len(np.atleast_2d(s.u)) for s in states]
+    return cls(states[0].grid, np.repeat([s.t for s in states], rows),
+               *(np.vstack([getattr(s, name) for s in states])
+                 for name in _field_names(cls)))
+
+
+def _rows(state) -> list:
+    """The rows of a batch state as states whose fields are views, or
+    [state] for a state of single fields."""
+    if state.u.ndim == 1:
+        return [state]
+    cls = type(state)
+    return [cls(state.grid, state.t, *row) for row in
+            zip(*(getattr(state, name) for name in _field_names(cls)))]
 
 
 @dataclass
@@ -178,9 +195,10 @@ def make_oscillating_initial(grid: PeriodicGrid, v_minus: float, v_plus: float,
     return v_plus + (v_minus - v_plus) * chi
 
 
-def sound_speed_max(rho: np.ndarray, u: np.ndarray, eos: EquationOfState) -> float:
-    return float(np.max(np.abs(u) + np.sqrt(np.maximum(
-        eos.d_artificial_pressure(rho), 0.0))))
+def sound_speed_max(rho: np.ndarray, u: np.ndarray, eos: EquationOfState):
+    """max(|u| + c_s) over the grid, one value per row of a batch."""
+    return torus.row_values(np.max(np.abs(u) + np.sqrt(np.maximum(
+        eos.d_artificial_pressure(rho), 0.0)), axis=-1))
 
 
 def _check_state(state, fields: tuple, bounds: tuple):
@@ -202,11 +220,11 @@ def continuity_update(grid: PeriodicGrid, rho: np.ndarray, u: np.ndarray,
     """One conservative step of rho_t + (rho u)_x = 0 with central flux and
     an upwind-style diffusive flux of coefficient upwind * h * |u|."""
     m = rho * u
-    flux = 0.5 * (m + np.roll(m, -1))
+    flux = 0.5 * (m + np.roll(m, -1, axis=-1))
     if upwind > 0.0:
-        nu = upwind * 0.5 * (np.abs(u) + np.abs(np.roll(u, -1)))
-        flux = flux - nu * (np.roll(rho, -1) - rho)
-    return rho - (dt / grid.h) * (flux - np.roll(flux, 1))
+        nu = upwind * 0.5 * (np.abs(u) + np.abs(np.roll(u, -1, axis=-1)))
+        flux = flux - nu * (np.roll(rho, -1, axis=-1) - rho)
+    return rho - (dt / grid.h) * (flux - np.roll(flux, 1, axis=-1))
 
 
 def momentum_update(grid: PeriodicGrid, rho_new: np.ndarray, rho: np.ndarray,
@@ -225,26 +243,37 @@ def momentum_update(grid: PeriodicGrid, rho_new: np.ndarray, rho: np.ndarray,
         else:
             p_flux = params.eos.pressure(rho)
     g = m * u + p_flux
-    g_half = 0.5 * (g + np.roll(g, -1))
+    g_half = 0.5 * (g + np.roll(g, -1, axis=-1))
     if force_form == "artificial":
         force = params.gamma * rho * torus.derivative(grid, c, 1, "central")
     else:
         force = params.gamma * rho * torus.derivative(grid, c - rho, 1, "central")
-    m_star = m - (dt / h) * (g_half - np.roll(g_half, 1)) + dt * force
+    m_star = m - (dt / h) * (g_half - np.roll(g_half, 1, axis=-1)) + dt * force
 
     a = 0.5 * params.mu * dt / h ** 2
-    rhs = m_star + a * (np.roll(u, -1) - 2.0 * u + np.roll(u, 1))
+    rhs = m_star + a * (np.roll(u, -1, axis=-1) - 2.0 * u
+                        + np.roll(u, 1, axis=-1))
     lower = np.full(grid.n, -a)
     upper = np.full(grid.n, -a)
     diag = rho_new + 2.0 * a
-    return torus.solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+    if rhs.ndim == 1:
+        return torus.solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+    return np.stack([torus.solve_cyclic_tridiagonal(lower, d, upper, r)
+                     for d, r in zip(diag, rhs)])
 
 
 def _step_length(state, fields, params: PhysicalParams, config: SolverConfig,
                  remaining: float = np.inf) -> tuple:
     """min(config.dt, remaining, cfl h / max(|u| + c_s) over the density
-    fields), and whether the CFL bound lies below config.dt."""
-    smax = max(sound_speed_max(rho, state.u, params.eos) for rho in fields)
+    fields and the rows of a batch), and whether the CFL bound lies below
+    config.dt, one flag per row of a batch."""
+    smax = functools.reduce(np.maximum, [
+        sound_speed_max(rho, state.u, params.eos) for rho in fields])
+    if np.ndim(smax) == 1:   # a batch: one bound per row
+        with np.errstate(divide="ignore"):
+            cfl_dt = config.cfl * state.grid.h / smax
+        dt = min(config.dt, remaining, float(cfl_dt.min()))
+        return dt, cfl_dt < config.dt
     cfl_dt = config.cfl * state.grid.h / smax if smax > 0.0 else np.inf
     return min(config.dt, remaining, cfl_dt), cfl_dt < config.dt
 
@@ -264,46 +293,83 @@ def nsk_step(state: FluidState, params: PhysicalParams, config: SolverConfig,
     return FluidState(grid, state.t + dt, rho_new, u_new, c_new)
 
 
+def _drop_failed_rows(state, members: list, rails, bounds, results: list):
+    """Check each row of a batch state alone: the BoundsError of a failed
+    row becomes its member's entry of results, and the batch of the other
+    rows is returned with their members."""
+    keep = []
+    for i, row in enumerate(_rows(state)):
+        try:
+            _check_state(row, rails(row), bounds)
+            keep.append(i)
+        except BoundsError as exc:
+            results[members[i]] = exc
+    cls = type(state)
+    return (cls(state.grid, state.t, *(getattr(state, name)[keep]
+                                       for name in _field_names(cls))),
+            [members[i] for i in keep])
+
+
 # states per record chunk: K = max(1, _CHUNK_ELEMENTS // n); at small n the
 # per-call overhead of the record kernels dominates, at large n it does not
 _CHUNK_ELEMENTS = 8192
 
 
 def _integrate(initial, params: PhysicalParams, config: SolverConfig,
-               keep_records: bool, step, rails) -> Trajectory:
+               keep_records: bool, step, rails):
     """The run loop of nsk_run and bn_run: step(state, params, config, dt=dt)
     advances one step, rails(state) gives the railed density fields."""
     require_admissible(params.eos, 0.0, config.bounds[1])
-    state, traj = initial, Trajectory([initial], [], params, config)
+    batch = initial.u.ndim == 2
+    runs = [Trajectory([row], [], params, config) for row in _rows(initial)]
+    results = list(runs)   # a failed row's entry becomes its BoundsError
+    members = list(range(len(runs)))   # the run of each row of state
+    cfl_limited = np.zeros(len(runs), dtype=bool)
+    state, n_steps = initial, 0
     t_final = initial.t + config.t_end
     t_stop = t_final - 1e-12 * config.t_end
     chunk, pending = max(1, _CHUNK_ELEMENTS // initial.grid.n), []
     while True:
-        fields = rails(state)
-        _check_state(state, fields, config.bounds)
-        pending.append(state)
+        try:
+            _check_state(state, rails(state), config.bounds)
+        except BoundsError:
+            if not batch:
+                raise
+            state, members = _drop_failed_rows(state, members, rails,
+                                               config.bounds, results)
+            if not members:
+                return results
+        pending.append((state, members))
         done = state.t >= t_stop
         if done or len(pending) == chunk:
-            stacked = type(state).stack(pending)
+            stacked = type(state).stack([s for s, _ in pending])
+            owners = [runs[j] for _, rows in pending for j in rows]
             if keep_records:
-                traj.records.extend(
-                    diagnostics.compute_record(stacked, params).unstack())
-            traj.dxc_sup = max(traj.dxc_sup, float(np.max(torus.max_norm(
-                torus.derivative(state.grid, stacked.c, 1, "spectral")))))
+                records = diagnostics.compute_record(stacked, params).unstack()
+                for run, record in zip(owners, records):
+                    run.records.append(record)
+            dxc = torus.max_norm(
+                torus.derivative(state.grid, stacked.c, 1, "spectral"))
+            for run, value in zip(owners, dxc):
+                run.dxc_sup = max(run.dxc_sup, float(value))
             pending = []
         if done:
-            return traj
-        dt, limited = _step_length(state, fields, params, config,
+            for j in members:
+                runs[j].n_steps = n_steps
+                runs[j].cfl_limited = bool(cfl_limited[j])
+            return results if batch else runs[0]
+        dt, limited = _step_length(state, rails(state), params, config,
                                    t_final - state.t)
-        traj.cfl_limited = traj.cfl_limited or limited
+        cfl_limited[members] |= limited
         state = step(state, params, config, dt=dt)
-        traj.n_steps += 1
-        if traj.n_steps % config.snapshot_every == 0 or state.t >= t_stop:
-            traj.snapshots.append(state)
+        n_steps += 1
+        if n_steps % config.snapshot_every == 0 or state.t >= t_stop:
+            for j, row in zip(members, _rows(state)):
+                runs[j].snapshots.append(row)
 
 
 def nsk_run(initial: FluidState, params: PhysicalParams, config: SolverConfig,
-            keep_records: bool = True) -> Trajectory:
+            keep_records: bool = True) -> Trajectory | list:
     """Integrate from initial.t to t_final = initial.t + config.t_end.
 
     The run loop, shared with bn_run: the law must be admissible on [0,
@@ -321,11 +387,23 @@ def nsk_run(initial: FluidState, params: PhysicalParams, config: SolverConfig,
 
     Records are computed in chunks: checked states are held until K =
     max(1, 8192 // n) of them, or the final state, are waiting, and their
-    records and |c_x| come from one pass over the (K, n) stack.  Each
-    record equals compute_record of its state bitwise.  A checked state's
-    densities lie inside the rails, so its record does not raise, and a
-    failed run fails at the same state with the same error as it would
-    with one record per step.
+    records and |c_x| come from one pass over the stack of their rows.
+    Each record equals compute_record of its state bitwise.  A checked
+    state's densities lie inside the rails, so its record does not raise,
+    and a failed run fails at the same state with the same error as it
+    would with one record per step.
+
+    A batch, an initial state whose fields have shape (M, n), runs M
+    initial states in one loop, each step one nsk_step over all rows, and
+    returns a list of M entries: the trajectory of each row, or the
+    BoundsError that ended it.  A batch passes the check when each of its
+    rows would; when it does not, each row is checked alone, and a failed
+    row leaves the batch with the error its own run raises while the
+    others go on.  All rows take one step length, the least of their CFL-limited
+    lengths, and cfl_limited is set on the rows whose own bound fell below
+    config.dt.  While no row is CFL-limited, each row's trajectory (its
+    snapshots, records, n_steps and dxc_sup) equals its own run's bitwise.
+    bn_step does not take a batch.
     """
     return _integrate(initial, params, config, keep_records, nsk_step,
                       lambda s: (s.rho,))

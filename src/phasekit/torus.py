@@ -2,15 +2,19 @@
 
 Grid fields are plain 1D numpy arrays sampled at the nodes of a
 :class:`PeriodicGrid`.  ``derivative``, ``mean``, ``l2_norm``,
-``sobolev_norm`` and ``max_norm`` also act along the last axis of a
-``(K, n)`` stack of K fields: the result has one row (or one value) per
-field, bitwise equal to K separate calls, and a reduction of a single field
-is a Python float.  ``primitive``, ``helmholtz_solve`` and ``dealias`` take
-one field.  Two derivative backends are provided everywhere:
-``"central"`` (second-order finite differences, exactly conservative in the
-telescoping sense) and ``"spectral"`` (discrete-Fourier differentiation,
-exact on resolved trigonometric polynomials).  The backend is always an
-explicit argument, never module state.
+``sobolev_norm``, ``max_norm`` and the Fourier backend of
+``helmholtz_solve`` also act along the last axis of a ``(K, n)`` stack of K
+fields: the result has one row (or one value) per field, bitwise equal to K
+separate calls, and a reduction of a single field is a Python float.
+``primitive``, ``dealias``, the fd backend of ``helmholtz_solve`` and
+``solve_cyclic_tridiagonal`` take one field; ``nsk.momentum_update`` solves
+a stack one row at a time, because one block-banded solve of all rows
+differs from the row solves in the last bit.  Two derivative backends are
+provided everywhere: ``"central"`` (second-order finite differences,
+exactly conservative in the telescoping sense) and ``"spectral"``
+(discrete-Fourier differentiation, exact on resolved trigonometric
+polynomials).  The backend is always an explicit argument, never module
+state.
 
 The kernels check shapes, not values: NaN and inf propagate to the result,
 and the run loop (``nsk._integrate``) decides whether a state is valid.
@@ -128,9 +132,9 @@ def helmholtz_solve(grid: PeriodicGrid, rho: np.ndarray, kappa: float,
 
     The Fourier backend is diagonal per mode, c_hat = gamma rho_hat /
     (kappa k^2 + gamma); the fd backend solves the cyclic tridiagonal
-    second-order discretization.
+    second-order discretization.  Only the Fourier backend takes a stack.
     """
-    rho = _check_field(grid, rho, stack=False)
+    rho = _check_field(grid, rho, stack=backend == "fourier")
     if kappa <= 0.0 or gamma <= 0.0:
         raise ValueError(f"kappa and gamma must be positive, got {kappa}, {gamma}")
     if backend == "fourier":

@@ -137,6 +137,17 @@ def test_admissibility_invalid_interval(poly):
         check_admissibility(poly, 2.0, 1.0)
 
 
+def test_scans_refuse_an_interval_past_the_domain(vdw):
+    # the pole of the Van der Waals law sits at B = 1: no scan up to 2 or
+    # to the pole itself, rather than a silent report on a shorter interval
+    for r_hi in (2.0, 1.0):
+        with pytest.raises(ValueError, match="not inside the law's domain"):
+            check_admissibility(vdw, 0.0, r_hi)
+        with pytest.raises(ValueError, match="not inside the law's domain"):
+            quadratic_growth_constant(vdw, r_hi)
+    assert check_admissibility(vdw, 0.0, 0.999).scan_interval == (0.0, 0.999)
+
+
 def test_admissible_implies_monotone_scan(vdw):
     report = check_admissibility(vdw, 0.0, 0.999)
     assert report.admissible

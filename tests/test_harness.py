@@ -156,3 +156,66 @@ def test_kinetic_consistency_wrapper():
     assert all(np.isfinite(v) for v in residuals.values())
     with pytest.raises(ValueError):
         kinetic_consistency(traj, "weird", params)
+
+
+CFL_FAMILY = """
+[physics]
+mu = 0.1
+kappa = 0.1
+gamma = 2.0
+
+[grid]
+n = 128
+
+[time]
+dt = 0.02
+t_end = 0.1
+snapshot_every = 1
+
+[bounds]
+m0 = 1.4
+
+[init]
+profile = two_value
+v_minus = 0.8
+v_plus = 1.6
+
+[harness]
+n_list = 1, 2
+"""
+
+
+def test_family_above_the_cfl_bound_stops_before_writing(tmp_path, capsys):
+    # dt = 0.02 lies above every member's initial CFL bound (5.6e-3)
+    from phasekit.cli import main
+
+    cfg = tmp_path / "cfl.cfg"
+    cfg.write_text(CFL_FAMILY)
+    out = tmp_path / "fam"
+    assert main(["homogenize", "--config", str(cfg), "--out", str(out)]) == 2
+    assert ("config error: member n=1 left the shared time grid "
+            "(CFL-limited: True)") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_family_names_the_cfl_limited_member(monkeypatch, tmp_path):
+    # n = 2 starts 0.8 denser, which puts its CFL bound (1.2e-3 at t = 0)
+    # below dt = 1.5e-3 and leaves n = 1's (2.8e-3) above it; the
+    # members share one step length, so n = 1 leaves the time grid too
+    import phasekit.harness as hmod
+    from phasekit.errors import ConfigError
+
+    cfg = family(grid_n=256, n_list=(1, 2), t_end=0.03)
+    cfg.solver.dt, cfg.solver.snapshot_every = 1.5e-3, 4
+    cfg.out_dir = str(tmp_path / "fam")
+    real_initial = hmod.make_oscillating_initial
+
+    def denser_n2(grid, v_minus, v_plus, theta, n, delta, bounds=None):
+        rho0 = real_initial(grid, v_minus, v_plus, theta, n, delta, bounds)
+        return rho0 + 0.8 if n == 2 else rho0
+
+    monkeypatch.setattr(hmod, "make_oscillating_initial", denser_n2)
+    with pytest.raises(ConfigError, match=r"member n=2 left the shared time "
+                                          r"grid \(CFL-limited: True\)"):
+        run_family(cfg)
+    assert not (tmp_path / "fam").exists()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -341,3 +343,87 @@ def test_rail_failure_inside_a_chunk(solver):
         with pytest.raises(BoundsError) as exc:
             chunk_run(solver, bounds, keep_records)
         assert str(exc.value) == str(expected.value)
+
+
+def batch_and_own_runs(amplitudes, bounds=(0.05, 20.0), keep_records=True):
+    """One batch run of a row per amplitude and each row's own run (or the
+    BoundsError that ended it), over 2.5 record chunks."""
+    grid = PeriodicGrid(128)
+    params = poly_params()
+    chunk = max(1, nsk._CHUNK_ELEMENTS // grid.n)
+    config = SolverConfig(dt=1e-3, t_end=1e-3 * (2 * chunk + chunk // 2 + 1),
+                          bounds=bounds, snapshot_every=7)
+    rho0 = np.stack([1.0 + a * np.cos(2 * np.pi * grid.x) for a in amplitudes])
+    u0 = np.stack([-0.5 * np.sin(2 * np.pi * grid.x + a) for a in amplitudes])
+    own = []
+    for rho, u in zip(rho0, u0):
+        try:
+            own.append(nsk_run(FluidState.make(grid, rho, u, params), params,
+                               config, keep_records))
+        except BoundsError as exc:
+            own.append(exc)
+    batch = nsk_run(FluidState.make(grid, rho0, u0, params), params, config,
+                    keep_records)
+    return chunk, batch, own
+
+
+def assert_same_run(row, own):
+    assert (row.n_steps, row.dxc_sup, row.cfl_limited) == (
+        own.n_steps, own.dxc_sup, own.cfl_limited)
+    assert record_rows(row) == record_rows(own)
+    assert len(row.snapshots) == len(own.snapshots)
+    for s, t in zip(row.snapshots, own.snapshots):
+        assert s.t == t.t
+        for name in ("rho", "u", "c"):
+            assert getattr(s, name).tobytes() == getattr(t, name).tobytes()
+
+
+def record_rows(traj):
+    return np.array([r.as_row() for r in traj.records]).tobytes()
+
+
+@pytest.mark.parametrize("keep_records", [True, False])
+def test_batch_rows_equal_their_own_runs(keep_records):
+    chunk, batch, own = batch_and_own_runs((0.05, 0.2, 0.1),
+                                           keep_records=keep_records)
+    assert len(batch) == 3
+    for row, run in zip(batch, own):
+        assert run.n_steps > 2 * chunk and run.n_steps % chunk != 0
+        assert len(run.records) == (run.n_steps + 1 if keep_records else 0)
+        assert not run.cfl_limited
+        assert_same_run(row, run)
+
+
+def test_batch_row_failing_mid_run_fails_alone():
+    # the upper rail 1.34 lies below the peak density of the second row
+    # (1.37) and above its initial maximum 1.2 and the other rows' peaks (at
+    # most 1.31): the second row leaves the batch inside the first record
+    # chunk, and the rows held for that chunk's records are uneven
+    chunk, batch, own = batch_and_own_runs((0.05, 0.2, 0.1),
+                                           bounds=(0.05, 1.34))
+    assert isinstance(own[1], BoundsError) and isinstance(batch[1], BoundsError)
+    t_fail = float(re.search(r"guard rail violated at t = (\S+):",
+                             str(own[1])).group(1))
+    assert 0.0 < t_fail < chunk * 1e-3
+    assert str(batch[1]) == str(own[1])
+    for j in (0, 2):
+        assert_same_run(batch[j], own[j])
+
+
+def test_batch_shares_one_step_length():
+    # the second row's velocity puts its CFL bound below dt: every row
+    # takes the shortened steps, and only that row is flagged
+    grid = PeriodicGrid(64)
+    params = poly_params()
+    config = SolverConfig(dt=1e-3, t_end=5e-3, bounds=(0.05, 20.0))
+    u0 = np.stack([0.1 * np.sin(2 * np.pi * grid.x),
+                   20.0 * np.sin(2 * np.pi * grid.x)])
+    rho0 = np.ones_like(u0)
+    batch = nsk_run(FluidState.make(grid, rho0, u0, params), params, config)
+    assert [run.cfl_limited for run in batch] == [False, True]
+    assert batch[0].n_steps == batch[1].n_steps > 5
+    assert np.array_equal(batch[0].snapshot_times, batch[1].snapshot_times)
+    own = nsk_run(FluidState.make(grid, rho0[1], u0[1], params), params,
+                  config)
+    assert own.n_steps == batch[1].n_steps
+    assert_same_run(batch[1], own)

@@ -15,10 +15,11 @@ from phasekit.config import RunConfig, parse_config  # noqa: E402
 from phasekit.diagnostics import compute_record  # noqa: E402
 from phasekit.eos import PolytropicEOS, VanDerWaalsEOS  # noqa: E402
 from phasekit.nsk import (FluidState, PhysicalParams,  # noqa: E402
-                          SolverConfig, continuity_update, nsk_step)
-from phasekit.torus import (PeriodicGrid, derivative, l2_norm,  # noqa: E402
-                            max_norm, mean, sobolev_norm,
-                            solve_cyclic_tridiagonal)
+                          SolverConfig, continuity_update, momentum_update,
+                          nsk_step, sound_speed_max)
+from phasekit.torus import (PeriodicGrid, derivative,  # noqa: E402
+                            helmholtz_solve, l2_norm, max_norm, mean,
+                            sobolev_norm, solve_cyclic_tridiagonal)
 
 FAST = settings(max_examples=30, deadline=None)
 
@@ -108,8 +109,10 @@ def same_bits(a, b):
 
 @FAST
 @given(data=st.data(), n=st.integers(4, 256).map(lambda k: 2 * k),
-       k=st.integers(1, 6), base=st.floats(-2.0, 2.0))
-def test_stacked_kernels_equal_row_by_row_calls(data, n, k, base):
+       k=st.integers(1, 6), base=st.floats(-2.0, 2.0),
+       courant=st.floats(0.01, 1.0), upwind=st.floats(0.0, 1.0))
+def test_stacked_kernels_equal_row_by_row_calls(data, n, k, base, courant,
+                                                upwind):
     grid = PeriodicGrid(n)
     f = stack_of(data, grid, k, 3.0, base)
     for backend in ("central", "spectral"):
@@ -122,6 +125,37 @@ def test_stacked_kernels_equal_row_by_row_calls(data, n, k, base):
         rows = [norm(row) for row in f]
         assert all(type(v) is float for v in rows)
         assert same_bits(norm(f), rows)
+
+    # the step kernels on a batch of k density and velocity fields
+    eos = VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0)
+    params = PhysicalParams(mu=0.1, kappa=0.1, gamma=2.0, eos=eos)
+    rho = stack_of(data, grid, k, 0.6, 1.0)
+    u = stack_of(data, grid, k, 2.0, base)
+    dt = courant * grid.h / (1.0 + np.max(np.abs(u)))
+    speeds = [sound_speed_max(r, v, eos) for r, v in zip(rho, u)]
+    assert all(type(v) is float for v in speeds)
+    assert same_bits(sound_speed_max(rho, u, eos), speeds)
+    c = helmholtz_solve(grid, rho, params.kappa, params.gamma)
+    assert same_bits(c, [helmholtz_solve(grid, r, params.kappa, params.gamma)
+                         for r in rho])
+    rho_new = continuity_update(grid, rho, u, dt, upwind)
+    assert same_bits(rho_new, [continuity_update(grid, r, v, dt, upwind)
+                               for r, v in zip(rho, u)])
+    for form in ("artificial", "original"):
+        assert same_bits(
+            momentum_update(grid, rho_new, rho, u, c, params, dt, form),
+            [momentum_update(grid, *rows, params, dt, form)
+             for rows in zip(rho_new, rho, u, c)])
+        config = SolverConfig(dt=1.0, t_end=1.0, upwind=upwind,
+                              force_form=form)
+        batch = nsk_step(FluidState(grid, 0.5, rho, u, c), params, config,
+                         dt=dt)
+        rows = [nsk_step(FluidState(grid, 0.5, *fields), params, config,
+                         dt=dt) for fields in zip(rho, u, c)]
+        assert all(s.t == batch.t for s in rows)
+        for name in ("rho", "u", "c"):
+            assert same_bits(getattr(batch, name),
+                             [getattr(s, name) for s in rows])
 
 
 def record_bits(records):

@@ -22,14 +22,16 @@ def test_grid_validation():
 
 
 def test_field_shapes(grid):
-    # the norms and derivative take a (K, n) stack; the solves take one field
+    # the norms, derivative and the Fourier Helmholtz solve take a (K, n)
+    # stack; the fd Helmholtz solve and primitive take one field
     stack = np.ones((3, grid.n))
     assert derivative(grid, stack).shape == (3, grid.n)
     assert mean(grid, stack).shape == (3,)
+    assert helmholtz_solve(grid, stack, 0.1, 2.0).shape == (3, grid.n)
     for bad in (np.ones(grid.n + 2), np.ones((2, 3, grid.n)), np.float64(1.0)):
         with pytest.raises(ValueError, match="grid expects"):
             mean(grid, bad)
-    for solve in (lambda f: helmholtz_solve(grid, f, 0.1, 2.0),
+    for solve in (lambda f: helmholtz_solve(grid, f, 0.1, 2.0, "fd"),
                   lambda f: primitive(grid, f)):
         with pytest.raises(ValueError, match="grid expects"):
             solve(stack)
