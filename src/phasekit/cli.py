@@ -21,7 +21,7 @@ from .config import (build_bn_initial, build_eos, build_family,
                      build_nsk_initial, build_params, build_solver,
                      guard_rails, load_config)
 from .diagnostics import balance_check
-from .eos import AdmissibilityError, check_admissibility, require_in_domain
+from .eos import AdmissibilityError, check_admissibility
 from .errors import BoundsError, ConfigError
 from .harness import run_family
 from .nsk import nsk_run
@@ -43,11 +43,10 @@ def cmd_check_eos(args) -> int:
     eos = build_eos(config)
     _, hi = guard_rails(config)
     try:
-        require_in_domain(eos, hi)
+        report = check_admissibility(eos, 0.0, hi)
     except AdmissibilityError:
         print(f"requested interval [0.0, {hi}]", file=sys.stderr)
         raise
-    report = check_admissibility(eos, 0.0, hi)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0 if report.admissible else 3
 

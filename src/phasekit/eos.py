@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class AdmissibilityError(RuntimeError):
-    """Raised when a solver entry point is asked to run with a pressure law
-    whose domain does not contain the configured interval or whose
-    artificial pressure is not monotone on it."""
+class AdmissibilityError(ValueError):
+    """Raised when a pressure law is asked about an interval its domain
+    does not contain, or when a solver entry point is asked to run with a
+    law whose artificial pressure is not monotone on its rails."""
 
     exit_code = 3
 
@@ -173,9 +173,9 @@ def check_admissibility(eos: EquationOfState, r_lo: float, r_hi: float,
     The pair (P, gamma) is admissible on the interval when the minimum of
     P_art' is nonnegative.  Sign changes of P' are refined by bisection to
     locate the spinodal interval [B1, B2].  An interval reaching the end of
-    the law's domain is refused with ValueError.
+    the law's domain is refused (require_in_domain).
     """
-    _require_below_domain_max(eos, r_hi)
+    require_in_domain(eos, r_hi)
     if not (0.0 <= r_lo < r_hi):
         raise ValueError(f"invalid scan interval [{r_lo}, {r_hi}]")
     r = np.linspace(r_lo, r_hi, n_scan)
@@ -202,14 +202,9 @@ def check_admissibility(eos: EquationOfState, r_lo: float, r_hi: float,
     )
 
 
-def _require_below_domain_max(eos: EquationOfState, r_hi: float) -> None:
-    if r_hi >= eos.domain_max:
-        raise ValueError(f"interval end {r_hi} not inside the law's domain "
-                         f"[0, {eos.domain_max})")
-
-
 def require_in_domain(eos: EquationOfState, r_hi: float) -> None:
-    """Raise unless the upper rail r_hi lies inside the law's domain."""
+    """Raise AdmissibilityError, a ValueError, unless the upper end r_hi
+    (of a scan, or the upper rail of a run) lies inside the law's domain."""
     if r_hi >= eos.domain_max:
         raise AdmissibilityError(
             f"upper rail {r_hi} not inside the law's domain "
@@ -219,7 +214,6 @@ def require_in_domain(eos: EquationOfState, r_hi: float) -> None:
 def require_admissible(eos: EquationOfState, r_lo: float, r_hi: float) -> AdmissibilityReport:
     """Raise unless [r_lo, r_hi] lies inside the law's domain and the law is
     admissible there; the solver entry points call it with their rails."""
-    require_in_domain(eos, r_hi)
     report = check_admissibility(eos, r_lo, r_hi)
     if not report.admissible:
         raise AdmissibilityError(
@@ -237,7 +231,7 @@ def quadratic_growth_constant(eos: EquationOfState, r_hi: float,
     potential; our gauge W(r_ref) = 0 lets W dip below zero inside a
     spinodal well, so the scan shifts W to its nonnegative representative
     before taking the sup.  r_hi must lie inside the law's domain."""
-    _require_below_domain_max(eos, r_hi)
+    require_in_domain(eos, r_hi)
     r = np.linspace(r_hi / n_scan, r_hi, n_scan)
     w = eos.potential(r)
     w = w - min(0.0, float(np.min(w)))

@@ -11,7 +11,8 @@ before any solver step.  The members run as one batch, one row per member
 report over the others is still assembled.  The members share the grid,
 the time step and the snapshot times with the two-phase run; a member whose
 CFL bound falls below the time step shortens the step of every member, and
-the family stops with a ConfigError that names it.
+the family stops with a ConfigError that names it, also when that member
+then leaves its guard rails.
 """
 
 from __future__ import annotations
@@ -116,7 +117,9 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
 
     If a member run violates its guard rails the family is aborted with a
     BoundsError whose ``partial_report`` attribute holds the report over
-    the members that finished (written to out_dir as well, when set)."""
+    the members that finished (written to out_dir as well, when set).  A
+    member off the shared time grid, CFL-limited or not, stops the family
+    first, with a ConfigError and nothing written."""
     grid = config.grid()
     u0 = config.u0_field(grid)
 
@@ -132,6 +135,7 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
     batch = FluidState.make(grid, np.stack(member_rho0),
                             np.tile(u0, (len(member_rho0), 1)), config.params)
     runs = nsk_run(batch, config.params, config.solver)
+    _require_shared_time_grid(config.n_list, runs, bn_traj.snapshot_times)
     members = [run for run in runs if not isinstance(run, BoundsError)]
     failures = {n: str(run) for n, run in zip(config.n_list, runs)
                 if isinstance(run, BoundsError)}
@@ -155,18 +159,27 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
     return report
 
 
+def _require_shared_time_grid(n_list, runs, times):
+    """ConfigError naming the first member off the two-phase run's time
+    grid.  The members share one step length, so a CFL-limited member,
+    finished or failed, moves them all off it: it is named before the
+    others, and a failure of its own is named with it."""
+    for n, run in sorted(zip(n_list, runs),
+                         key=lambda member: not member[1].cfl_limited):
+        failed = isinstance(run, BoundsError)
+        if run.cfl_limited or not failed and (
+                run.snapshot_times.shape != times.shape
+                or np.max(np.abs(run.snapshot_times - times)) > 1e-10):
+            raise ConfigError(
+                f"member n={n} left the shared time grid (CFL-limited: "
+                f"{run.cfl_limited})"
+                + (f" and then failed: {run}" if failed else "")
+                + "; lower [time].dt and rerun")
+
+
 def _assemble_report(config: FamilyConfig, bn_traj, members, n_list
                      ) -> ConvergenceReport:
     times = bn_traj.snapshot_times
-    # the members share one step length, so a CFL-limited member moves them
-    # all off the time grid: it is named before the others
-    for n, traj in sorted(zip(n_list, members),
-                          key=lambda member: not member[1].cfl_limited):
-        if traj.cfl_limited or traj.snapshot_times.shape != times.shape or \
-                np.max(np.abs(traj.snapshot_times - times)) > 1e-10:
-            raise ConfigError(
-                f"member n={n} left the shared time grid (CFL-limited: "
-                f"{traj.cfl_limited}); lower [time].dt and rerun")
     box = config.solver.bounds
     dictionary = TestDictionary(box)
     bn_measures = [two_dirac_from_bn(s, box) for s in bn_traj.snapshots]

@@ -269,13 +269,9 @@ def _step_length(state, fields, params: PhysicalParams, config: SolverConfig,
     config.dt, one flag per row of a batch."""
     smax = functools.reduce(np.maximum, [
         sound_speed_max(rho, state.u, params.eos) for rho in fields])
-    if np.ndim(smax) == 1:   # a batch: one bound per row
-        with np.errstate(divide="ignore"):
-            cfl_dt = config.cfl * state.grid.h / smax
-        dt = min(config.dt, remaining, float(cfl_dt.min()))
-        return dt, cfl_dt < config.dt
-    cfl_dt = config.cfl * state.grid.h / smax if smax > 0.0 else np.inf
-    return min(config.dt, remaining, cfl_dt), cfl_dt < config.dt
+    with np.errstate(divide="ignore"):
+        cfl_dt = config.cfl * state.grid.h / np.asarray(smax)
+    return min(config.dt, remaining, float(np.min(cfl_dt))), cfl_dt < config.dt
 
 
 def nsk_step(state: FluidState, params: PhysicalParams, config: SolverConfig,
@@ -293,16 +289,19 @@ def nsk_step(state: FluidState, params: PhysicalParams, config: SolverConfig,
     return FluidState(grid, state.t + dt, rho_new, u_new, c_new)
 
 
-def _drop_failed_rows(state, members: list, rails, bounds, results: list):
+def _drop_failed_rows(state, members: list, rails, bounds, results: list,
+                      cfl_limited: np.ndarray):
     """Check each row of a batch state alone: the BoundsError of a failed
-    row becomes its member's entry of results, and the batch of the other
-    rows is returned with their members."""
+    row, with the row's cfl_limited flag, becomes its member's entry of
+    results, and the batch of the other rows is returned with their
+    members."""
     keep = []
     for i, row in enumerate(_rows(state)):
         try:
             _check_state(row, rails(row), bounds)
             keep.append(i)
         except BoundsError as exc:
+            exc.cfl_limited = bool(cfl_limited[members[i]])
             results[members[i]] = exc
     cls = type(state)
     return (cls(state.grid, state.t, *(getattr(state, name)[keep]
@@ -336,7 +335,8 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig,
             if not batch:
                 raise
             state, members = _drop_failed_rows(state, members, rails,
-                                               config.bounds, results)
+                                               config.bounds, results,
+                                               cfl_limited)
             if not members:
                 return results
         pending.append((state, members))
@@ -399,10 +399,11 @@ def nsk_run(initial: FluidState, params: PhysicalParams, config: SolverConfig,
     BoundsError that ended it.  A batch passes the check when each of its
     rows would; when it does not, each row is checked alone, and a failed
     row leaves the batch with the error its own run raises while the
-    others go on.  All rows take one step length, the least of their CFL-limited
-    lengths, and cfl_limited is set on the rows whose own bound fell below
-    config.dt.  While no row is CFL-limited, each row's trajectory (its
-    snapshots, records, n_steps and dxc_sup) equals its own run's bitwise.
+    others go on.  All rows take one step length, the least of their
+    CFL-limited lengths, and cfl_limited is set on the rows whose own bound
+    fell below config.dt, on a failed row's BoundsError too.  While no row
+    is CFL-limited, each row's trajectory (its snapshots, records, n_steps
+    and dxc_sup) equals its own run's bitwise.
     bn_step does not take a batch.
     """
     return _integrate(initial, params, config, keep_records, nsk_step,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -198,12 +200,11 @@ def test_family_above_the_cfl_bound_stops_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_family_names_the_cfl_limited_member(monkeypatch, tmp_path):
+def cfl_limited_n2_family(monkeypatch, tmp_path):
     # n = 2 starts 0.8 denser, which puts its CFL bound (1.2e-3 at t = 0)
     # below dt = 1.5e-3 and leaves n = 1's (2.8e-3) above it; the
     # members share one step length, so n = 1 leaves the time grid too
     import phasekit.harness as hmod
-    from phasekit.errors import ConfigError
 
     cfg = family(grid_n=256, n_list=(1, 2), t_end=0.03)
     cfg.solver.dt, cfg.solver.snapshot_every = 1.5e-3, 4
@@ -215,7 +216,36 @@ def test_family_names_the_cfl_limited_member(monkeypatch, tmp_path):
         return rho0 + 0.8 if n == 2 else rho0
 
     monkeypatch.setattr(hmod, "make_oscillating_initial", denser_n2)
+    return cfg
+
+
+def test_family_names_the_cfl_limited_member(monkeypatch, tmp_path):
+    from phasekit.errors import ConfigError
+
+    cfg = cfl_limited_n2_family(monkeypatch, tmp_path)
     with pytest.raises(ConfigError, match=r"member n=2 left the shared time "
-                                          r"grid \(CFL-limited: True\)"):
+                                          r"grid \(CFL-limited: True\);"):
         run_family(cfg)
+    assert not (tmp_path / "fam").exists()
+
+
+def test_family_names_a_cfl_limited_member_that_then_fails(monkeypatch,
+                                                          tmp_path):
+    # the upper rail 2.405 lies above n = 2's initial maximum 2.4 and below
+    # its peak (2.41 by t = 0.03), and above n = 1's (1.606): n = 2 leaves
+    # its rails mid-run after CFL-limited steps, which moved n = 1 off the
+    # time grid, so no partial report over n = 1 is assembled
+    from phasekit.errors import ConfigError
+
+    cfg = cfl_limited_n2_family(monkeypatch, tmp_path)
+    cfg.solver.bounds = (1 / 2.8, 2.405)
+    with pytest.raises(ConfigError) as exc:
+        run_family(cfg)
+    assert re.fullmatch(
+        r"member n=2 left the shared time grid \(CFL-limited: True\) and "
+        r"then failed: density guard rail violated at t = (\S+): range "
+        r"\[\S+, \S+\] outside \[0\.357\d*, 2\.405\]; lower \[time\]\.dt "
+        r"and rerun", str(exc.value))
+    t_fail = float(re.search(r"at t = (\S+):", str(exc.value)).group(1))
+    assert 0.0 < t_fail < 0.03
     assert not (tmp_path / "fam").exists()

@@ -427,3 +427,24 @@ def test_batch_shares_one_step_length():
                   config)
     assert own.n_steps == batch[1].n_steps
     assert_same_run(batch[1], own)
+
+
+def test_batch_row_failing_after_cfl_limited_steps_keeps_its_flag():
+    # the second row's velocity puts its CFL bound below dt and compresses
+    # it past the upper rail 1.2 mid-run: its error carries the flag, and
+    # the first row goes on with the shortened steps
+    grid = PeriodicGrid(64)
+    params = poly_params()
+    config = SolverConfig(dt=1e-3, t_end=5e-3, bounds=(0.05, 1.2))
+    u0 = np.stack([0.1 * np.sin(2 * np.pi * grid.x),
+                   20.0 * np.sin(2 * np.pi * grid.x)])
+    rho0 = np.ones_like(u0)
+    batch = nsk_run(FluidState.make(grid, rho0, u0, params), params, config)
+    with pytest.raises(BoundsError) as own:
+        nsk_run(FluidState.make(grid, rho0[1], u0[1], params), params, config)
+    assert isinstance(batch[1], BoundsError) and batch[1].cfl_limited
+    assert str(batch[1]) == str(own.value)
+    assert float(re.search(r"at t = (\S+):", str(own.value)).group(1)) > 0.0
+    assert not batch[0].cfl_limited
+    assert batch[0].snapshot_times[-1] == pytest.approx(5e-3, abs=1e-12)
+    assert batch[0].n_steps > 5
