@@ -26,8 +26,7 @@ from . import torus
 from .errors import BoundsError, FixedPointError
 # sound_speed_max is bound here for perfbench/tracing.py, which requires it
 from .nsk import (PhysicalParams, SolverConfig, Trajectory, continuity_update,
-                  momentum_update, sound_speed_max, stack_states, _integrate,
-                  _step_length)
+                  momentum_update, sound_speed_max, stack_states, _integrate)
 from .torus import PeriodicGrid
 
 
@@ -182,7 +181,7 @@ def _relaxation_substep(alpha_p, alpha_m, rho_p, rho_m, params, dt):
 
 
 def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
-            monitor: dict | None = None, dt: float | None = None) -> BNState:
+            dt: float, monitor: dict | None = None) -> BNState:
     """One step: semi-Lagrangian advection of the fractions, conservative
     transport of the phase densities, pointwise relaxation, shared mixture
     momentum update, Helmholtz re-solve, closure renormalization.
@@ -192,11 +191,8 @@ def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
     reconstructed as rho_p = mix + alpha_m diff, rho_m = mix - alpha_p diff:
     the alpha-weighted cross terms cancel pointwise, so the discrete mixture
     mass is conserved to round-off, equal phase densities stay equal
-    exactly, and an alpha_p = 1 run reduces to the single-phase update.
-    dt defaults to the CFL-limited length over both phase densities."""
+    exactly, and an alpha_p = 1 run reduces to the single-phase update."""
     grid = state.grid
-    if dt is None:
-        dt, _ = _step_length(state, (state.rho_p, state.rho_m), params, config)
     rho_mix_old, p_bar_old = mixture_fields(state, params.eos)
 
     feet = trace_feet(grid, state.u, state.u, dt)

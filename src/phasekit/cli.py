@@ -51,33 +51,25 @@ def cmd_check_eos(args) -> int:
     return 0 if report.admissible else 3
 
 
-def cmd_simulate_nsk(args) -> int:
+def _simulate(args, kind, build_initial, run) -> int:
     config = load_config(args.config)
     params = build_params(config)
-    state = build_nsk_initial(config, params)
-    traj = nsk_run(state, params, build_solver(config))
+    traj = run(build_initial(config, params), params, build_solver(config))
     out = args.out or config["output"]["directory"]
-    io.write_trajectory(out, traj, "nsk")
+    io.write_trajectory(out, traj)
     io.write_meta(os.path.join(out, "meta.json"), _meta_payload(config, {
-        "kind": "nsk", "n_steps": traj.n_steps,
-        "snapshots": len(traj.snapshots)}))
+        "kind": kind, "n_steps": traj.n_steps,
+        "snapshots": len(traj.snapshots), **traj.extras}))
     print(f"wrote {len(traj.snapshots)} snapshots and diagnostics to {out}")
     return 0
+
+
+def cmd_simulate_nsk(args) -> int:
+    return _simulate(args, "nsk", build_nsk_initial, nsk_run)
 
 
 def cmd_simulate_bn(args) -> int:
-    config = load_config(args.config)
-    params = build_params(config)
-    state = build_bn_initial(config, params)
-    traj = bn_run(state, params, build_solver(config))
-    out = args.out or config["output"]["directory"]
-    io.write_trajectory(out, traj, "bn")
-    io.write_meta(os.path.join(out, "meta.json"), _meta_payload(config, {
-        "kind": "bn", "n_steps": traj.n_steps,
-        "snapshots": len(traj.snapshots),
-        "monitor": traj.extras.get("monitor", {})}))
-    print(f"wrote {len(traj.snapshots)} snapshots and diagnostics to {out}")
-    return 0
+    return _simulate(args, "bn", build_bn_initial, bn_run)
 
 
 def cmd_homogenize(args) -> int:

@@ -204,6 +204,8 @@ def _validate(config: RunConfig, path: str):
         err("[harness].n_list must not be empty")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         err("n_list must be strictly increasing")
+    if min(n_list) < 1:
+        err(f"[harness].n_list entries must be at least 1, got {n_list}")
 
 
 # ------------------------------------------------------------------ builders

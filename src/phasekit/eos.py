@@ -166,9 +166,9 @@ def make_eos(spec: dict) -> EquationOfState:
     raise ValueError(f"unknown eos type {kind!r}")
 
 
-def check_admissibility(eos: EquationOfState, r_lo: float, r_hi: float,
-                        n_scan: int = 10_000) -> AdmissibilityReport:
-    """Scan the artificial-pressure slope on [r_lo, r_hi].
+def check_admissibility(eos: EquationOfState, r_lo: float, r_hi: float
+                        ) -> AdmissibilityReport:
+    """Scan the artificial-pressure slope on [r_lo, r_hi] at 10,000 points.
 
     The pair (P, gamma) is admissible on the interval when the minimum of
     P_art' is nonnegative.  Sign changes of P' are refined by bisection to
@@ -178,7 +178,7 @@ def check_admissibility(eos: EquationOfState, r_lo: float, r_hi: float,
     require_in_domain(eos, r_hi)
     if not (0.0 <= r_lo < r_hi):
         raise ValueError(f"invalid scan interval [{r_lo}, {r_hi}]")
-    r = np.linspace(r_lo, r_hi, n_scan)
+    r = np.linspace(r_lo, r_hi, 10_000)
     slope_art = eos.d_artificial_pressure(r)
     min_slope = float(np.min(slope_art))
 
@@ -223,16 +223,16 @@ def require_admissible(eos: EquationOfState, r_lo: float, r_hi: float) -> Admiss
     return report
 
 
-def quadratic_growth_constant(eos: EquationOfState, r_hi: float,
-                              n_scan: int = 2048) -> float:
-    """Empirical constant sup_r r^2 / (1 + W(r) - min W) over (0, r_hi].
+def quadratic_growth_constant(eos: EquationOfState, r_hi: float) -> float:
+    """Empirical constant sup_r r^2 / (1 + W(r) - min W) over (0, r_hi],
+    scanned at 2048 points.
 
     The quadratic growth bound r^2 <= C (1 + W) refers to a nonnegative
     potential; our gauge W(r_ref) = 0 lets W dip below zero inside a
     spinodal well, so the scan shifts W to its nonnegative representative
     before taking the sup.  r_hi must lie inside the law's domain."""
     require_in_domain(eos, r_hi)
-    r = np.linspace(r_hi / n_scan, r_hi, n_scan)
+    r = np.linspace(r_hi / 2048, r_hi, 2048)
     w = eos.potential(r)
     w = w - min(0.0, float(np.min(w)))
     return float(np.max(r ** 2 / (1.0 + w)))

@@ -223,7 +223,7 @@ def _write_family(config: FamilyConfig, report: ConvergenceReport):
     io.write_convergence(os.path.join(out, "convergence.csv"), report)
     extras = report.extras
     dictionary = extras["dictionary"]
-    io.write_trajectory(os.path.join(out, "bn"), extras["bn_trajectory"], "bn")
+    io.write_trajectory(os.path.join(out, "bn"), extras["bn_trajectory"])
     io.write_measure_summary(os.path.join(out, "bn", "measures.csv"),
                              report.times, dictionary.names(),
                              extras["bn_pairings"])
@@ -231,31 +231,25 @@ def _write_family(config: FamilyConfig, report: ConvergenceReport):
             report.n_list, extras["members"], extras["member_pairings"],
             report.dist_series, report.wasserstein_series):
         member_dir = os.path.join(out, f"member_n{n}")
-        io.write_trajectory(member_dir, traj, "nsk")
+        io.write_trajectory(member_dir, traj)
         io.write_distances(os.path.join(member_dir, "distances.csv"),
                            report.times, dists, w1s)
         io.write_measure_summary(os.path.join(member_dir, "measures.csv"),
                                  report.times, dictionary.names(), pairings)
 
 
-def kinetic_consistency(trajectory, kind: str, params: PhysicalParams,
-                        phi_set=None, box=None) -> dict:
+def kinetic_consistency(trajectory, kind: str, params: PhysicalParams) -> dict:
     """Kinetic-equation residuals of a finished run over the smoke set."""
-    from . import diagnostics
     times = trajectory.snapshot_times
     if times.size < 2:
         raise ValueError("need a run with at least two snapshots")
-    box = box if box is not None else trajectory.config.bounds
+    box = trajectory.config.bounds
     if kind == "nsk":
         measures = [empirical_from_state(s, box) for s in trajectory.snapshots]
     elif kind == "bn":
         measures = [two_dirac_from_bn(s, box) for s in trajectory.snapshots]
     else:
         raise ValueError(f"unknown trajectory kind {kind!r}")
-    sigmas = [diagnostics.effective_viscous_flux(s, params)
-              for s in trajectory.snapshots]
-    us = [s.u for s in trajectory.snapshots]
-    phi_set = phi_set if phi_set is not None else smoke_test_set(
-        float(times[-1] - times[0]))
+    us, sigmas = trajectory.u_series(), trajectory.sigma_series()
     return {phi.name: kinetic_residual(measures, us, sigmas, times, phi, params)
-            for phi in phi_set}
+            for phi in smoke_test_set(float(times[-1] - times[0]))}

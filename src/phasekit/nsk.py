@@ -263,7 +263,7 @@ def momentum_update(grid: PeriodicGrid, rho_new: np.ndarray, rho: np.ndarray,
 
 
 def _step_length(state, fields, params: PhysicalParams, config: SolverConfig,
-                 remaining: float = np.inf) -> tuple:
+                 remaining: float) -> tuple:
     """min(config.dt, remaining, cfl h / max(|u| + c_s) over the density
     fields and the rows of a batch), and whether the CFL bound lies below
     config.dt, one flag per row of a batch."""
@@ -275,13 +275,10 @@ def _step_length(state, fields, params: PhysicalParams, config: SolverConfig,
 
 
 def nsk_step(state: FluidState, params: PhysicalParams, config: SolverConfig,
-             dt: float | None = None) -> FluidState:
-    """Advance one step of length dt, by default the CFL-limited
-    min(config.dt, cfl h / max(|u| + c_s)).  The result is not checked here;
-    the run loop checks every state."""
+             dt: float) -> FluidState:
+    """Advance one step of length dt.  The result is not checked here; the
+    run loop chooses dt and checks every state."""
     grid = state.grid
-    if dt is None:
-        dt, _ = _step_length(state, (state.rho,), params, config)
     rho_new = continuity_update(grid, state.rho, state.u, dt, config.upwind)
     u_new = momentum_update(grid, rho_new, state.rho, state.u, state.c,
                             params, dt, config.force_form)

@@ -271,7 +271,7 @@ def test_criterion_08_picard():
         from phasekit.bn import bn_step
         state = BNState.make(grid2, alpha0, rp0, rm0, u_field, params)
         for _ in range(tgrid.size - 1):
-            new = bn_step(state, params, config)
+            new = bn_step(state, params, config, config.dt)
             state = BNState(grid2, new.t, new.alpha_p, new.alpha_m, new.rho_p,
                             new.rho_m, u_field.copy(), new.c)
         u_series = np.tile(u_field, (tgrid.size, 1))

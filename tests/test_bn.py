@@ -364,7 +364,7 @@ def test_picard_cross_check_against_bn_step():
         # reusing its transport pieces through a tiny shim run
         states = [state]
         for _ in range(times.size - 1):
-            new = bn_step(states[-1], params, config)
+            new = bn_step(states[-1], params, config, config.dt)
             new = BNState(grid, new.t, new.alpha_p, new.alpha_m, new.rho_p,
                           new.rho_m, state.u.copy(), new.c)
             states.append(new)

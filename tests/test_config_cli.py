@@ -264,6 +264,9 @@ EXIT_CODES = {
               "guard rail violated"),
     "non-finite": ("simulate-nsk", BLOW_UP, 4, "non-finite"),
     "non-finite-bn": ("simulate-bn", BLOW_UP, 4, "non-finite"),
+    # refused at load, not once a family is built
+    "n-list": ("check-eos", POLY_SMOOTH + "[harness]\nn_list = 0, 4\n", 2,
+               "[harness].n_list entries must be at least 1"),
 }
 
 
