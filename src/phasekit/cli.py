@@ -2,8 +2,9 @@
 
 Subcommands: simulate-nsk, simulate-bn, homogenize, check-eos, diagnose.
 Exit codes: 0 success, 2 config error, 3 admissibility failure, 4 failed
-run (a guard rail or a non-finite field, as the run loop decides).  No
-subcommand returns 5, the fixed-point failure of the library's picard_bn.
+run (a guard rail, a non-finite field or a step the law refuses, as the
+run loop decides).  No subcommand returns 5, the fixed-point failure of the
+library's picard_bn.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .config import (build_bn_initial, build_eos, build_family,
 from .diagnostics import balance_check
 from .eos import AdmissibilityError, check_admissibility
 from .errors import BoundsError, ConfigError
-from .harness import run_family
+from .harness import MONOTONE_SLACK, run_family
 from .nsk import nsk_run
 
 
@@ -31,11 +32,8 @@ def provenance() -> str:
     return f"phasekit {__version__}, numpy {np.__version__}"
 
 
-def _meta_payload(config, extra=None):
-    payload = {"config": config.to_dict(), "provenance": provenance()}
-    if extra:
-        payload.update(extra)
-    return payload
+def _meta_payload(config, extra):
+    return {"config": config.to_dict(), "provenance": provenance(), **extra}
 
 
 def cmd_check_eos(args) -> int:
@@ -82,7 +80,7 @@ def cmd_homogenize(args) -> int:
         "sup_dist": report.sup_dist, "sup_uerr": report.sup_uerr,
         "monotone_dist": report.monotone_dist,
         "monotone_uerr": report.monotone_uerr,
-        "slack": report.slack}))
+        "slack": MONOTONE_SLACK}))
     print(f"wrote convergence.csv for n in {list(report.n_list)} to {out}")
     if not (report.monotone_dist and report.monotone_uerr):
         print("warning: family not monotone within slack "

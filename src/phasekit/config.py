@@ -194,6 +194,10 @@ def _validate(config: RunConfig, path: str):
             f"{init['profile']!r}")
     if not 0.0 < init["theta"] < 1.0:
         err(f"[init].theta must lie in (0, 1), got {init['theta']}")
+    ramp_max = min(init["theta"], 1.0 - init["theta"])
+    if not 0.0 < init["delta"] <= ramp_max:
+        err(f"[init].delta must lie in (0, min(theta, 1 - theta)] = "
+            f"(0, {ramp_max}], got {init['delta']}")
     if init["n_osc"] < 1:
         err(f"[init].n_osc must be at least 1, got {init['n_osc']}")
     bn = config["bn"]

@@ -6,7 +6,8 @@ class ConfigError(RuntimeError):
 
 
 class BoundsError(RuntimeError):
-    """Density guard rail or finiteness violation during a run."""
+    """Density guard rail or finiteness violation, or a step that the
+    pressure law refuses, during a run."""
 
     exit_code = 4
 

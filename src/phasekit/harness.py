@@ -12,7 +12,7 @@ report over the others is still assembled.  The members share the grid,
 the time step and the snapshot times with the two-phase run; a member whose
 CFL bound falls below the time step shortens the step of every member, and
 the family stops with a ConfigError that names it, also when that member
-then leaves its guard rails.
+then leaves its guard rails; a CFL-limited two-phase run stops it too.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from . import io
 from .bn import BNState, bn_run
+from .diagnostics import effective_viscous_flux
 from .errors import BoundsError, ConfigError
 from .measures import (TestDictionary, distance, empirical_from_state,
                        kinetic_residual, smoke_test_set, two_dirac_from_bn,
@@ -83,7 +84,6 @@ class ConvergenceReport:
     sup_uerr: list
     monotone_dist: bool
     monotone_uerr: bool
-    slack: float = MONOTONE_SLACK
     extras: dict = field(default_factory=dict)
 
 
@@ -103,13 +103,13 @@ def limit_initial_data(v_minus: float, v_plus: float, theta: float,
 
 
 def suggest_dt(params: PhysicalParams, rho_range: tuple, u_max: float,
-               cfl: float, grid: PeriodicGrid, safety: float = 0.7) -> float:
-    """Time step that keeps the CFL bound slack for densities in rho_range,
-    so every family member runs on the same uniform time grid."""
+               cfl: float, grid: PeriodicGrid) -> float:
+    """0.7 times the CFL step for densities in rho_range, so every family
+    member runs on the same uniform time grid."""
     r = np.linspace(rho_range[0], rho_range[1], 257)
     smax = float(np.max(np.sqrt(np.maximum(
         params.eos.d_artificial_pressure(r), 0.0)))) + abs(u_max)
-    return safety * cfl * grid.h / smax
+    return 0.7 * cfl * grid.h / smax
 
 
 def run_family(config: FamilyConfig) -> ConvergenceReport:
@@ -118,8 +118,8 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
     If a member run violates its guard rails the family is aborted with a
     BoundsError whose ``partial_report`` attribute holds the report over
     the members that finished (written to out_dir as well, when set).  A
-    member off the shared time grid, CFL-limited or not, stops the family
-    first, with a ConfigError and nothing written."""
+    run off the shared time grid, a CFL-limited member or two-phase run,
+    stops the family first, with a ConfigError and nothing written."""
     grid = config.grid()
     u0 = config.u0_field(grid)
 
@@ -135,7 +135,7 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
     batch = FluidState.make(grid, np.stack(member_rho0),
                             np.tile(u0, (len(member_rho0), 1)), config.params)
     runs = nsk_run(batch, config.params, config.solver)
-    _require_shared_time_grid(config.n_list, runs, bn_traj.snapshot_times)
+    _require_shared_time_grid(config.n_list, runs, bn_traj)
     members = [run for run in runs if not isinstance(run, BoundsError)]
     failures = {n: str(run) for n, run in zip(config.n_list, runs)
                 if isinstance(run, BoundsError)}
@@ -159,22 +159,22 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
     return report
 
 
-def _require_shared_time_grid(n_list, runs, times):
-    """ConfigError naming the first member off the two-phase run's time
-    grid.  The members share one step length, so a CFL-limited member,
-    finished or failed, moves them all off it: it is named before the
-    others, and a failure of its own is named with it."""
-    for n, run in sorted(zip(n_list, runs),
-                         key=lambda member: not member[1].cfl_limited):
-        failed = isinstance(run, BoundsError)
-        if run.cfl_limited or not failed and (
-                run.snapshot_times.shape != times.shape
-                or np.max(np.abs(run.snapshot_times - times)) > 1e-10):
+def _require_shared_time_grid(n_list, runs, bn_traj):
+    """ConfigError naming a run off the shared time grid: without CFL-limited
+    steps every run steps min(dt, time left) from t = 0.  A CFL-limited
+    member, finished or failed, moves all members off it and is named
+    first, with its own failure; then a CFL-limited two-phase run."""
+    for n, run in zip(n_list, runs):
+        if run.cfl_limited:
             raise ConfigError(
-                f"member n={n} left the shared time grid (CFL-limited: "
-                f"{run.cfl_limited})"
-                + (f" and then failed: {run}" if failed else "")
+                f"member n={n} left the shared time grid (CFL-limited: True)"
+                + (f" and then failed: {run}"
+                   if isinstance(run, BoundsError) else "")
                 + "; lower [time].dt and rerun")
+    if bn_traj.cfl_limited:
+        raise ConfigError(
+            "the two-phase reference left the shared time grid (CFL-limited: "
+            "True); lower [time].dt and rerun")
 
 
 def _assemble_report(config: FamilyConfig, bn_traj, members, n_list
@@ -238,18 +238,20 @@ def _write_family(config: FamilyConfig, report: ConvergenceReport):
                                  report.times, dictionary.names(), pairings)
 
 
-def kinetic_consistency(trajectory, kind: str, params: PhysicalParams) -> dict:
-    """Kinetic-equation residuals of a finished run over the smoke set."""
+def kinetic_consistency(trajectory) -> dict:
+    """Kinetic-equation residuals of a finished run over the smoke set, for
+    the two-Dirac measures of a two-phase run or the empirical measures of
+    a single-phase one, with the run's u, Sigma and parameters.  The time
+    window spans the run from its first snapshot to its last."""
     times = trajectory.snapshot_times
     if times.size < 2:
         raise ValueError("need a run with at least two snapshots")
-    box = trajectory.config.bounds
-    if kind == "nsk":
-        measures = [empirical_from_state(s, box) for s in trajectory.snapshots]
-    elif kind == "bn":
-        measures = [two_dirac_from_bn(s, box) for s in trajectory.snapshots]
-    else:
-        raise ValueError(f"unknown trajectory kind {kind!r}")
-    us, sigmas = trajectory.u_series(), trajectory.sigma_series()
+    times = times - times[0]
+    states, params = trajectory.snapshots, trajectory.params
+    build = (two_dirac_from_bn if isinstance(states[0], BNState)
+             else empirical_from_state)
+    measures = [build(s, trajectory.config.bounds) for s in states]
+    us = [s.u for s in states]
+    sigmas = [effective_viscous_flux(s, params) for s in states]
     return {phi.name: kinetic_residual(measures, us, sigmas, times, phi, params)
-            for phi in smoke_test_set(float(times[-1] - times[0]))}
+            for phi in smoke_test_set(float(times[-1]))}

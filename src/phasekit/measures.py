@@ -46,9 +46,6 @@ class ParamMeasure:
                                     axis=(-2, -1))
         return float(vals) if vals.ndim == 0 else vals
 
-    def total_mass(self) -> float:
-        return float(self.grid.h * np.sum(self.weights))
-
 
 def empirical_from_field(grid: PeriodicGrid, rho: np.ndarray,
                          support_box: tuple) -> ParamMeasure:
@@ -144,18 +141,6 @@ class SeparableTest:
     p: callable
     dp: callable
 
-    def value(self, t, x, xi):
-        return self.psi(t) * self.g(x) * self.p(xi)
-
-    def d_t(self, t, x, xi):
-        return self.dpsi(t) * self.g(x) * self.p(xi)
-
-    def d_x(self, t, x, xi):
-        return self.psi(t) * self.dg(x) * self.p(xi)
-
-    def d_xi(self, t, x, xi):
-        return self.psi(t) * self.g(x) * self.dp(xi)
-
 
 def _time_window(t_end: float):
     # sin^2 window: vanishes with its derivative at both endpoints, and the
@@ -169,20 +154,14 @@ def _time_window(t_end: float):
     return psi, dpsi
 
 
-def smoke_test_set(t_end: float, mean_free_only: bool = False) -> list:
-    """Fixed set of separable test functions for kinetic-residual checks.
-
-    mean_free_only drops the x-constant entries, for which the pairing of
-    the transport terms is exactly zero on equispaced nodes.
-    """
+def smoke_test_set(t_end: float) -> list:
+    """Fixed set of separable test functions for kinetic-residual checks."""
     psi, dpsi = _time_window(t_end)
     x_factors, xi_powers = _x_factors(), _xi_powers()
     combos = [("cos1", 1), ("sin1", 2), ("cos2", 1), ("cos1", 0), ("1", 1),
               ("1", 2)]
     out = []
     for x_name, k in combos:
-        if mean_free_only and x_name == "1":
-            continue
         xi_name = {0: "1", 1: "xi"}.get(k, f"xi^{k}")
         out.append(SeparableTest(f"{x_name}*{xi_name}", psi, dpsi,
                                  *x_factors[x_name], *xi_powers[k]))
@@ -210,10 +189,11 @@ def kinetic_residual(measures: list, u_series, sigma_series, times, phi,
         xi = measure.atoms
         u = np.broadcast_to(u_series[k], measure.atoms.shape)
         sigma = np.broadcast_to(sigma_series[k], measure.atoms.shape)
-        t = times[k]
+        psi, dpsi = phi.psi(times[k]), phi.dpsi(times[k])
+        g, dg, p, dp = phi.g(x), phi.dg(x), phi.p(xi), phi.dp(xi)
         growth = (sigma + params.eos.artificial_pressure(xi)) / params.mu
-        integrand = (phi.d_t(t, x, xi) + u * phi.d_x(t, x, xi)
-                     - xi * growth * phi.d_xi(t, x, xi)
-                     + growth * phi.value(t, x, xi))
+        integrand = (dpsi * g * p + u * (psi * dg * p)
+                     - xi * growth * (psi * g * dp)
+                     + growth * (psi * g * p))
         vals[k] = grid.h * np.sum(measure.weights * integrand)
     return float(abs(np.trapezoid(vals, times)))

@@ -144,13 +144,6 @@ class Trajectory:
     def snapshot_times(self):
         return np.array([s.t for s in self.snapshots])
 
-    def sigma_series(self):
-        return [diagnostics.effective_viscous_flux(s, self.params)
-                for s in self.snapshots]
-
-    def u_series(self):
-        return [s.u for s in self.snapshots]
-
 
 def smoothstep(s: np.ndarray) -> np.ndarray:
     """C^2 quintic ramp on [0, 1], symmetric about s = 1/2."""
@@ -358,7 +351,10 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig,
         dt, limited = _step_length(state, rails(state), params, config,
                                    t_final - state.t)
         cfl_limited[members] |= limited
-        state = step(state, params, config, dt=dt)
+        try:
+            state = step(state, params, config, dt=dt)
+        except ValueError as exc:   # e.g. a density outside the law's domain
+            raise BoundsError(f"step from t = {state.t:.6g} failed: {exc}")
         n_steps += 1
         if n_steps % config.snapshot_every == 0 or state.t >= t_stop:
             for j, row in zip(members, _rows(state)):
@@ -373,7 +369,9 @@ def nsk_run(initial: FluidState, params: PhysicalParams, config: SolverConfig,
     upper rail].  Each state, the initial one and each step's result, is
     checked once before it is recorded or stepped: the railed densities (rho;
     rho_p and rho_m for BN), u and c finite and the railed densities inside
-    the rails, else BoundsError.  Each step has length min(config.dt,
+    the rails, else BoundsError.  A step that raises ValueError (a density
+    the pressure law refuses, say) raises BoundsError, which names the
+    step's start time.  Each step has length min(config.dt,
     t_final - t, cfl h / max(|u| + c_s)), the wave speed taken over the
     railed densities, until t >= t_final - 1e-12 t_end.  keep_records
     records every state, one record per state in time order.  Snapshots:

@@ -108,15 +108,16 @@ def mean(grid: PeriodicGrid, f: np.ndarray):
     return row_values(np.sum(f, axis=-1) * grid.h)
 
 
-def primitive(grid: PeriodicGrid, f: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def primitive(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
     """Mean-free primitive F with F' = f, computed in Fourier space.
 
-    Requires mean(f) = 0 up to tol; the caller subtracts the mean first.
+    Requires |mean(f)| <= 1e-10 max(1, max |f|); the caller subtracts the
+    mean first.
     """
     f = _check_field(grid, f, stack=False)
     m = mean(grid, f)
     scale = max(1.0, float(np.max(np.abs(f))))
-    if abs(m) > tol * scale:
+    if abs(m) > 1e-10 * scale:
         raise ValueError(f"primitive needs a mean-free field, mean = {m:.3e}")
     fh = np.fft.rfft(f)
     k = grid.wavenumbers()

@@ -342,6 +342,28 @@ def test_picard_matches_ode_oracle():
         assert all(rat < 1.0 for rat in slab["ratios"])
 
 
+def test_picard_halves_a_slab_that_does_not_contract():
+    # on the whole of [0, 2] with mu = 0.2 the iterates do not meet tol, so
+    # the slab is split; the accepted slabs tile [0, 2] in time order
+    grid = PeriodicGrid(16)
+    eos = PolytropicEOS(1.0, 2.0, 1.0)
+    mu, t_end = 0.2, 2.0
+    times = np.linspace(0.0, t_end, 41)
+    pi_val = float(eos.artificial_pressure(np.array(1.2)))
+    u = np.zeros((times.size, grid.n))
+    pi = np.full((times.size, grid.n), pi_val)
+    a, r, info = picard_bn(grid, np.full(grid.n, 0.7), np.full(grid.n, 0.9),
+                           u, pi, times, eos, mu=mu)
+    slabs = info["slabs"]
+    assert len(slabs) >= 2
+    assert (slabs[0]["t0"], slabs[-1]["t1"]) == (0.0, t_end)
+    assert all(s["t1"] == s_next["t0"] for s, s_next in zip(slabs, slabs[1:]))
+    assert a.shape == r.shape == (times.size, grid.n)
+    ref = picard_ode_oracle(0.7, 0.9, pi_val, eos, mu, t_end, t_end / 20000)
+    assert abs(a[-1, 0] - ref[0]) < 1e-6
+    assert abs(r[-1, 0] - ref[1]) < 1e-6
+
+
 def test_picard_cross_check_against_bn_step():
     # outer loop recomputing pi = p_bar from the two picard phases matches
     # the operator-split stepper to O(dt) on a short slab

@@ -249,6 +249,27 @@ u0_mode = 1
 u0_amp = 1e307
 """
 
+# rho_p = 2.7 near the Van der Waals pole B = 3 with mu = 1e-4: the first
+# relaxation step leaves the law's domain
+LAW_REFUSES_STEP = """
+[physics]
+mu = 1e-4
+
+[grid]
+n = 64
+
+[time]
+dt = 1e-3
+t_end = 0.01
+snapshot_every = 1
+
+[bn]
+from_profile = false
+alpha_p = 0.5
+rho_p = 2.7
+rho_m = 0.4
+"""
+
 # one config per cause: command, config, exit code, text on stderr
 EXIT_CODES = {
     "ok": ("simulate-nsk", POLY_SMOOTH, 0, ""),
@@ -264,9 +285,17 @@ EXIT_CODES = {
               "guard rail violated"),
     "non-finite": ("simulate-nsk", BLOW_UP, 4, "non-finite"),
     "non-finite-bn": ("simulate-bn", BLOW_UP, 4, "non-finite"),
+    "law-refuses-step": ("simulate-bn", LAW_REFUSES_STEP, 4,
+                         "bounds failure: step from t = 0 failed: density "
+                         "outside the law's domain"),
     # refused at load, not once a family is built
     "n-list": ("check-eos", POLY_SMOOTH + "[harness]\nn_list = 0, 4\n", 2,
                "[harness].n_list entries must be at least 1"),
+    "delta-negative": ("check-eos", "[init]\ndelta = -0.1\n", 2,
+                       "[init].delta must lie in (0, min(theta, 1 - theta)]"),
+    "delta-over-theta": ("check-eos", "[init]\ntheta = 0.05\ndelta = 0.1\n",
+                         2, "[init].delta must lie in (0, min(theta, 1 - "
+                         "theta)] = (0, 0.05], got 0.1"),
 }
 
 

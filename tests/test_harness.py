@@ -6,6 +6,7 @@ import pytest
 from phasekit.eos import VanDerWaalsEOS
 from phasekit.harness import (FamilyConfig, kinetic_consistency,
                               limit_initial_data, run_family, suggest_dt)
+from phasekit.measures import smoke_test_set
 from phasekit.nsk import (FluidState, PhysicalParams, SolverConfig,
                           make_oscillating_initial, nsk_run)
 from phasekit.torus import PeriodicGrid, mean
@@ -129,6 +130,30 @@ def test_member_failure_aborts_with_partial_report(monkeypatch, tmp_path):
     assert (tmp_path / "fam" / "convergence.csv").exists()
 
 
+def test_family_whose_members_all_fail_writes_nothing(monkeypatch, tmp_path):
+    import phasekit.harness as hmod
+    from phasekit.errors import BoundsError
+
+    cfg = family(n_list=(2, 3), t_end=0.01)
+    cfg.out_dir = str(tmp_path / "fam")
+    real_initial = hmod.make_oscillating_initial
+
+    def above_rail_for_members(grid, v_minus, v_plus, theta, n, delta,
+                               bounds=None):
+        # max 3.1 > upper rail 2.8; n = 1 builds the two-phase data
+        rho0 = real_initial(grid, v_minus, v_plus, theta, n, delta, bounds)
+        return rho0 + 1.5 if n > 1 else rho0
+
+    monkeypatch.setattr(hmod, "make_oscillating_initial",
+                        above_rail_for_members)
+    with pytest.raises(BoundsError, match=r"n=2: density guard rail violated "
+                                          r"at t = 0: .*; n=3: density guard "
+                                          r"rail violated at t = 0: ") as exc:
+        run_family(cfg)
+    assert exc.value.partial_report is None
+    assert not (tmp_path / "fam").exists()
+
+
 def test_unresolvable_member_fails_before_any_run(monkeypatch):
     import phasekit.harness as hmod
 
@@ -150,14 +175,17 @@ def test_kinetic_consistency_wrapper():
     solver = SolverConfig(dt=2e-4, t_end=0.02, bounds=(1 / 2.8, 2.8),
                           snapshot_every=1)
     rho0 = make_oscillating_initial(grid, 0.8, 1.6, 0.5, 1, 0.1)
-    traj = nsk_run(FluidState.make(grid, rho0, grid.zeros(), params), params,
-                   solver, keep_records=False)
-    residuals = kinetic_consistency(traj, "nsk", params)
-    assert set(residuals) == {p.name for p in
-                              __import__("phasekit").smoke_test_set(0.02)}
-    assert all(np.isfinite(v) for v in residuals.values())
-    with pytest.raises(ValueError):
-        kinetic_consistency(traj, "weird", params)
+    residuals = {}
+    for t0 in (0.0, 0.013):
+        traj = nsk_run(FluidState.make(grid, rho0, grid.zeros(), params, t=t0),
+                       params, solver, keep_records=False)
+        residuals[t0] = kinetic_consistency(traj)
+    assert set(residuals[0.0]) == {p.name for p in smoke_test_set(0.02)}
+    assert all(np.isfinite(v) for v in residuals[0.0].values())
+    # the time window spans the run, so a later start moves only round-off
+    for name, value in residuals[0.013].items():
+        assert value == pytest.approx(residuals[0.0][name], rel=1e-6,
+                                      abs=1e-12), name
 
 
 CFL_FAMILY = """
@@ -200,15 +228,20 @@ def test_family_above_the_cfl_bound_stops_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def coarse_step_family(tmp_path):
+    cfg = family(grid_n=256, n_list=(1, 2), t_end=0.03)
+    cfg.solver.dt, cfg.solver.snapshot_every = 1.5e-3, 4
+    cfg.out_dir = str(tmp_path / "fam")
+    return cfg
+
+
 def cfl_limited_n2_family(monkeypatch, tmp_path):
     # n = 2 starts 0.8 denser, which puts its CFL bound (1.2e-3 at t = 0)
     # below dt = 1.5e-3 and leaves n = 1's (2.8e-3) above it; the
     # members share one step length, so n = 1 leaves the time grid too
     import phasekit.harness as hmod
 
-    cfg = family(grid_n=256, n_list=(1, 2), t_end=0.03)
-    cfg.solver.dt, cfg.solver.snapshot_every = 1.5e-3, 4
-    cfg.out_dir = str(tmp_path / "fam")
+    cfg = coarse_step_family(tmp_path)
     real_initial = hmod.make_oscillating_initial
 
     def denser_n2(grid, v_minus, v_plus, theta, n, delta, bounds=None):
@@ -248,4 +281,28 @@ def test_family_names_a_cfl_limited_member_that_then_fails(monkeypatch,
         r"and rerun", str(exc.value))
     t_fail = float(re.search(r"at t = (\S+):", str(exc.value)).group(1))
     assert 0.0 < t_fail < 0.03
+    assert not (tmp_path / "fam").exists()
+
+
+def test_family_names_a_cfl_limited_two_phase_reference(monkeypatch,
+                                                        tmp_path):
+    # the two-phase run's plus phase starts 0.8 denser: its CFL bound falls
+    # below dt = 1.5e-3 while both members' stay above it, so only the
+    # reference leaves the time grid, and no member is blamed for it
+    import phasekit.harness as hmod
+    from phasekit.errors import ConfigError
+
+    cfg = coarse_step_family(tmp_path)
+    real_limit = hmod.limit_initial_data
+
+    def denser_plus_phase(*args):
+        alpha_p, alpha_m, rho_p, rho_m = real_limit(*args)
+        return alpha_p, alpha_m, rho_p + 0.8, rho_m
+
+    monkeypatch.setattr(hmod, "limit_initial_data", denser_plus_phase)
+    with pytest.raises(ConfigError) as exc:
+        run_family(cfg)
+    assert str(exc.value) == ("the two-phase reference left the shared time "
+                              "grid (CFL-limited: True); lower [time].dt and "
+                              "rerun")
     assert not (tmp_path / "fam").exists()

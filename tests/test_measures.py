@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from phasekit.bn import BNState, bn_run
-from phasekit.diagnostics import effective_viscous_flux
 from phasekit.eos import PolytropicEOS
+from phasekit.harness import kinetic_consistency
 from phasekit.measures import (TestDictionary, distance,
                                empirical_from_field, empirical_from_state,
                                kinetic_residual, smoke_test_set,
@@ -28,7 +28,6 @@ def test_empirical_pairings():
     assert m.pair(lambda x, xi: np.ones_like(xi)) == pytest.approx(1.0, abs=1e-14)
     assert m.pair(lambda x, xi: xi) == pytest.approx(mean(grid, rho), abs=1e-14)
     assert m.pair(lambda x, xi: xi ** 2) == pytest.approx(2.5, abs=1e-13)
-    assert m.total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_dirac_pairings():
@@ -37,7 +36,8 @@ def test_two_dirac_pairings():
     state = BNState.make(grid, 0.5, 2.0, 1.0, 0.0, params)
     m = two_dirac_from_bn(state, BOX)
     assert m.pair(lambda x, xi: xi) == pytest.approx(1.5, abs=1e-13)
-    assert m.total_mass() == pytest.approx(1.0, abs=1e-12)
+    assert m.pair(lambda x, xi: np.ones_like(xi)) == pytest.approx(1.0,
+                                                                   abs=1e-12)
 
 
 def test_two_dirac_pure_phase_equals_empirical():
@@ -169,48 +169,30 @@ def test_kinetic_residual_constant_state_is_zero():
     config = SolverConfig(dt=1e-3, t_end=0.05, bounds=BOX, snapshot_every=1)
     state = FluidState.make(grid, grid.constant(1.3), grid.constant(0.4), params)
     traj = nsk_run(state, params, config, keep_records=False)
-    times = traj.snapshot_times
-    measures = [empirical_from_state(s, BOX) for s in traj.snapshots]
-    sigmas = traj.sigma_series()
-    us = traj.u_series()
-    for phi in smoke_test_set(float(times[-1]), mean_free_only=True):
-        resid = kinetic_residual(measures, us, sigmas, times, phi, params)
-        assert resid <= 1e-13, phi.name
+    for name, resid in kinetic_consistency(traj).items():
+        assert resid <= 1e-13, name
 
 
-def nsk_residuals(n, dt, t_end=0.04):
+def refinement_residuals(run, initial, n, dt, t_end=0.04):
     # formal-order measurement: odd-even guard off, no special symmetry
     grid = PeriodicGrid(n)
     params = poly_params()
     config = SolverConfig(dt=dt, t_end=t_end, bounds=BOX, snapshot_every=1,
                           upwind=0.0)
+    traj = run(initial(grid, params), params, config, keep_records=False)
+    return list(kinetic_consistency(traj).values())
+
+
+def nsk_initial(grid, params):
     rho0 = (1.0 + 0.2 * np.sin(2 * np.pi * grid.x)
             + 0.05 * np.cos(4 * np.pi * grid.x + 0.7))
-    traj = nsk_run(FluidState.make(grid, rho0, grid.zeros(), params), params,
-                   config, keep_records=False)
-    times = traj.snapshot_times
-    measures = [empirical_from_state(s, BOX) for s in traj.snapshots]
-    sigmas = traj.sigma_series()
-    us = traj.u_series()
-    return [kinetic_residual(measures, us, sigmas, times, phi, params)
-            for phi in smoke_test_set(t_end)]
+    return FluidState.make(grid, rho0, grid.zeros(), params)
 
 
-def bn_residuals(n, dt, t_end=0.04):
-    grid = PeriodicGrid(n)
-    params = poly_params()
-    config = SolverConfig(dt=dt, t_end=t_end, bounds=BOX, snapshot_every=1,
-                          upwind=0.0)
+def bn_initial(grid, params):
     alpha0 = 0.5 + 0.2 * np.sin(2 * np.pi * grid.x + 0.3)
-    state = BNState.make(grid, alpha0, 1.5, 0.7,
-                         0.1 * np.cos(2 * np.pi * grid.x), params)
-    traj = bn_run(state, params, config, keep_records=False)
-    times = traj.snapshot_times
-    measures = [two_dirac_from_bn(s, BOX) for s in traj.snapshots]
-    sigmas = [effective_viscous_flux(s, params) for s in traj.snapshots]
-    us = [s.u for s in traj.snapshots]
-    return [kinetic_residual(measures, us, sigmas, times, phi, params)
-            for phi in smoke_test_set(t_end)]
+    return BNState.make(grid, alpha0, 1.5, 0.7,
+                        0.1 * np.cos(2 * np.pi * grid.x), params)
 
 
 def assert_residuals_refine(coarse, fine, floor=1e-12, min_order=1.0):
@@ -230,11 +212,15 @@ def assert_residuals_refine(coarse, fine, floor=1e-12, min_order=1.0):
 def test_kinetic_residual_refines_nsk():
     # simultaneous refinement with dt ~ h^2: the dt-dominated residual then
     # falls at order ~2 per level, comfortably above the required >= 1
-    assert_residuals_refine(nsk_residuals(64, 4e-4), nsk_residuals(128, 1e-4))
+    assert_residuals_refine(
+        refinement_residuals(nsk_run, nsk_initial, 64, 4e-4),
+        refinement_residuals(nsk_run, nsk_initial, 128, 1e-4))
 
 
 def test_kinetic_residual_refines_bn():
-    assert_residuals_refine(bn_residuals(64, 4e-4), bn_residuals(128, 1e-4))
+    assert_residuals_refine(
+        refinement_residuals(bn_run, bn_initial, 64, 4e-4),
+        refinement_residuals(bn_run, bn_initial, 128, 1e-4))
 
 
 def test_kinetic_residual_series_validation():

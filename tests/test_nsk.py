@@ -142,7 +142,7 @@ def reference_smooth_run(n=128, dt=5e-5, t_end=0.05, upwind=0.5):
 
 def test_energy_balance_reference_run():
     traj = reference_smooth_run()
-    report = balance_check(traj.records, tol_energy_frac=0.01)
+    report = balance_check(traj.records)
     assert report["energy_ok"], report
     e0 = traj.records[0].energy
     assert traj.records[-1].energy <= e0 * (1.0 + 1e-6)

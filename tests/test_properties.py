@@ -200,6 +200,13 @@ def unit_open():
     return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
+def with_ramp_width(init):
+    """init with a ramp width delta in (0, min(theta, 1 - theta)]."""
+    ramp_max = min(init["theta"], 1.0 - init["theta"])
+    return st.floats(0.0, ramp_max, exclude_min=True).map(
+        lambda delta: {**init, "delta": delta})
+
+
 # valid configs: every value inside the range its owner accepts
 CONFIGS = st.fixed_dictionaries({
     "physics": st.fixed_dictionaries({
@@ -220,9 +227,9 @@ CONFIGS = st.fixed_dictionaries({
         "profile": st.sampled_from(["two_value", "constant"]),
         "rho0": positive(10.0), "v_minus": positive(10.0),
         "v_plus": positive(10.0), "theta": unit_open(),
-        "delta": positive(1.0), "n_osc": st.integers(1, 64),
+        "n_osc": st.integers(1, 64),
         "u0": finite(-10.0, 10.0), "u0_mode": st.integers(-8, 8),
-        "u0_amp": finite(-10.0, 10.0)}),
+        "u0_amp": finite(-10.0, 10.0)}).flatmap(with_ramp_width),
     "bn": st.fixed_dictionaries({
         "from_profile": st.booleans(), "alpha_p": finite(0.0, 1.0),
         "rho_p": positive(10.0), "rho_m": positive(10.0)}),
