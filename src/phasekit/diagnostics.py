@@ -121,7 +121,7 @@ def balance_check(records, gronwall_rate: float | None = None) -> dict:
     The energy residual is |E(t_k) - E(0) + int_0^{t_k} D dt| with the
     dissipation integral taken by the trapezoid rule; it passes within 1 %
     and the energy increase within 1e-6 of |E(0)| (of 1 if E(0) = 0).  Mass
-    drift passes within 1e-12, momentum drift unless it is NaN.  When
+    drift passes within 1e-12; momentum drift is reported, not checked.  When
     gronwall_rate (= 4 gamma sup_t ||c_x||_inf, measured from the run) is
     supplied, the BD entropy is checked against its Gronwall envelope
     (eta(0) + mass/2) exp(rate t).
@@ -153,7 +153,6 @@ def balance_check(records, gronwall_rate: float | None = None) -> dict:
         "rho_max": float(np.max([r.rho_max for r in records])),
     }
     report["mass_ok"] = bool(report["mass_drift"] <= 1e-12)
-    report["momentum_ok"] = bool(report["momentum_drift"] <= np.inf)
     report["energy_ok"] = bool(
         energy_residual <= 0.01 * e_scale
         and report["energy_increase"] <= 1e-6 * e_scale)
@@ -161,7 +160,6 @@ def balance_check(records, gronwall_rate: float | None = None) -> dict:
         envelope = (eta[0] + 0.5 * mass[0]) * np.exp(gronwall_rate * (t - t[0]))
         report["gronwall_ok"] = bool(np.all(eta <= envelope + 1e-12))
         report["gronwall_margin"] = float(np.min(envelope - eta))
-    report["ok"] = bool(report["mass_ok"] and report["momentum_ok"]
-                        and report["energy_ok"]
+    report["ok"] = bool(report["mass_ok"] and report["energy_ok"]
                         and report.get("gronwall_ok", True))
     return report

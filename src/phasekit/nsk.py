@@ -16,7 +16,6 @@ and vanishes at second order in h.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,8 +259,11 @@ def _step_length(state, fields, params: PhysicalParams, config: SolverConfig,
     """min(config.dt, remaining, cfl h / max(|u| + c_s) over the density
     fields and the rows of a batch), and whether the CFL bound lies below
     config.dt, one flag per row of a batch."""
-    smax = functools.reduce(np.maximum, [
-        sound_speed_max(rho, state.u, params.eos) for rho in fields])
+    if len(fields) == 1:
+        smax = sound_speed_max(fields[0], state.u, params.eos)
+    else:   # the phases of a BN state: one law call on their stack
+        smax = np.max(sound_speed_max(np.array(fields), state.u, params.eos),
+                      axis=0)
     with np.errstate(divide="ignore"):
         cfl_dt = config.cfl * state.grid.h / np.asarray(smax)
     return min(config.dt, remaining, float(np.min(cfl_dt))), cfl_dt < config.dt

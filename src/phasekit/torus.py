@@ -7,9 +7,11 @@ Grid fields are plain 1D numpy arrays sampled at the nodes of a
 fields: the result has one row (or one value) per field, bitwise equal to K
 separate calls, and a reduction of a single field is a Python float.
 ``primitive``, ``dealias``, the fd backend of ``helmholtz_solve`` and
-``solve_cyclic_tridiagonal`` take one field; ``nsk.momentum_update`` solves
-a stack one row at a time, because one block-banded solve of all rows
-differs from the row solves in the last bit.  Two derivative backends are
+``solve_cyclic_tridiagonal`` take one field; the latter calls LAPACK gtsv
+directly, bitwise the same solve as scipy's ``solve_banded`` with one sub-
+and one super-diagonal.  ``nsk.momentum_update`` solves a stack one row at
+a time, because one block-banded solve of all rows differs from the row
+solves in the last bit.  Two derivative backends are
 provided everywhere: ``"central"`` (second-order finite differences,
 exactly conservative in the telescoping sense) and ``"spectral"``
 (discrete-Fourier differentiation, exact on resolved trigonometric
@@ -23,7 +25,7 @@ and the run loop (``nsk._integrate``) decides whether a state is valid.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 TWO_PI = 2.0 * np.pi
 
@@ -158,21 +160,21 @@ def solve_cyclic_tridiagonal(lower: np.ndarray, diag: np.ndarray,
 
     Row i reads lower[i]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1] = rhs[i]
     with wrap-around corners lower[0] and upper[n-1].  Sherman-Morrison on
-    top of the banded LAPACK solve.
+    top of one LAPACK gtsv call with the two right-hand sides rhs and u.
+    scipy's solve_banded((1, 1), ...) dispatches to the same gtsv with the
+    same three diagonals, so the result is bitwise the banded solve's; the
+    direct call skips building the (3, n) band matrix and the argument
+    checks.  A singular reduced system raises numpy.linalg.LinAlgError.
     """
     n = diag.size
     corner_low = lower[0]
     corner_up = upper[n - 1]
 
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag.copy()
-    ab[2, :-1] = lower[1:]
-
     # rank-one correction u v^T removing the two corner entries
     alpha = -diag[0]
-    ab[1, 0] = diag[0] - alpha
-    ab[1, n - 1] = diag[n - 1] - corner_up * corner_low / alpha
+    d = np.array(diag, dtype=float)
+    d[0] = diag[0] - alpha
+    d[n - 1] = diag[n - 1] - corner_up * corner_low / alpha
 
     u = np.zeros(n)
     u[0] = alpha
@@ -181,8 +183,11 @@ def solve_cyclic_tridiagonal(lower: np.ndarray, diag: np.ndarray,
     v[0] = 1.0
     v[n - 1] = corner_low / alpha
 
-    y, z = solve_banded((1, 1), ab, np.column_stack([rhs, u]),
-                        check_finite=False).T
+    *_, x, info = dgtsv(lower[1:], d, upper[:-1], np.column_stack([rhs, u]),
+                        overwrite_d=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    y, z = x.T
     return y - z * (v @ y) / (1.0 + v @ z)
 
 

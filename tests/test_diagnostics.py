@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,25 @@ def test_balance_check_stationary():
     assert report["momentum_drift"] <= 1e-12
     assert report["energy_residual"] <= 1e-12
     assert report["ok"]
+
+
+def test_balance_check_fails_on_mass_or_energy_only():
+    # momentum drift is reported but not checked; a mass or an energy
+    # violation still fails the report
+    grid = PeriodicGrid(64)
+    params = poly_params()
+    config = SolverConfig(dt=1e-3, t_end=0.02, bounds=(0.1, 10.0))
+    state = FluidState.make(grid, grid.constant(1.0), grid.zeros(), params)
+    records = nsk_run(state, params, config).records
+    report = balance_check(records)
+    assert "momentum_ok" not in report and report["ok"]
+    last = records[-1]
+    assert balance_check(records[:-1] + [replace(last, momentum=1.0)])["ok"]
+    for bad in (replace(last, mass=last.mass + 1e-9),
+                replace(last, energy=last.energy + 1e-3)):
+        report = balance_check(records[:-1] + [bad])
+        assert not report["ok"]
+        assert not (report["mass_ok"] and report["energy_ok"])
 
 
 def test_balance_check_needs_two_records():

@@ -184,6 +184,16 @@ def test_cyclic_tridiagonal_against_dense():
     assert np.max(np.abs(dense @ x - rhs)) < 1e-11
 
 
+def test_cyclic_tridiagonal_singular_raises():
+    # decoupled rows with one zero diagonal entry: gtsv reports a zero
+    # pivot, which must surface as LinAlgError
+    n = 16
+    diag = np.ones(n)
+    diag[5] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_cyclic_tridiagonal(np.zeros(n), diag, np.zeros(n), np.ones(n))
+
+
 def test_sobolev_norm_single_mode(grid):
     f = np.sin(2 * np.pi * grid.x)
     # |f_hat|^2 contributes 1/2 at m = +-1: H^k norm = sqrt((1+4pi^2)^k / 2) * sqrt(2)/...
