@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .diagnostics import RECORD_COLUMNS
+from .diagnostics import RECORD_COLUMNS, DiagnosticsRecord
 from .nsk import _field_names
 
 # rows converted to Python values at a time: bounds the writer's memory
@@ -48,7 +48,6 @@ def read_diagnostics(path):
     if tuple(data.dtype.names) != RECORD_COLUMNS:
         raise ValueError(f"unexpected diagnostics columns in {path}: "
                          f"{data.dtype.names}")
-    from .diagnostics import DiagnosticsRecord
     data = np.atleast_1d(data)
     return [DiagnosticsRecord(*(float(row[name]) for name in RECORD_COLUMNS))
             for row in data]

@@ -9,7 +9,9 @@ separate calls, and a reduction of a single field is a Python float.
 ``primitive``, ``dealias``, the fd backend of ``helmholtz_solve`` and
 ``solve_cyclic_tridiagonal`` take one field; the latter calls LAPACK gtsv
 directly, bitwise the same solve as scipy's ``solve_banded`` with one sub-
-and one super-diagonal.  ``nsk.momentum_update`` solves a stack one row at
+and one super-diagonal, and makes no BLAS call: its corner correction reads
+the two inner products it needs in closed form, so no solve wakes a BLAS
+thread pool.  ``nsk.momentum_update`` solves a stack one row at
 a time, because one block-banded solve of all rows differs from the row
 solves in the last bit.  Two derivative backends are
 provided everywhere: ``"central"`` (second-order finite differences,
@@ -165,6 +167,12 @@ def solve_cyclic_tridiagonal(lower: np.ndarray, diag: np.ndarray,
     same three diagonals, so the result is bitwise the banded solve's; the
     direct call skips building the (3, n) band matrix and the argument
     checks.  A singular reduced system raises numpy.linalg.LinAlgError.
+
+    The correction vector v = (1, 0, ..., 0, lower[0]/alpha) has two
+    nonzero entries, so v @ y is read as y[0] + v[n-1] * y[n-1] (and v @ z
+    alike), with no BLAS dot.  That equals numpy's length-n dot bitwise
+    when n % 16 == 0 (numpy 2.4.6 with OpenBLAS 0.3.31, as pinned in
+    constraints.txt); on other grids it may differ in the last bit.
     """
     n = diag.size
     corner_low = lower[0]
@@ -176,19 +184,22 @@ def solve_cyclic_tridiagonal(lower: np.ndarray, diag: np.ndarray,
     d[0] = diag[0] - alpha
     d[n - 1] = diag[n - 1] - corner_up * corner_low / alpha
 
-    u = np.zeros(n)
-    u[0] = alpha
-    u[n - 1] = corner_up
-    v = np.zeros(n)
-    v[0] = 1.0
-    v[n - 1] = corner_low / alpha
+    # the two right-hand sides rhs and u as the rows of one buffer, passed
+    # transposed so gtsv gets Fortran order without a copy
+    b = np.zeros((2, n))
+    b[0] = rhs
+    b[1, 0] = alpha
+    b[1, n - 1] = corner_up
+    v_last = corner_low / alpha
 
-    *_, x, info = dgtsv(lower[1:], d, upper[:-1], np.column_stack([rhs, u]),
+    *_, x, info = dgtsv(lower[1:], d, upper[:-1], b.T,
                         overwrite_d=1, overwrite_b=1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     y, z = x.T
-    return y - z * (v @ y) / (1.0 + v @ z)
+    v_y = y[0] + v_last * y[n - 1]
+    v_z = z[0] + v_last * z[n - 1]
+    return y - z * v_y / (1.0 + v_z)
 
 
 def sobolev_norm(grid: PeriodicGrid, f: np.ndarray, order: int):

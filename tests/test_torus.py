@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 
 from phasekit.torus import (PeriodicGrid, dealias, derivative, helmholtz_solve,
                             l2_norm, mean, primitive, sobolev_norm,
@@ -192,6 +193,54 @@ def test_cyclic_tridiagonal_singular_raises():
     diag[5] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
         solve_cyclic_tridiagonal(np.zeros(n), diag, np.zeros(n), np.ones(n))
+
+
+def dominant_cyclic_system(rng, n):
+    """lower, diag, upper, rhs of a random diagonally dominant system."""
+    lower, upper, rhs = rng.uniform(-1.0, 1.0, (3, n))
+    diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, n)
+    return lower, diag, upper, rhs
+
+
+def dot_form_cyclic_solve(lower, diag, upper, rhs):
+    """The cyclic solve with its corner correction taken by BLAS dots
+    (v @ y, v @ z) on a dense v, the form the closed form replaced."""
+    n = diag.size
+    alpha = -diag[0]
+    d = np.array(diag, dtype=float)
+    d[0] = diag[0] - alpha
+    d[n - 1] = diag[n - 1] - upper[n - 1] * lower[0] / alpha
+    u = np.zeros(n)
+    u[0] = alpha
+    u[n - 1] = upper[n - 1]
+    v = np.zeros(n)
+    v[0] = 1.0
+    v[n - 1] = lower[0] / alpha
+    *_, x, info = dgtsv(lower[1:], d, upper[:-1], np.column_stack([rhs, u]),
+                        overwrite_d=1, overwrite_b=1)
+    assert info == 0
+    y, z = x.T
+    return y - z * (v @ y) / (1.0 + v @ z)
+
+
+@pytest.mark.parametrize("n", [16, 64, 128, 256, 512, 2048, 16384])
+def test_cyclic_tridiagonal_closed_form_matches_dot_form(n):
+    # the closed-form corner correction equals numpy's dot bitwise when
+    # n % 16 == 0 (numpy and scipy as pinned in constraints.txt), which
+    # covers every pinned and benchmark grid
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        system = dominant_cyclic_system(rng, n)
+        x = solve_cyclic_tridiagonal(*system)
+        assert x.tobytes() == dot_form_cyclic_solve(*system).tobytes()
+
+
+@pytest.mark.parametrize("n", [10, 64, 16384])
+def test_cyclic_tridiagonal_leaves_inputs_unchanged(n):
+    system = dominant_cyclic_system(np.random.default_rng(7), n)
+    before = [a.tobytes() for a in system]
+    solve_cyclic_tridiagonal(*system)
+    assert [a.tobytes() for a in system] == before
 
 
 def test_sobolev_norm_single_mode(grid):
