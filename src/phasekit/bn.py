@@ -21,6 +21,10 @@ the continuity kernel on (mixture, rho_p - rho_m).  Every kernel acts
 pointwise or along the last axis, so each row of a stack is bitwise its own
 call; the stack only saves per-call overhead, which dominates on small grids
 (it is built with np.array((a, b)), which costs a quarter of np.stack).
+
+picard_bn builds one phase's relaxation subsystem against a frozen pressure
+by a fixed point, as the uniqueness argument does: each iteration carries
+(alpha, rho) along one set of characteristics in one transport call.
 """
 
 from __future__ import annotations
@@ -131,37 +135,34 @@ def trace_feet(grid: PeriodicGrid, u_start: np.ndarray, u_mid: np.ndarray,
 
 def transport_with_source(grid: PeriodicGrid, a0: np.ndarray,
                           u_series: np.ndarray, f_series: np.ndarray,
-                          times: np.ndarray, conservative: bool = False
-                          ) -> np.ndarray:
-    """Semi-Lagrangian solve of a_t + u a_x = a f (or of the conservative
-    form a_t + (a u)_x = a f when conservative=True, which subtracts u_x
-    inside the exponent).
+                          times: np.ndarray) -> np.ndarray:
+    """Semi-Lagrangian solve of a_t + u a_x = a f; the conservative form
+    a_t + (a u)_x = a g is the same solve with f = g - u_x.
 
-    u_series and f_series hold one field per entry of times; the return
-    value has the same layout with a0 in row 0.
+    u_series holds one field per entry of times, shape (T, n), and f_series
+    has that layout, or a stack of such series (..., T, n) for fields a0 of
+    shape (..., n) carried along the same characteristics: each is bitwise
+    its own call.  The return value has the layout of f_series with a0 at
+    time index 0.
     """
     u_series = np.asarray(u_series, dtype=float)
     f_series = np.asarray(f_series, dtype=float)
     times = np.asarray(times, dtype=float)
-    if u_series.shape != (times.size, grid.n) or f_series.shape != u_series.shape:
+    if u_series.shape != (times.size, grid.n) or f_series.shape[-2:] != u_series.shape:
         raise ValueError("time series shapes do not match the time grid")
     if not np.all(np.isfinite(u_series)):
         raise FloatingPointError("non-finite velocity series")
 
-    if conservative:
-        f_eff = f_series - torus.derivative(grid, u_series, 1, "central")
-    else:
-        f_eff = f_series
-
     out = np.empty_like(f_series)
-    out[0] = np.asarray(a0, dtype=float)
+    out[..., 0, :] = a0
     for k in range(times.size - 1):
         dt = times[k + 1] - times[k]
         u_mid = 0.5 * (u_series[k] + u_series[k + 1])
         feet = trace_feet(grid, u_series[k], u_mid, dt)
-        f_avg = 0.5 * (cubic_interp_periodic(f_eff[k], feet, grid.h)
-                       + f_eff[k + 1])
-        out[k + 1] = cubic_interp_periodic(out[k], feet, grid.h) * np.exp(dt * f_avg)
+        f_avg = 0.5 * (cubic_interp_periodic(f_series[..., k, :], feet, grid.h)
+                       + f_series[..., k + 1, :])
+        out[..., k + 1, :] = (cubic_interp_periodic(out[..., k, :], feet, grid.h)
+                              * np.exp(dt * f_avg))
     return out
 
 
@@ -260,77 +261,70 @@ def bn_run(initial: BNState, params: PhysicalParams, config: SolverConfig,
 
 def picard_bn(grid: PeriodicGrid, alpha0: np.ndarray, rho0: np.ndarray,
               u_series: np.ndarray, pi_series: np.ndarray, times: np.ndarray,
-              eos, mu: float = 1.0, tol: float = 1e-10, max_iter: int = 60,
-              bounds: tuple | None = None, _info: dict | None = None) -> tuple:
+              eos, mu: float = 1.0, tol: float = 1e-10, max_iter: int = 60
+              ) -> tuple:
     """Fixed-point construction of the single-phase relaxation subsystem
 
         alpha_t + u alpha_x = alpha (P_art(rho) - pi) / mu
         rho_t + (rho u)_x   = rho (pi - P_art(rho)) / mu
 
-    against an external pressure field pi.  Iterates the linear transport
-    solve against the frozen sources until the sup-in-time L1 difference of
-    successive iterates drops below tol; a slab that refuses to contract is
-    halved and solved recursively.  Returns (alpha_traj, rho_traj, info);
-    info records the measured contraction ratios per accepted slab.
+    against an external pressure field pi.  Each iteration carries the
+    (alpha, rho) stack along one set of characteristics, with the sources
+    (f, -f - u_x) of f = (P_art(rho) - pi) / mu frozen at the last iterate,
+    until the sup-in-time L1 difference of successive iterates drops below
+    tol.  A slab whose iterates do not contract within max_iter, diverge or
+    leave the law's domain is halved, and its halves are solved in time
+    order.  Returns (alpha_traj, rho_traj, info); info["slabs"] records the
+    measured contraction ratios per accepted slab.
     """
     times = np.asarray(times, dtype=float)
     u_series = np.asarray(u_series, dtype=float)
     pi_series = np.asarray(pi_series, dtype=float)
     if times.size < 2:
         raise ValueError("need at least two time levels")
-    info = {"slabs": []} if _info is None else _info
+    u_x = torus.derivative(grid, u_series, 1, "central")
+    traj = np.empty((2,) + u_series.shape)   # (alpha, rho) x time x node
+    traj[:, 0] = alpha0, rho0
+    eos.artificial_pressure(traj[1, 0])   # raises if the law refuses rho0
+    slabs = []
 
-    alpha_traj = np.tile(np.asarray(alpha0, dtype=float), (times.size, 1))
-    rho_traj = np.tile(np.asarray(rho0, dtype=float), (times.size, 1))
-    prev_diff = None
-    ratios = []
-    converged = False
-    for _ in range(max_iter):
-        f = (eos.artificial_pressure(rho_traj) - pi_series) / mu
-        with np.errstate(over="ignore", invalid="ignore"):
-            alpha_new = transport_with_source(grid, alpha_traj[0], u_series, f,
-                                              times, conservative=False)
-            rho_new = transport_with_source(grid, rho_traj[0], u_series, -f,
-                                            times, conservative=True)
-            diff = float(np.max(grid.h * np.sum(
-                np.abs(alpha_new - alpha_traj) + np.abs(rho_new - rho_traj),
-                axis=1)))
-        if not np.isfinite(diff):
-            break  # diverged iterate: fall through to the slab split
-        alpha_traj, rho_traj = alpha_new, rho_new
-        if prev_diff is not None and prev_diff > 0.0:
-            ratios.append(diff / prev_diff)
-        prev_diff = diff
-        if diff < tol:
-            converged = True
-            break
-    if converged:
-        info["slabs"].append({"t0": float(times[0]), "t1": float(times[-1]),
+    def solve(lo, hi):
+        """Fill time levels lo..hi of traj from level lo."""
+        span = slice(lo, hi + 1)
+        it = np.repeat(traj[:, lo:lo + 1], hi + 1 - lo, axis=1)
+        prev_diff, ratios = None, []
+        for _ in range(max_iter):
+            try:
+                p_art = eos.artificial_pressure(it[1])
+            except ValueError:
+                break  # the law refuses the iterate: it diverged
+            f = (p_art - pi_series[span]) / mu
+            with np.errstate(over="ignore", invalid="ignore"):
+                new = transport_with_source(grid, it[:, 0], u_series[span],
+                                            np.array((f, -f - u_x[span])),
+                                            times[span])
+                step = np.abs(new - it)
+                diff = float(np.max(grid.h * np.sum(step[0] + step[1], axis=1)))
+            if not np.isfinite(diff):
+                break  # diverged iterate: split the slab
+            if prev_diff:
+                ratios.append(diff / prev_diff)
+            it, prev_diff = new, diff
+            if diff < tol:
+                traj[:, span] = it
+                slabs.append({"t0": float(times[lo]), "t1": float(times[hi]),
                               "ratios": ratios})
-    else:
-        if times.size <= 2:
+                return
+        if hi - lo < 2:
             raise FixedPointError(
-                f"no contraction on a single-step slab [{times[0]:.6g}, "
-                f"{times[-1]:.6g}]")
-        mid = times.size // 2
-        left_a, left_r, _ = picard_bn(grid, alpha0, rho0,
-                                      u_series[:mid + 1], pi_series[:mid + 1],
-                                      times[:mid + 1], eos, mu, tol, max_iter,
-                                      bounds, info)
-        right_a, right_r, _ = picard_bn(grid, left_a[-1], left_r[-1],
-                                        u_series[mid:], pi_series[mid:],
-                                        times[mid:], eos, mu, tol, max_iter,
-                                        bounds, info)
-        alpha_traj = np.vstack([left_a, right_a[1:]])
-        rho_traj = np.vstack([left_r, right_r[1:]])
+                f"no contraction on a single-step slab [{times[lo]:.6g}, "
+                f"{times[hi]:.6g}]")
+        mid = lo + (hi + 1 - lo) // 2
+        solve(lo, mid)
+        solve(mid, hi)
 
-    if np.min(alpha_traj) < -1e-12:
+    solve(0, times.size - 1)
+    if np.min(traj[0]) < -1e-12:
         raise BoundsError(f"picard output alpha went negative: "
-                          f"{np.min(alpha_traj):.3e}")
-    if bounds is not None:
-        lo, hi = bounds
-        if np.min(rho_traj) < lo or np.max(rho_traj) > hi:
-            raise BoundsError(
-                f"picard output density outside rails [{lo}, {hi}]: range "
-                f"[{np.min(rho_traj):.6g}, {np.max(rho_traj):.6g}]")
-    return alpha_traj, rho_traj, info
+                          f"{np.min(traj[0]):.3e}")
+    return traj[0], traj[1], {"slabs": slabs}

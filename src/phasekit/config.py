@@ -210,6 +210,8 @@ def _validate(config: RunConfig, path: str):
         err("n_list must be strictly increasing")
     if min(n_list) < 1:
         err(f"[harness].n_list entries must be at least 1, got {n_list}")
+    if not config["output"]["directory"]:
+        err("[output].directory must not be empty")
 
 
 # ------------------------------------------------------------------ builders

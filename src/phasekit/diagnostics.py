@@ -3,9 +3,9 @@
 Everything here is a pure function of a state: the energy, the BD entropy
 (kinetic energy with the density-gradient drift mu rho_x / rho^2 added to
 the velocity), the effective viscous flux Sigma = mu u_x - P_art(rho), and
-the per-run balance report.  Energy and dissipation default to the solver's
-central-difference backend so that balance residuals measure scheme error
-rather than backend mismatch.
+the per-run balance report.  Dissipation and the BD entropy use the
+solver's central differences, and the energy defaults to them, so that
+balance residuals measure scheme error rather than backend mismatch.
 
 The state functionals also take a stacked state (``FluidState.stack`` or
 ``BNState.stack``, fields of shape (K, n)) and then return one value per
@@ -72,16 +72,16 @@ def energy(state, params, backend: str = "central"):
     return _energy(state, params, backend, bd_drift=False)
 
 
-def dissipation(state, params, backend: str = "central"):
+def dissipation(state, params):
     grid = state.grid
-    du = torus.derivative(grid, state.u, 1, backend)
+    du = torus.derivative(grid, state.u, 1, "central")
     return torus.row_values(grid.h * params.mu * np.sum(du ** 2, axis=-1))
 
 
-def bd_entropy(state, params, backend: str = "central"):
+def bd_entropy(state, params):
     """Energy with the BD drift mu rho_x / rho^2 added inside the kinetic
     term; the drift is the gradient of phi(r) = mu (1 - 1/r)."""
-    return _energy(state, params, backend, bd_drift=True)
+    return _energy(state, params, "central", bd_drift=True)
 
 
 def effective_viscous_flux(state, params) -> np.ndarray:

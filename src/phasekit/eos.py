@@ -238,12 +238,12 @@ def quadratic_growth_constant(eos: EquationOfState, r_hi: float) -> float:
     return float(np.max(r ** 2 / (1.0 + w)))
 
 
-def _bisect_root(fun, lo: float, hi: float, tol: float = 1e-10) -> float:
+def _bisect_root(fun, lo: float, hi: float) -> float:
     flo = fun(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = fun(mid)
-        if hi - lo < tol:
+        if hi - lo < 1e-10:
             return mid
         if flo * fmid <= 0.0:
             hi = mid

@@ -205,16 +205,16 @@ def _assemble_report(config: FamilyConfig, bn_traj, members, n_list
         n_list=tuple(n_list), times=times, dist_series=dist_series,
         uerr_series=uerr_series, wasserstein_series=w1_series,
         sup_dist=sup_dist, sup_uerr=sup_uerr,
-        monotone_dist=_monotone_with_slack(sup_dist, MONOTONE_SLACK),
-        monotone_uerr=_monotone_with_slack(sup_uerr, MONOTONE_SLACK),
+        monotone_dist=_monotone_with_slack(sup_dist),
+        monotone_uerr=_monotone_with_slack(sup_uerr),
         extras={"bn_trajectory": bn_traj, "members": members,
                 "dictionary": dictionary, "bn_pairings": bn_pairings,
                 "member_pairings": member_pairings},
     )
 
 
-def _monotone_with_slack(values, slack: float) -> bool:
-    return all(b <= slack * a for a, b in zip(values, values[1:]))
+def _monotone_with_slack(values) -> bool:
+    return all(b <= MONOTONE_SLACK * a for a, b in zip(values, values[1:]))
 
 
 def _write_family(config: FamilyConfig, report: ConvergenceReport):

@@ -1,13 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from phasekit.bn import (BNState, bn_run, bn_step, cubic_interp_periodic,
                          mixture_fields, picard_bn, relaxation_rhs,
                          transport_with_source)
-from phasekit.eos import PolytropicEOS
+from phasekit.eos import PolytropicEOS, VanDerWaalsEOS
 from phasekit.errors import BoundsError, FixedPointError
 from phasekit.nsk import FluidState, PhysicalParams, SolverConfig, nsk_run
-from phasekit.torus import PeriodicGrid, mean
+from phasekit.torus import PeriodicGrid, derivative, mean
 
 
 def poly_params(mu=0.1, kappa=0.02, gamma=1.0):
@@ -139,17 +141,18 @@ def test_transport_exponential_growth():
 
 
 def test_transport_conservative_flag():
-    # with u_x != 0 the conservative solve keeps the mean of a, the
-    # advective one does not
+    # with u_x != 0 the conservative solve (source f - u_x) keeps the mean
+    # of a, the advective one (source f) does not
     grid = PeriodicGrid(256)
     steps = 64
     times = np.linspace(0.0, 0.1, steps + 1)
     u = np.tile(0.3 * np.sin(2 * np.pi * grid.x), (times.size, 1))
     f = np.zeros_like(u)
     a0 = 1.0 + 0.2 * np.cos(2 * np.pi * grid.x)
-    cons = transport_with_source(grid, a0, u, f, times, conservative=True)
+    u_x = derivative(grid, u, 1, "central")
+    cons = transport_with_source(grid, a0, u, f - u_x, times)
     assert abs(mean(grid, cons[-1]) - mean(grid, a0)) < 1e-5
-    adv = transport_with_source(grid, a0, u, f, times, conservative=False)
+    adv = transport_with_source(grid, a0, u, f, times)
     assert abs(mean(grid, adv[-1]) - mean(grid, a0)) > 1e-4
 
 
@@ -412,6 +415,84 @@ def test_picard_cross_check_against_bn_step():
     e2 = errs_at(1e-3)
     assert e2 < e1
     assert e1 / e2 > 1.5  # O(dt) agreement between the two integrators
+
+
+def test_picard_halves_a_slab_the_law_refuses():
+    # from rho0 = 1.2 the first iterates leave the Van der Waals domain
+    # [0, 3) (the first reaches 7.76); such a slab is halved like a diverged
+    # one.  Measured: 5 slabs, endpoint errors 3.9e-8 (alpha) and 4.8e-7
+    # (rho) against the oracle
+    grid = PeriodicGrid(16)
+    eos = VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0)
+    mu, t_end, pi_val = 0.5, 0.5, 2.0
+    times = np.linspace(0.0, t_end, 51)
+    u = np.zeros((times.size, grid.n))
+    pi = np.full((times.size, grid.n), pi_val)
+    a, r, info = picard_bn(grid, np.full(grid.n, 0.5), np.full(grid.n, 1.2),
+                           u, pi, times, eos, mu=mu, tol=1e-11)
+    slabs = info["slabs"]
+    assert len(slabs) == 5
+    assert (slabs[0]["t0"], slabs[-1]["t1"]) == (0.0, t_end)
+    assert all(s["t1"] == s_next["t0"] for s, s_next in zip(slabs, slabs[1:]))
+    ref = picard_ode_oracle(0.5, 1.2, pi_val, eos, mu, t_end, t_end / 20000)
+    assert np.max(np.abs(a[-1] - ref[0])) < 1e-7
+    assert np.max(np.abs(r[-1] - ref[1])) < 1e-6
+    # an initial density the law refuses is the law's error, not a split
+    with pytest.raises(ValueError, match="outside the law's domain"):
+        picard_bn(grid, np.full(grid.n, 0.5), np.full(grid.n, 3.5), u, pi,
+                  times, eos, mu=mu)
+
+
+def picard_digest(alpha, rho, info) -> str:
+    """sha256 of float.hex of every alpha and rho value, then of each
+    slab's t0, t1 and contraction ratios."""
+    values = [*alpha.ravel(), *rho.ravel()]
+    for slab in info["slabs"]:
+        values += [slab["t0"], slab["t1"], *slab["ratios"]]
+    text = " ".join(float(v).hex() for v in values)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def moving_picard_case():
+    # a Van der Waals law under a travelling velocity (u_x != 0) and a
+    # nonuniform frozen pressure; one slab
+    grid = PeriodicGrid(32)
+    eos = VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0)
+    times = np.linspace(0.0, 1.0, 41)
+    x = grid.x
+    u = 0.3 * np.sin(2 * np.pi * (x[None, :] - times[:, None]))
+    pi = np.tile(eos.artificial_pressure(1.0 + 0.1 * np.cos(2 * np.pi * x)),
+                 (times.size, 1))
+    return picard_bn(grid, 0.5 + 0.2 * np.sin(2 * np.pi * x),
+                     0.9 + 0.1 * np.cos(4 * np.pi * x), u, pi, times, eos,
+                     mu=0.1)
+
+
+def split_picard_case():
+    # the slab-split case of test_picard_halves_a_slab_that_does_not_contract
+    grid = PeriodicGrid(16)
+    eos = PolytropicEOS(1.0, 2.0, 1.0)
+    times = np.linspace(0.0, 2.0, 41)
+    pi = np.full((times.size, grid.n),
+                 float(eos.artificial_pressure(np.array(1.2))))
+    u = np.zeros((times.size, grid.n))
+    return picard_bn(grid, np.full(grid.n, 0.7), np.full(grid.n, 0.9), u, pi,
+                     times, eos, mu=0.2)
+
+
+@pytest.mark.parametrize("case, slabs, pin", [
+    (split_picard_case, 5,
+     "1137c42c2d8a1fb7b10f933f0cabd85ac553e7ff839ecfda6a4e13f5b17e1731"),
+    (moving_picard_case, 1,
+     "d63315273be44bd2a18c5569b66dac624627b487e21959de6d16646780408140"),
+], ids=["split", "moving"])
+def test_picard_output_matches_pin(case, slabs, pin):
+    # a refactor of picard_bn keeps its output bit for bit; the pins were
+    # taken with numpy 2.4 and scipy 1.17 on x86-64, and other builds may
+    # differ in the last bits
+    alpha, rho, info = case()
+    assert len(info["slabs"]) == slabs
+    assert picard_digest(alpha, rho, info) == pin
 
 
 def test_picard_nonconvergence_raises():

@@ -296,6 +296,12 @@ EXIT_CODES = {
     "delta-over-theta": ("check-eos", "[init]\ntheta = 0.05\ndelta = 0.1\n",
                          2, "[init].delta must lie in (0, min(theta, 1 - "
                          "theta)] = (0, 0.05], got 0.1"),
+    # refused even where --out would override it
+    "output-empty": ("check-eos", "[output]\ndirectory =\n", 2,
+                     "[output].directory must not be empty"),
+    "output-empty-simulate": ("simulate-nsk", POLY_SMOOTH + "[output]\n"
+                              "directory =\n", 2,
+                              "[output].directory must not be empty"),
 }
 
 

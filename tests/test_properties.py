@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 from scipy.linalg import solve_banded  # noqa: E402
 
-from phasekit.bn import BNState, bn_step, cubic_interp_periodic  # noqa: E402
+from phasekit.bn import (BNState, bn_step, cubic_interp_periodic,  # noqa: E402
+                         transport_with_source)
 from phasekit.config import RunConfig, parse_config  # noqa: E402
 from phasekit.diagnostics import compute_record  # noqa: E402
 from phasekit.eos import PolytropicEOS, VanDerWaalsEOS  # noqa: E402
@@ -233,6 +234,15 @@ def test_stacked_phase_kernels_equal_per_phase_calls(data, n, k, law, courant,
     dt = courant * grid.h / (1.0 + np.max(np.abs(u)))
     assert same_bits(continuity_update(grid, pair, u, dt, upwind),
                      [continuity_update(grid, r, u, dt, upwind) for r in pair])
+
+    # picard_bn carries its (alpha, rho) pair along one velocity series
+    times = dt * np.arange(data.draw(st.integers(2, 4)))
+    u_series = stack_of(data, grid, times.size, 2.0, 0.0)
+    f_pair = np.stack([stack_of(data, grid, times.size, 1.0, 0.0)
+                       for _ in range(2)])
+    assert same_bits(transport_with_source(grid, alpha, u_series, f_pair, times),
+                     [transport_with_source(grid, a, u_series, f, times)
+                      for a, f in zip(alpha, f_pair)])
 
 
 @FAST
