@@ -301,8 +301,10 @@ def _drop_failed_rows(state, members: list, rails, bounds, results: list,
             [members[i] for i in keep])
 
 
-# states per record chunk: K = max(1, _CHUNK_ELEMENTS // n); at small n the
-# per-call overhead of the record kernels dominates, at large n it does not
+# rows per record chunk, one per state or batch row: at most
+# max(1, _CHUNK_ELEMENTS // n); at small n the per-call overhead of the
+# record kernels dominates, at large n it does not, and the bound keeps the
+# record temporaries small
 _CHUNK_ELEMENTS = 8192
 
 
@@ -319,7 +321,8 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig,
     state, n_steps = initial, 0
     t_final = initial.t + config.t_end
     t_stop = t_final - 1e-12 * config.t_end
-    chunk, pending = max(1, _CHUNK_ELEMENTS // initial.grid.n), []
+    chunk_rows = max(1, _CHUNK_ELEMENTS // initial.grid.n)
+    pending, pending_rows = [], 0
     while True:
         try:
             _check_state(state, rails(state), config.bounds)
@@ -332,8 +335,10 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig,
             if not members:
                 return results
         pending.append((state, members))
+        pending_rows += len(members)
         done = state.t >= t_stop
-        if done or len(pending) == chunk:
+        # the next state has at most as many rows as this one
+        if done or pending_rows + len(members) > chunk_rows:
             stacked = type(state).stack([s for s, _ in pending])
             owners = [runs[j] for _, rows in pending for j in rows]
             if keep_records:
@@ -344,7 +349,7 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig,
                 torus.derivative(state.grid, stacked.c, 1, "spectral"))
             for run, value in zip(owners, dxc):
                 run.dxc_sup = max(run.dxc_sup, float(value))
-            pending = []
+            pending, pending_rows = [], 0
         if done:
             for j in members:
                 runs[j].n_steps = n_steps
@@ -382,9 +387,11 @@ def nsk_run(initial: FluidState, params: PhysicalParams, config: SolverConfig,
     below config.dt on some step; dxc_sup: sup |c_x| over all states, with
     or without records.
 
-    Records are computed in chunks: checked states are held until K =
-    max(1, 8192 // n) of them, or the final state, are waiting, and their
-    records and |c_x| come from one pass over the stack of their rows.
+    Records are computed in chunks: checked states are held while their
+    rows, one per state or per batch row, fit in K = max(1, 8192 // n), or
+    until the final state, and their records and |c_x| come from one pass
+    over the stack of their rows.  A state with more than K rows is a chunk
+    of its own.
     Each record equals compute_record of its state bitwise.  A checked
     state's densities lie inside the rails, so its record does not raise,
     and a failed run fails at the same state with the same error as it

@@ -8,17 +8,23 @@ fields: the result has one row (or one value) per field, bitwise equal to K
 separate calls, and a reduction of a single field is a Python float.
 ``primitive``, ``dealias``, the fd backend of ``helmholtz_solve`` and
 ``solve_cyclic_tridiagonal`` take one field; the latter calls LAPACK gtsv
-directly, bitwise the same solve as scipy's ``solve_banded`` with one sub-
-and one super-diagonal, and makes no BLAS call: its corner correction reads
-the two inner products it needs in closed form, so no solve wakes a BLAS
-thread pool.  ``nsk.momentum_update`` solves a stack one row at
-a time, because one block-banded solve of all rows differs from the row
-solves in the last bit.  Two derivative backends are
+directly and makes no BLAS call: its corner correction reads the two inner
+products it needs in closed form, so no solve wakes a BLAS thread pool.  It
+solves its Sherman-Morrison column scaled by a power of two, at least 2^123
+below overflow, so that the column's geometric decay (about 0.92 per node
+on the N = 16384 momentum matrix) does not run nearly half the sweep in
+subnormal arithmetic; the result is bitwise the unscaled solve's wherever
+that sweep has no subnormal intermediate.  ``nsk.momentum_update`` solves a
+stack one row at a time, because one block-banded solve of all rows
+differs from the row solves in the last bit.  Two derivative backends are
 provided everywhere: ``"central"`` (second-order finite differences,
 exactly conservative in the telescoping sense) and ``"spectral"``
 (discrete-Fourier differentiation, exact on resolved trigonometric
 polynomials).  The backend is always an explicit argument, never module
-state.
+state.  The Fourier symbols (the wavenumbers, i k, -k^2, k^2 and the
+Sobolev weights of each order) are built once per grid and are read-only;
+each kernel applies them in the order it always did, so every value is
+bitwise what building them per call gave.
 
 The kernels check shapes, not values: NaN and inf propagate to the result,
 and the run loop (``nsk._integrate``) decides whether a state is valid.
@@ -26,10 +32,17 @@ and the run loop (``nsk._integrate``) decides whether a state is valid.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 TWO_PI = 2.0 * np.pi
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class PeriodicGrid:
@@ -48,6 +61,12 @@ class PeriodicGrid:
         self.n = n
         self.h = 1.0 / n
         self.x = np.arange(n) / n
+        k = TWO_PI * np.arange(n // 2 + 1)
+        self._k = _read_only(k)
+        self._ik = _read_only(1j * k)
+        self._k2 = _read_only(k ** 2)
+        self._minus_k2 = _read_only(-self._k2)
+        self._sobolev = {}   # order -> weights * (1 + k^2)^order
 
     def __repr__(self):
         return f"PeriodicGrid(n={self.n})"
@@ -62,8 +81,20 @@ class PeriodicGrid:
         return np.full(self.n, float(value))
 
     def wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers 2*pi*m for the rfft layout, m = 0..n/2."""
-        return TWO_PI * np.arange(self.n // 2 + 1)
+        """Angular wavenumbers 2*pi*m for the rfft layout, m = 0..n/2
+        (read-only, shared by every call)."""
+        return self._k
+
+    def _sobolev_weights(self, order) -> np.ndarray:
+        """weights * (1 + k^2)^order, the H^order symbol of sobolev_norm,
+        with weight 2 on the modes that stand for a +-m pair."""
+        if order not in self._sobolev:
+            weights = np.full(self._k.size, 2.0)
+            weights[0] = 1.0
+            weights[-1] = 1.0   # the Nyquist mode; n is always even
+            sym = (1.0 + self._k2) ** order
+            self._sobolev[order] = _read_only(weights * sym)
+        return self._sobolev[order]
 
 
 def _check_field(grid: PeriodicGrid, f: np.ndarray,
@@ -96,12 +127,11 @@ def derivative(grid: PeriodicGrid, f: np.ndarray, order: int = 1,
                 + np.roll(f, 1, axis=-1)) / grid.h ** 2
     if backend == "spectral":
         fh = np.fft.rfft(f)
-        k = grid.wavenumbers()
         if order == 1:
-            fh = fh * (1j * k)
+            fh = fh * grid._ik
             fh[..., -1] = 0.0  # Nyquist mode has no well-defined odd derivative
         else:
-            fh = fh * (-(k ** 2))
+            fh = fh * grid._minus_k2
         return np.fft.irfft(fh, n=grid.n)
     raise ValueError(f"unknown backend {backend!r}")
 
@@ -124,9 +154,8 @@ def primitive(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
     if abs(m) > 1e-10 * scale:
         raise ValueError(f"primitive needs a mean-free field, mean = {m:.3e}")
     fh = np.fft.rfft(f)
-    k = grid.wavenumbers()
     out = np.zeros_like(fh)
-    out[1:] = fh[1:] / (1j * k[1:])
+    out[1:] = fh[1:] / grid._ik[1:]
     out[-1] = 0.0
     return np.fft.irfft(out, n=grid.n)
 
@@ -144,8 +173,7 @@ def helmholtz_solve(grid: PeriodicGrid, rho: np.ndarray, kappa: float,
         raise ValueError(f"kappa and gamma must be positive, got {kappa}, {gamma}")
     if backend == "fourier":
         rh = np.fft.rfft(rho)
-        k = grid.wavenumbers()
-        ch = gamma * rh / (kappa * k ** 2 + gamma)
+        ch = gamma * rh / (kappa * grid._k2 + gamma)
         return np.fft.irfft(ch, n=grid.n)
     if backend == "fd":
         a = kappa / grid.h ** 2
@@ -162,11 +190,26 @@ def solve_cyclic_tridiagonal(lower: np.ndarray, diag: np.ndarray,
 
     Row i reads lower[i]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1] = rhs[i]
     with wrap-around corners lower[0] and upper[n-1].  Sherman-Morrison on
-    top of one LAPACK gtsv call with the two right-hand sides rhs and u.
-    scipy's solve_banded((1, 1), ...) dispatches to the same gtsv with the
-    same three diagonals, so the result is bitwise the banded solve's; the
-    direct call skips building the (3, n) band matrix and the argument
-    checks.  A singular reduced system raises numpy.linalg.LinAlgError.
+    top of one LAPACK gtsv call with the two right-hand sides rhs and u =
+    (alpha, 0, ..., 0, upper[n-1]), alpha = -diag[0], or -(|upper[0]| +
+    |lower[0]|) when diag[0] == 0, so that a zero diag[0] of a nonsingular
+    system needs no division by zero.  scipy's solve_banded((1, 1), ...)
+    dispatches to the same gtsv with the same three diagonals; the direct
+    call skips building the (3, n) band matrix and the argument checks.  A
+    singular reduced system, or a zero row 0, raises
+    numpy.linalg.LinAlgError.
+
+    The column u is solved scaled by 2^s, s = 900 - e clamped to [0, 900],
+    with e the binary exponent of max(|alpha|, |upper[n-1]|), and its
+    solution z is unscaled by ldexp.  Scaling by a power of two is exact,
+    and gtsv's pivots do not depend on the right-hand side, so z and the
+    result are bitwise the unscaled solve's wherever the unscaled sweep has
+    no subnormal intermediate; where it has, the scaled sweep is the more
+    accurate one.  The scaled entries of u stay below 2^901, 2^123 below
+    overflow.  z does not change when the whole system is scaled (z[0] is
+    about -1/2 when row 0 is diagonally dominant), and the clamp at 900
+    lets it grow to 2^124 before the scaled z overflows, at any scale of
+    the system.  The rhs column is not scaled.
 
     The correction vector v = (1, 0, ..., 0, lower[0]/alpha) has two
     nonzero entries, so v @ y is read as y[0] + v[n-1] * y[n-1] (and v @ z
@@ -180,16 +223,23 @@ def solve_cyclic_tridiagonal(lower: np.ndarray, diag: np.ndarray,
 
     # rank-one correction u v^T removing the two corner entries
     alpha = -diag[0]
+    if alpha == 0.0:
+        # keeps row 0 of the reduced system diagonally dominant
+        alpha = -(abs(upper[0]) + abs(corner_low))
+        if alpha == 0.0:
+            raise np.linalg.LinAlgError("singular matrix: row 0 is zero")
     d = np.array(diag, dtype=float)
     d[0] = diag[0] - alpha
     d[n - 1] = diag[n - 1] - corner_up * corner_low / alpha
 
-    # the two right-hand sides rhs and u as the rows of one buffer, passed
-    # transposed so gtsv gets Fortran order without a copy
+    # the two right-hand sides rhs and 2^s u as the rows of one buffer,
+    # passed transposed so gtsv gets Fortran order without a copy
+    e = math.frexp(max(abs(alpha), abs(corner_up)))[1] - 1
+    s = min(900, max(0, 900 - e))
     b = np.zeros((2, n))
     b[0] = rhs
-    b[1, 0] = alpha
-    b[1, n - 1] = corner_up
+    b[1, 0] = math.ldexp(alpha, s)
+    b[1, n - 1] = math.ldexp(corner_up, s)
     v_last = corner_low / alpha
 
     *_, x, info = dgtsv(lower[1:], d, upper[:-1], b.T,
@@ -197,6 +247,7 @@ def solve_cyclic_tridiagonal(lower: np.ndarray, diag: np.ndarray,
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     y, z = x.T
+    z = np.ldexp(z, -s)
     v_y = y[0] + v_last * y[n - 1]
     v_z = z[0] + v_last * z[n - 1]
     return y - z * v_y / (1.0 + v_z)
@@ -210,12 +261,8 @@ def sobolev_norm(grid: PeriodicGrid, f: np.ndarray, order: int):
     """
     f = _check_field(grid, f)
     fh = np.fft.rfft(f) / grid.n
-    k = grid.wavenumbers()
-    weights = np.full(k.size, 2.0)
-    weights[0] = 1.0
-    weights[-1] = 1.0   # the Nyquist mode; n is always even
-    sym = (1.0 + k ** 2) ** order
-    return row_values(np.sqrt(np.sum(weights * sym * np.abs(fh) ** 2, axis=-1)))
+    weighted = grid._sobolev_weights(order) * np.abs(fh) ** 2
+    return row_values(np.sqrt(np.sum(weighted, axis=-1)))
 
 
 def l2_norm(grid: PeriodicGrid, f: np.ndarray):

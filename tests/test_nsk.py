@@ -302,10 +302,11 @@ def test_rail_failure_inside_a_chunk(solver):
 
 def batch_and_own_runs(amplitudes, bounds=(0.05, 20.0), keep_records=True):
     """One batch run of a row per amplitude and each row's own run (or the
-    BoundsError that ended it), over 2.5 record chunks."""
+    BoundsError that ended it), over 2.5 record chunks of the batch; chunk
+    is the number of batch states that a chunk's row bound holds."""
     grid = PeriodicGrid(128)
     params = poly_params()
-    chunk = max(1, nsk._CHUNK_ELEMENTS // grid.n)
+    chunk = max(1, nsk._CHUNK_ELEMENTS // grid.n) // len(amplitudes)
     config = SolverConfig(dt=1e-3, t_end=1e-3 * (2 * chunk + chunk // 2 + 1),
                           bounds=bounds, snapshot_every=7)
     rho0 = np.stack([1.0 + a * np.cos(2 * np.pi * grid.x) for a in amplitudes])
@@ -352,17 +353,38 @@ def test_batch_rows_equal_their_own_runs(keep_records):
 def test_batch_row_failing_mid_run_fails_alone():
     # the upper rail 1.34 lies below the peak density of the second row
     # (1.37) and above its initial maximum 1.2 and the other rows' peaks (at
-    # most 1.31): the second row leaves the batch inside the first record
+    # most 1.31): the second row leaves the batch inside the third record
     # chunk, and the rows held for that chunk's records are uneven
     chunk, batch, own = batch_and_own_runs((0.05, 0.2, 0.1),
                                            bounds=(0.05, 1.34))
     assert isinstance(own[1], BoundsError) and isinstance(batch[1], BoundsError)
     t_fail = float(re.search(r"guard rail violated at t = (\S+):",
                              str(own[1])).group(1))
-    assert 0.0 < t_fail < chunk * 1e-3
+    assert 2 * chunk < round(t_fail / 1e-3) < 3 * chunk
     assert str(batch[1]) == str(own[1])
     for j in (0, 2):
         assert_same_run(batch[j], own[j])
+
+
+def test_record_chunks_are_bounded_by_rows(monkeypatch):
+    # a 4-row batch at n = 2048 fills the chunk's row bound 8192 // n = 4
+    # with one state, so no record stack holds more than 4 rows
+    stacked_rows = []
+
+    def compute_record(state, params):
+        stacked_rows.append(len(state.rho))
+        return real_compute_record(state, params)
+
+    real_compute_record = nsk.diagnostics.compute_record
+    monkeypatch.setattr(nsk.diagnostics, "compute_record", compute_record)
+    grid = PeriodicGrid(2048)
+    params = poly_params()
+    rho0 = np.stack([1.0 + a * np.cos(2 * np.pi * grid.x)
+                     for a in (0.05, 0.1, 0.15, 0.2)])
+    config = SolverConfig(dt=1e-4, t_end=6e-4, bounds=(0.05, 20.0))
+    nsk_run(FluidState.make(grid, rho0, np.zeros_like(rho0), params), params,
+            config)
+    assert stacked_rows == [4] * 7
 
 
 def test_batch_shares_one_step_length():

@@ -1,10 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgtsv
 
-from phasekit.torus import (PeriodicGrid, dealias, derivative, helmholtz_solve,
-                            l2_norm, mean, primitive, sobolev_norm,
-                            solve_cyclic_tridiagonal)
+from phasekit import torus
+from phasekit.config import (build_nsk_initial, build_params, build_solver,
+                             parse_config)
+from phasekit.nsk import nsk_run
+from phasekit.torus import (TWO_PI, PeriodicGrid, dealias, derivative,
+                            helmholtz_solve, l2_norm, mean, primitive,
+                            sobolev_norm, solve_cyclic_tridiagonal)
 
 
 @pytest.fixture
@@ -203,8 +209,8 @@ def dominant_cyclic_system(rng, n):
 
 
 def dot_form_cyclic_solve(lower, diag, upper, rhs):
-    """The cyclic solve with its corner correction taken by BLAS dots
-    (v @ y, v @ z) on a dense v, the form the closed form replaced."""
+    """The cyclic solve as first written: u solved unscaled, and the corner
+    correction taken by BLAS dots (v @ y, v @ z) on a dense v."""
     n = diag.size
     alpha = -diag[0]
     d = np.array(diag, dtype=float)
@@ -235,6 +241,166 @@ def test_cyclic_tridiagonal_closed_form_matches_dot_form(n):
         assert x.tobytes() == dot_form_cyclic_solve(*system).tobytes()
 
 
+def unscaled_cyclic_solve(lower, diag, upper, rhs):
+    """The cyclic solve with u solved unscaled, its corner correction read
+    in closed form as the solve does."""
+    n = diag.size
+    alpha = -diag[0]
+    d = np.array(diag, dtype=float)
+    d[0] = diag[0] - alpha
+    d[n - 1] = diag[n - 1] - upper[n - 1] * lower[0] / alpha
+    u = np.zeros(n)
+    u[0] = alpha
+    u[n - 1] = upper[n - 1]
+    v_last = lower[0] / alpha
+    *_, x, info = dgtsv(lower[1:], d, upper[:-1], np.column_stack([rhs, u]),
+                        overwrite_d=1, overwrite_b=1)
+    assert info == 0
+    y, z = x.T
+    return y - z * (y[0] + v_last * y[n - 1]) / (1.0 + (z[0] + v_last * z[n - 1]))
+
+
+def unscaled_sweep_is_subnormal(lower, diag, upper):
+    """Whether the unscaled forward sweep of u, the column the solve scales,
+    goes subnormal: read off the solve of (alpha, 0, ..., 0), whose sweep is
+    u's up to the last node, and whose back substitution keeps the sweep's
+    magnitudes."""
+    n = diag.size
+    d = np.array(diag, dtype=float)
+    d[0] = 2.0 * diag[0]
+    d[n - 1] = diag[n - 1] + upper[n - 1] * lower[0] / diag[0]
+    e0 = np.zeros(n)
+    e0[0] = -diag[0]
+    z = dgtsv(lower[1:], d, upper[:-1], e0)[3]
+    return bool(np.any((z != 0.0) & (np.abs(z) < np.finfo(float).tiny)))
+
+
+NSK_16384 = """
+[physics]
+mu = 0.1
+kappa = 0.1
+gamma = 2.0
+
+[eos]
+type = van_der_waals
+A = 1.0
+B = 3.0
+R = 1.0
+T_star = 0.2
+
+[bounds]
+m0 = 1.4
+
+[grid]
+n = 16384
+
+[time]
+dt = 1.34e-05
+t_end = 0.01
+cfl = 0.4
+
+[init]
+profile = two_value
+v_minus = 0.8
+v_plus = 1.6
+theta = 0.5
+delta = 0.1
+n_osc = 16
+u0_mode = 1
+u0_amp = 0.042022
+"""
+
+
+def test_cyclic_tridiagonal_scaling_is_exact_on_nsk_16384(monkeypatch):
+    # the momentum systems of the first steps of the benchmark's nsk-16384
+    # run (seed 101): the unscaled sweep of u runs into subnormals there,
+    # and the scaled solve still gives its result bitwise
+    systems = []
+
+    def solve(*system):
+        systems.append(system)
+        return solve_cyclic_tridiagonal(*system)
+
+    monkeypatch.setattr(torus, "solve_cyclic_tridiagonal", solve)
+    config = parse_config(NSK_16384)
+    params = build_params(config)
+    solver = build_solver(config)
+    nsk_run(build_nsk_initial(config, params), params,
+            dataclasses.replace(solver, t_end=3 * solver.dt),
+            keep_records=False)
+    assert len(systems) == 3
+    for system in systems:
+        assert unscaled_sweep_is_subnormal(*system[:3])
+        x = solve_cyclic_tridiagonal(*system)
+        assert x.tobytes() == unscaled_cyclic_solve(*system).tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 512, 2048, 16384])
+@pytest.mark.parametrize("kappa", [1e-6, 1e-3, 0.1])
+def test_cyclic_tridiagonal_scaling_is_exact_on_helmholtz(n, kappa):
+    grid = PeriodicGrid(n)
+    gamma = 2.0
+    rho = 1.2 + 0.4 * np.cos(TWO_PI * 3 * grid.x)
+    a = kappa / grid.h ** 2
+    system = (np.full(n, -a), np.full(n, 2.0 * a + gamma), np.full(n, -a),
+              gamma * rho)
+    c = helmholtz_solve(grid, rho, kappa, gamma, "fd")
+    assert c.tobytes() == unscaled_cyclic_solve(*system).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_cyclic_tridiagonal_scaling_is_exact_at_extreme_columns(scale):
+    # column 0 of A times scale puts u = (alpha, 0, ..., 0, upper[n-1])
+    # near scale, which the solve scales by 2^900 (1e-300) or not at all
+    # (1e300); on n = 8 the unscaled sweep of u stays normal, so the
+    # results agree bitwise, and x[0] * scale is the unscaled system's x[0]
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        lower, diag, upper, rhs = dominant_cyclic_system(rng, 8)
+        x0 = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+        lower[1] *= scale
+        diag[0] *= scale
+        upper[-1] *= scale
+        assert not unscaled_sweep_is_subnormal(lower, diag, upper)
+        x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+        assert np.allclose(x[1:], x0[1:], rtol=1e-13, atol=0.0)
+        assert x[0] * scale == pytest.approx(x0[0], rel=1e-13)
+        assert x.tobytes() == unscaled_cyclic_solve(
+            lower, diag, upper, rhs).tobytes()
+
+
+@pytest.mark.parametrize("power", [-400, -130, 130, 400])
+def test_cyclic_tridiagonal_invariant_under_power_of_two_scaling(power):
+    # 2^power A x = 2^power rhs has the same solution bitwise: u's scale
+    # is clamped at 2^900, so z, about -1/2 at node 0 whatever the scale
+    # of A, does not overflow on a system scaled by 2^-130 or 2^-400
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        system = dominant_cyclic_system(rng, 64)
+        x = solve_cyclic_tridiagonal(*system)
+        scaled = [np.ldexp(a, power) for a in system]
+        assert solve_cyclic_tridiagonal(*scaled).tobytes() == x.tobytes()
+
+
+def test_cyclic_tridiagonal_zero_corner_diagonal():
+    # diag[0] = 0 in a nonsingular system (condition number 8.2): the
+    # correction takes a nonzero alpha instead of dividing by zero
+    n = 16
+    lower, upper = np.full(n, -1.0), np.full(n, -1.0)
+    diag = np.full(n, 3.0)
+    diag[0] = 0.0
+    rhs = np.random.default_rng(3).standard_normal(n)
+    dense = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
+    dense[0, n - 1] = lower[0]
+    dense[n - 1, 0] = upper[n - 1]
+    assert np.linalg.cond(dense) < 10.0
+    with np.errstate(all="raise"):
+        x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+    assert np.max(np.abs(x - np.linalg.solve(dense, rhs))) < 1e-14
+    with pytest.raises(np.linalg.LinAlgError, match="row 0 is zero"):
+        solve_cyclic_tridiagonal(np.zeros(n), diag, np.zeros(n), rhs)
+
+
 @pytest.mark.parametrize("n", [10, 64, 16384])
 def test_cyclic_tridiagonal_leaves_inputs_unchanged(n):
     system = dominant_cyclic_system(np.random.default_rng(7), n)
@@ -250,3 +416,41 @@ def test_sobolev_norm_single_mode(grid):
     assert sobolev_norm(grid, f, 2) == pytest.approx(expect, rel=1e-12)
     assert sobolev_norm(grid, f, 0) == pytest.approx(np.sqrt(0.5), rel=1e-12)
     assert l2_norm(grid, f) == pytest.approx(np.sqrt(0.5), rel=1e-12)
+
+
+def test_wavenumbers_are_read_only():
+    grid = PeriodicGrid(16)
+    k = grid.wavenumbers()
+    assert k is grid.wavenumbers()
+    assert k.tobytes() == (TWO_PI * np.arange(9)).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        k[1] = 0.0
+
+
+@pytest.mark.parametrize("n", [8, 512, 2048, 16384])
+def test_spectral_kernels_equal_their_per_call_formulas(n):
+    # the symbols built once per grid give every kernel the bits of its
+    # formula with the symbols built per call
+    grid = PeriodicGrid(n)
+    rng = np.random.default_rng(n)
+    stack = 1.0 + 0.3 * rng.standard_normal((3, n))
+    for f in (stack[0], stack):
+        fh = np.fft.rfft(f)
+        k = TWO_PI * np.arange(n // 2 + 1)
+        d1 = fh * (1j * k)
+        d1[..., -1] = 0.0
+        assert derivative(grid, f, 1, "spectral").tobytes() == np.fft.irfft(
+            d1, n=n).tobytes()
+        assert derivative(grid, f, 2, "spectral").tobytes() == np.fft.irfft(
+            fh * (-(k ** 2)), n=n).tobytes()
+        kappa, gamma = 0.1, 2.0
+        assert helmholtz_solve(grid, f, kappa, gamma).tobytes() == np.fft.irfft(
+            gamma * fh / (kappa * k ** 2 + gamma), n=n).tobytes()
+        weights = np.full(k.size, 2.0)
+        weights[0] = weights[-1] = 1.0
+        for order in range(4):
+            sym = (1.0 + k ** 2) ** order
+            expected = np.sqrt(np.sum(weights * sym * np.abs(fh / n) ** 2,
+                                      axis=-1))
+            assert np.array(sobolev_norm(grid, f, order)).tobytes() == (
+                expected.tobytes())
