@@ -7,6 +7,12 @@ the per-run balance report.  Dissipation and the BD entropy use the
 solver's central differences, and the energy defaults to them, so that
 balance residuals measure scheme error rather than backend mismatch.
 
+``compute_record`` does each piece of work once: energy and BD entropy
+share one evaluation of the potential W(rho), the coupling density and the
+gradient density 1/2 kappa c_x^2, and each sums its terms in the order it
+does when called alone, so both stay bitwise; the gradient of Sigma is read
+in Fourier space from the spectra of u and P_art, without forming Sigma.
+
 The state functionals also take a stacked state (``FluidState.stack`` or
 ``BNState.stack``, fields of shape (K, n)) and then return one value per
 state, bitwise equal to K separate calls; ``DiagnosticsRecord.unstack``
@@ -53,23 +59,33 @@ class DiagnosticsRecord:
 assert tuple(f.name for f in fields(DiagnosticsRecord)) == RECORD_COLUMNS
 
 
-def _energy(state, params, backend: str, bd_drift: bool):
-    grid = state.grid
+def _shared_terms(state, params, backend: str) -> tuple:
+    """The densities that energy and bd_entropy share: rho, the potential
+    W(rho), the coupling 1/2 gamma (rho - c)^2 and the gradient term
+    1/2 kappa c_x^2."""
     rho = state.mixture_density
+    dc = torus.derivative(state.grid, state.c, 1, backend)
+    return (rho, params.eos.potential(rho),
+            0.5 * params.gamma * (rho - state.c) ** 2,
+            0.5 * params.kappa * dc ** 2)
+
+
+def _energy(state, params, backend: str, bd_drift: bool, terms):
+    grid = state.grid
+    rho, potential, coupling, gradient = (
+        terms or _shared_terms(state, params, backend))
     v = state.u
     if bd_drift:
         v = v + params.mu * torus.derivative(grid, rho, 1, backend) / rho ** 2
-    dc = torus.derivative(grid, state.c, 1, backend)
-    dens = (0.5 * rho * v ** 2
-            + params.eos.potential(rho)
-            + 0.5 * params.gamma * (rho - state.c) ** 2
-            + 0.5 * params.kappa * dc ** 2)
+    dens = 0.5 * rho * v ** 2 + potential + coupling + gradient
     return torus.row_values(grid.h * np.sum(dens, axis=-1))
 
 
-def energy(state, params, backend: str = "central"):
-    """Total energy: kinetic + pressure potential + coupling + gradient."""
-    return _energy(state, params, backend, bd_drift=False)
+def energy(state, params, backend: str = "central", *, _terms=None):
+    """Total energy: kinetic + pressure potential + coupling + gradient.
+    _terms carries _shared_terms(state, params, backend) when the caller
+    has them already."""
+    return _energy(state, params, backend, bd_drift=False, terms=_terms)
 
 
 def dissipation(state, params):
@@ -78,10 +94,11 @@ def dissipation(state, params):
     return torus.row_values(grid.h * params.mu * np.sum(du ** 2, axis=-1))
 
 
-def bd_entropy(state, params):
+def bd_entropy(state, params, *, _terms=None):
     """Energy with the BD drift mu rho_x / rho^2 added inside the kinetic
-    term; the drift is the gradient of phi(r) = mu (1 - 1/r)."""
-    return _energy(state, params, "central", bd_drift=True)
+    term; the drift is the gradient of phi(r) = mu (1 - 1/r).  _terms as
+    for energy, with the central backend."""
+    return _energy(state, params, "central", bd_drift=True, terms=_terms)
 
 
 def effective_viscous_flux(state, params) -> np.ndarray:
@@ -91,24 +108,40 @@ def effective_viscous_flux(state, params) -> np.ndarray:
     return params.mu * du - state.mixture_pressure(params.eos)
 
 
+def _sigma_grad_l2(state, params):
+    """||Sigma_x||_L2 read in Fourier space: Sigma_x has the transform
+    -mu k^2 u_hat - i k P_hat without its Nyquist mode, as two spectral
+    derivatives of effective_viscous_flux give it, and its norm follows by
+    Parseval.  u and P_art take one rfft each: numpy's rfft of their
+    (2, n) stack is slower than the two calls at n = 16384."""
+    grid = state.grid
+    u_hat = np.fft.rfft(state.u)
+    p_hat = np.fft.rfft(state.mixture_pressure(params.eos))
+    dsigma = params.mu * (grid._minus_k2 * u_hat) - grid._ik * p_hat
+    dsigma[..., -1] = 0.0
+    return torus.spectral_norm(grid, dsigma)
+
+
 def compute_record(state, params) -> DiagnosticsRecord:
     """One diagnostics.csv row, or K rows for a stacked state.  Energy,
-    dissipation and BD entropy use the solver's central differences; the
-    Sigma and 1/sqrt(rho) gradients are spectral."""
+    dissipation and BD entropy use the solver's central differences, and
+    energy and BD entropy share one evaluation of their potential, coupling
+    and gradient densities.  The Sigma gradient is read in Fourier space
+    from the spectra of u and P_art; the 1/sqrt(rho) gradient is
+    spectral."""
     grid = state.grid
-    rho = state.mixture_density
-    sigma = effective_viscous_flux(state, params)
+    terms = _shared_terms(state, params, "central")
+    rho = terms[0]
     return DiagnosticsRecord(
         t=torus.row_values(state.t),
         mass=torus.mean(grid, rho),
         momentum=torus.mean(grid, rho * state.u),
-        energy=energy(state, params),
+        energy=energy(state, params, _terms=terms),
         dissipation=dissipation(state, params),
-        bd_entropy=bd_entropy(state, params),
+        bd_entropy=bd_entropy(state, params, _terms=terms),
         rho_min=torus.row_values(np.min(rho, axis=-1)),
         rho_max=torus.row_values(np.max(rho, axis=-1)),
-        sigma_grad_l2=torus.l2_norm(grid, torus.derivative(grid, sigma, 1,
-                                                           "spectral")),
+        sigma_grad_l2=_sigma_grad_l2(state, params),
         c_h2=torus.sobolev_norm(grid, state.c, 2),
         inv_sqrt_rho_grad=torus.l2_norm(grid, torus.derivative(
             grid, 1.0 / np.sqrt(rho), 1, "spectral")),

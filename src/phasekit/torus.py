@@ -212,9 +212,12 @@ def solve_cyclic_tridiagonal(lower: np.ndarray, diag: np.ndarray,
     the system.  The rhs column is not scaled.
 
     The correction vector v = (1, 0, ..., 0, lower[0]/alpha) has two
-    nonzero entries, so v @ y is read as y[0] + v[n-1] * y[n-1] (and v @ z
-    alike), with no BLAS dot.  That equals numpy's length-n dot bitwise
-    when n % 16 == 0 (numpy 2.4.6 with OpenBLAS 0.3.31, as pinned in
+    nonzero entries.  The corner term of the reduced diagonal is formed as
+    upper[n-1] * v[n-1], the quotient first, so that on a system scaled
+    beyond about 1e+-154 the product of the two corner entries neither
+    underflows nor overflows.  v @ y is read as y[0] + v[n-1] * y[n-1]
+    (and v @ z alike), with no BLAS dot.  That equals numpy's length-n dot
+    bitwise when n % 16 == 0 (numpy 2.4.6 with OpenBLAS 0.3.31, as pinned in
     constraints.txt); on other grids it may differ in the last bit.
     """
     n = diag.size
@@ -228,9 +231,10 @@ def solve_cyclic_tridiagonal(lower: np.ndarray, diag: np.ndarray,
         alpha = -(abs(upper[0]) + abs(corner_low))
         if alpha == 0.0:
             raise np.linalg.LinAlgError("singular matrix: row 0 is zero")
+    v_last = corner_low / alpha
     d = np.array(diag, dtype=float)
     d[0] = diag[0] - alpha
-    d[n - 1] = diag[n - 1] - corner_up * corner_low / alpha
+    d[n - 1] = diag[n - 1] - corner_up * v_last
 
     # the two right-hand sides rhs and 2^s u as the rows of one buffer,
     # passed transposed so gtsv gets Fortran order without a copy
@@ -240,7 +244,6 @@ def solve_cyclic_tridiagonal(lower: np.ndarray, diag: np.ndarray,
     b[0] = rhs
     b[1, 0] = math.ldexp(alpha, s)
     b[1, n - 1] = math.ldexp(corner_up, s)
-    v_last = corner_low / alpha
 
     *_, x, info = dgtsv(lower[1:], d, upper[:-1], b.T,
                         overwrite_d=1, overwrite_b=1)
@@ -260,7 +263,14 @@ def sobolev_norm(grid: PeriodicGrid, f: np.ndarray, order: int):
     normalized so that H^0 agrees with the L^2(T) norm.
     """
     f = _check_field(grid, f)
-    fh = np.fft.rfft(f) / grid.n
+    return spectral_norm(grid, np.fft.rfft(f), order)
+
+
+def spectral_norm(grid: PeriodicGrid, fh: np.ndarray, order: int = 0):
+    """The H^order norm of the field (or of each row) whose rfft is fh, by
+    Parseval with the grid's cached Sobolev weights; order 0 is the L^2(T)
+    norm, which equals l2_norm of the field up to rounding."""
+    fh = fh / grid.n
     weighted = grid._sobolev_weights(order) * np.abs(fh) ** 2
     return row_values(np.sqrt(np.sum(weighted, axis=-1)))
 

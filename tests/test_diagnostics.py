@@ -3,12 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from phasekit.bn import BNState
 from phasekit.diagnostics import (RECORD_COLUMNS, balance_check, bd_entropy,
-                                  compute_record, effective_viscous_flux,
-                                  energy)
-from phasekit.eos import PolytropicEOS
+                                  compute_record, dissipation,
+                                  effective_viscous_flux, energy)
+from phasekit.eos import PolytropicEOS, VanDerWaalsEOS
 from phasekit.nsk import FluidState, PhysicalParams, SolverConfig, nsk_run
-from phasekit.torus import PeriodicGrid, derivative
+from phasekit.torus import (PeriodicGrid, derivative, l2_norm, mean,
+                            sobolev_norm)
 
 
 def poly_params(mu=0.1, kappa=0.02, gamma=1.0):
@@ -165,3 +167,105 @@ def test_gronwall_envelope_via_balance_check():
     report = balance_check(traj.records, gronwall_rate=rate)
     assert report["gronwall_ok"]
     assert report["gronwall_margin"] > 0.0
+
+
+def record_states(n):
+    """(params, state) pairs at n nodes: a single NSK state, a (4, n) stack
+    of NSK states and a single and a (3, n) stack of BN states, with rough
+    fields so that every Fourier mode is excited."""
+    rng = np.random.default_rng(n)
+    grid = PeriodicGrid(n)
+    x = grid.x
+    cases = []
+    for params in (poly_params(mu=0.37),
+                   PhysicalParams(mu=0.1, kappa=0.05, gamma=2.0,
+                                  eos=VanDerWaalsEOS(3.0, 3.0, 8.0 / 3.0,
+                                                     0.85, 2.0))):
+        def nsk_state():
+            rho = (1.0 + 0.3 * np.sin(2 * np.pi * x)
+                   + 0.05 * rng.standard_normal(n))
+            u = 0.2 * np.cos(4 * np.pi * x) + 0.05 * rng.standard_normal(n)
+            return FluidState.make(grid, rho, u, params,
+                                   t=float(rng.uniform()))
+
+        def bn_state():
+            alpha = 0.5 + 0.3 * np.sin(2 * np.pi * x)
+            rho_p = 0.6 + 0.1 * rng.uniform(size=n)
+            rho_m = 1.2 + 0.5 * rng.uniform(size=n)
+            return BNState.make(grid, alpha, rho_p, rho_m,
+                                0.1 * rng.standard_normal(n), params)
+
+        cases += [(params, nsk_state()),
+                  (params, FluidState.stack([nsk_state() for _ in range(4)])),
+                  (params, bn_state()),
+                  (params, BNState.stack([bn_state() for _ in range(3)]))]
+    return cases
+
+
+def first_energy(state, params, backend, bd_drift):
+    """The energy and BD entropy as first written, one functional at a
+    time: the oracle of the shared densities."""
+    grid = state.grid
+    rho = state.mixture_density
+    v = state.u
+    if bd_drift:
+        v = v + params.mu * derivative(grid, rho, 1, backend) / rho ** 2
+    dc = derivative(grid, state.c, 1, backend)
+    dens = (0.5 * rho * v ** 2
+            + params.eos.potential(rho)
+            + 0.5 * params.gamma * (rho - state.c) ** 2
+            + 0.5 * params.kappa * dc ** 2)
+    return grid.h * np.sum(dens, axis=-1)
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(
+        b, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 2048])
+def test_sigma_grad_l2_matches_physical_space_flux(n):
+    # Parseval on -mu k^2 u_hat - i k P_hat equals the L2 norm of two
+    # spectral derivatives taken in physical space
+    for params, state in record_states(n):
+        grid = state.grid
+        expect = np.atleast_1d(l2_norm(grid, derivative(
+            grid, effective_viscous_flux(state, params), 1, "spectral")))
+        got = np.atleast_1d(compute_record(state, params).sigma_grad_l2)
+        assert got.shape == expect.shape
+        assert np.all(np.abs(got - expect) <= 1e-12 * expect)
+
+
+@pytest.mark.parametrize("n", [64, 2048])
+def test_record_columns_match_first_formulas(n):
+    # every column but sigma_grad_l2 is bitwise what the functionals gave
+    # when each computed its own densities
+    for params, state in record_states(n):
+        grid = state.grid
+        rho = state.mixture_density
+        rec = compute_record(state, params)
+        expect = {
+            "t": state.t,
+            "mass": mean(grid, rho),
+            "momentum": mean(grid, rho * state.u),
+            "energy": first_energy(state, params, "central", False),
+            "dissipation": dissipation(state, params),
+            "bd_entropy": first_energy(state, params, "central", True),
+            "rho_min": np.min(rho, axis=-1),
+            "rho_max": np.max(rho, axis=-1),
+            "c_h2": sobolev_norm(grid, state.c, 2),
+            "inv_sqrt_rho_grad": l2_norm(grid, derivative(
+                grid, 1.0 / np.sqrt(rho), 1, "spectral")),
+        }
+        for name, value in expect.items():
+            assert same_bits(getattr(rec, name), value), name
+
+
+@pytest.mark.parametrize("n", [64, 2048])
+def test_energy_and_bd_entropy_alone_match_record(n):
+    for params, state in record_states(n):
+        rec = compute_record(state, params)
+        assert same_bits(energy(state, params), rec.energy)
+        assert same_bits(bd_entropy(state, params), rec.bd_entropy)
+        assert same_bits(energy(state, params, backend="spectral"),
+                         first_energy(state, params, "spectral", False))

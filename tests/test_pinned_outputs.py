@@ -43,7 +43,7 @@ snapshot_every = 50
 [init]
 u0_mode = 1
 u0_amp = 0.2
-""", "8ba442c88f1cc091719cc562747d82f85615a35711ff4ef50ed5c6076085414f"),
+""", "c049402e97a193fcff6acad2c12df9d71a08f03f5fd476c349f5f4884e07be2b"),
     # dt far above the CFL bound: every step is CFL-limited
     "simulate-bn": (COMMON + """
 [grid]
@@ -57,7 +57,7 @@ snapshot_every = 20
 [init]
 u0_mode = 1
 u0_amp = 0.2
-""", "cb3efee7788ece7097f6b6ca8a9ff4b7ccc1243d53318f91928521b979e0eec4"),
+""", "114aa7d268738f3088318c12633f00f68caccd5788d64f1f53ff43b11c27acd4"),
     # the criterion-12 family: a BN reference and two NSK members
     "homogenize": (COMMON + """
 [grid]
@@ -74,7 +74,7 @@ v_plus = 1.6
 
 [harness]
 n_list = 2, 4
-""", "55648734762a489040849b55e1e822252cbdc055a85fe973fdd9189b09d609ab"),
+""", "94e227a0c833abaf9d652965d43a9fe92fba623ec4a1cdc84eb6b19fec48ff88"),
 }
 
 

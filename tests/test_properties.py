@@ -42,14 +42,14 @@ def banded_cyclic_oracle(lower, diag, upper, rhs):
     ab[1, :] = diag
     ab[2, :-1] = lower[1:]
     alpha = -diag[0]
+    v_last = lower[0] / alpha
     ab[1, 0] = diag[0] - alpha
-    ab[1, n - 1] = diag[n - 1] - upper[n - 1] * lower[0] / alpha
+    ab[1, n - 1] = diag[n - 1] - upper[n - 1] * v_last
     e = np.frexp(max(abs(alpha), abs(upper[n - 1])))[1] - 1
     s = min(900, max(0, 900 - int(e)))
     u = np.zeros(n)
     u[0] = np.ldexp(alpha, s)
     u[n - 1] = np.ldexp(upper[n - 1], s)
-    v_last = lower[0] / alpha
     y, z = solve_banded((1, 1), ab, np.column_stack([rhs, u]),
                         check_finite=False).T
     z = np.ldexp(z, -s)

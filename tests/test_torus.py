@@ -210,12 +210,13 @@ def dominant_cyclic_system(rng, n):
 
 def dot_form_cyclic_solve(lower, diag, upper, rhs):
     """The cyclic solve as first written: u solved unscaled, and the corner
-    correction taken by BLAS dots (v @ y, v @ z) on a dense v."""
+    correction taken by BLAS dots (v @ y, v @ z) on a dense v; the corner
+    term of d is formed in the solve's order, upper[n-1] * v[n-1]."""
     n = diag.size
     alpha = -diag[0]
     d = np.array(diag, dtype=float)
     d[0] = diag[0] - alpha
-    d[n - 1] = diag[n - 1] - upper[n - 1] * lower[0] / alpha
+    d[n - 1] = diag[n - 1] - upper[n - 1] * (lower[0] / alpha)
     u = np.zeros(n)
     u[0] = alpha
     u[n - 1] = upper[n - 1]
@@ -246,13 +247,13 @@ def unscaled_cyclic_solve(lower, diag, upper, rhs):
     in closed form as the solve does."""
     n = diag.size
     alpha = -diag[0]
+    v_last = lower[0] / alpha
     d = np.array(diag, dtype=float)
     d[0] = diag[0] - alpha
-    d[n - 1] = diag[n - 1] - upper[n - 1] * lower[0] / alpha
+    d[n - 1] = diag[n - 1] - upper[n - 1] * v_last
     u = np.zeros(n)
     u[0] = alpha
     u[n - 1] = upper[n - 1]
-    v_last = lower[0] / alpha
     *_, x, info = dgtsv(lower[1:], d, upper[:-1], np.column_stack([rhs, u]),
                         overwrite_d=1, overwrite_b=1)
     assert info == 0
@@ -367,6 +368,20 @@ def test_cyclic_tridiagonal_scaling_is_exact_at_extreme_columns(scale):
         assert x[0] * scale == pytest.approx(x0[0], rel=1e-13)
         assert x.tobytes() == unscaled_cyclic_solve(
             lower, diag, upper, rhs).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_cyclic_tridiagonal_corner_term_at_extreme_scales(scale):
+    # A x = rhs scaled by 1e-200 or 1e200: the corner term is formed as
+    # upper[n-1] * (lower[0] / alpha), so its product of two entries of
+    # size scale neither underflows nor overflows
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        system = dominant_cyclic_system(rng, 16)
+        x0 = solve_cyclic_tridiagonal(*system)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            x = solve_cyclic_tridiagonal(*(a * scale for a in system))
+        assert np.max(np.abs(x - x0)) <= 1e-14 * np.max(np.abs(x0))
 
 
 @pytest.mark.parametrize("power", [-400, -130, 130, 400])
