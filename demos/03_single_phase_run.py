@@ -14,8 +14,7 @@ from phasekit import (FluidState, PeriodicGrid, PhysicalParams,
                       PolytropicEOS, SolverConfig, balance_check, nsk_run)
 
 grid = PeriodicGrid(128)
-params = PhysicalParams(mu=0.1, kappa=0.02, gamma=1.0,
-                        eos=PolytropicEOS(1.0, 2.0, 1.0))
+params = PhysicalParams(mu=0.1, kappa=0.02, eos=PolytropicEOS(1.0, 2.0, 1.0))
 config = SolverConfig(dt=1e-4, t_end=0.1, bounds=(0.05, 20.0),
                       snapshot_every=200)
 

@@ -14,8 +14,7 @@ from phasekit import (BNState, FluidState, PeriodicGrid, PhysicalParams,
                       PolytropicEOS, SolverConfig, bn_run, nsk_run, picard_bn)
 
 grid = PeriodicGrid(64)
-params = PhysicalParams(mu=0.1, kappa=0.02, gamma=1.0,
-                        eos=PolytropicEOS(1.0, 2.0, 1.0))
+params = PhysicalParams(mu=0.1, kappa=0.02, eos=PolytropicEOS(1.0, 2.0, 1.0))
 
 print("== homogeneous pressure relaxation ==")
 config = SolverConfig(dt=2e-4, t_end=0.8, bounds=(0.05, 20.0),

@@ -12,7 +12,7 @@ from phasekit import (FamilyConfig, PeriodicGrid, PhysicalParams,
                       SolverConfig, VanDerWaalsEOS, run_family, suggest_dt)
 
 eos = VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, gamma=2.0)
-params = PhysicalParams(mu=0.1, kappa=0.1, gamma=2.0, eos=eos)
+params = PhysicalParams(mu=0.1, kappa=0.1, eos=eos)
 grid_n = 1024
 t_end = 0.1
 

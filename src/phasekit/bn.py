@@ -242,7 +242,7 @@ def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
 
     rho_mix_new = ap * rp + am * rm
     u_new = momentum_update(grid, rho_mix_new, rho_mix_old, state.u, state.c,
-                            params, dt, config.force_form, p_flux=p_bar_old)
+                            params, dt, p_bar_old)
     c_new = torus.helmholtz_solve(grid, rho_mix_new, params.kappa, params.gamma)
     return BNState(grid, state.t + dt, ap, am, rp, rm, u_new, c_new)
 

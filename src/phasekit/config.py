@@ -182,8 +182,8 @@ def _validate(config: RunConfig, path: str):
     def err(msg):
         raise ConfigError(f"{path}: {msg}")
 
-    # PhysicalParams owns mu and kappa but also needs gamma > 0, and
-    # check-eos accepts gamma = 0
+    # PhysicalParams owns mu and kappa, but building it also needs the
+    # law's gamma > 0, and check-eos accepts gamma = 0
     phys = config["physics"]
     for key in ("mu", "kappa"):
         if phys[key] <= 0.0:
@@ -223,11 +223,13 @@ def build_eos(config: RunConfig):
 def build_params(config: RunConfig) -> PhysicalParams:
     phys = config["physics"]
     return PhysicalParams(mu=phys["mu"], kappa=phys["kappa"],
-                          gamma=phys["gamma"], eos=build_eos(config))
+                          eos=build_eos(config))
 
 
 def guard_rails(config: RunConfig) -> tuple:
     m0 = config["bounds"]["m0"]
+    if m0 <= 0.0:
+        raise ValueError(f"m0 must be positive, got {m0}")
     return (1.0 / (2.0 * m0), 2.0 * m0)
 
 

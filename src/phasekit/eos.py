@@ -83,9 +83,6 @@ class EquationOfState:
     def _potential_inner(self, r):
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 class VanDerWaalsEOS(EquationOfState):
     """P(r) = R T* r / (B - r) - A r^2 on [0, B)."""
@@ -119,10 +116,6 @@ class VanDerWaalsEOS(EquationOfState):
         # integral of P(s)/s^2 = R T*/(s (B - s)) - A
         return (self.R * self.T_star / self.B) * np.log(r / (self.B - r)) - self.A * r
 
-    def to_dict(self) -> dict:
-        return {"type": "van_der_waals", "A": self.A, "B": self.B, "R": self.R,
-                "T_star": self.T_star, "gamma": self.gamma}
-
 
 class PolytropicEOS(EquationOfState):
     """P(r) = a r^beta with beta >= 2."""
@@ -150,10 +143,6 @@ class PolytropicEOS(EquationOfState):
 
     def _potential_inner(self, r):
         return self.a * (r ** (self.beta - 1.0) - 1.0) / (self.beta - 1.0)
-
-    def to_dict(self) -> dict:
-        return {"type": "polytropic", "a": self.a, "beta": self.beta,
-                "gamma": self.gamma}
 
 
 def make_eos(spec: dict) -> EquationOfState:

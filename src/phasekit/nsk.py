@@ -30,17 +30,18 @@ from .torus import PeriodicGrid
 class PhysicalParams:
     mu: float
     kappa: float
-    gamma: float
     eos: EquationOfState
 
     def __post_init__(self):
         for name in ("mu", "kappa", "gamma"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if abs(self.eos.gamma - self.gamma) > 1e-12 * max(1.0, self.gamma):
-            raise ValueError(
-                f"eos.gamma = {self.eos.gamma} disagrees with params.gamma = "
-                f"{self.gamma}; the coupling coefficient has a single value")
+
+    @property
+    def gamma(self) -> float:
+        """The coupling coefficient, owned by the pressure law: P_art = P +
+        gamma/2 rho^2 and the force gamma rho c_x are one pair."""
+        return self.eos.gamma
 
 
 @dataclass
@@ -51,7 +52,6 @@ class SolverConfig:
     bounds: tuple = (1e-3, 1e3)
     snapshot_every: int = 1
     upwind: float = 0.5
-    force_form: str = "artificial"  # or "original": P and gamma rho (c - rho)_x
 
     def __post_init__(self):
         if not (0.0 < self.dt < np.inf and 0.0 < self.t_end < np.inf):
@@ -65,8 +65,6 @@ class SolverConfig:
             raise ValueError("snapshot_every must be at least 1")
         if self.upwind < 0.0:
             raise ValueError(f"upwind must be nonnegative, got {self.upwind}")
-        if self.force_form not in ("artificial", "original"):
-            raise ValueError(f"unknown force_form {self.force_form!r}")
 
 
 def _field_names(cls) -> list:
@@ -221,25 +219,18 @@ def continuity_update(grid: PeriodicGrid, rho: np.ndarray, u: np.ndarray,
 
 def momentum_update(grid: PeriodicGrid, rho_new: np.ndarray, rho: np.ndarray,
                     u: np.ndarray, c: np.ndarray, params: PhysicalParams,
-                    dt: float, force_form: str, p_flux: np.ndarray | None = None,
-                    ) -> np.ndarray:
-    """Conservative momentum step: explicit convection and pressure flux,
-    explicit coupling force, Crank-Nicolson viscosity.  Returns u at the
-    new time level.  p_flux overrides the nodal pressure entering the flux
-    (the two-phase solver passes its mixture pressure here)."""
+                    dt: float, p: np.ndarray) -> np.ndarray:
+    """Conservative momentum step: explicit convection and flux of the
+    nodal pressure p, explicit coupling force gamma rho c_x, Crank-Nicolson
+    viscosity.  Returns u at the new time level.  The solvers pass the
+    artificial pressure of their (mixture) density; the original form, the
+    bare pressure P with the force gamma rho (c - rho)_x, is the call with
+    c - rho for c and eos.pressure(rho) for p."""
     h = grid.h
     m = rho * u
-    if p_flux is None:
-        if force_form == "artificial":
-            p_flux = params.eos.artificial_pressure(rho)
-        else:
-            p_flux = params.eos.pressure(rho)
-    g = m * u + p_flux
+    g = m * u + p
     g_half = 0.5 * (g + np.roll(g, -1, axis=-1))
-    if force_form == "artificial":
-        force = params.gamma * rho * torus.derivative(grid, c, 1, "central")
-    else:
-        force = params.gamma * rho * torus.derivative(grid, c - rho, 1, "central")
+    force = params.gamma * rho * torus.derivative(grid, c, 1, "central")
     m_star = m - (dt / h) * (g_half - np.roll(g_half, 1, axis=-1)) + dt * force
 
     a = 0.5 * params.mu * dt / h ** 2
@@ -276,7 +267,7 @@ def nsk_step(state: FluidState, params: PhysicalParams, config: SolverConfig,
     grid = state.grid
     rho_new = continuity_update(grid, state.rho, state.u, dt, config.upwind)
     u_new = momentum_update(grid, rho_new, state.rho, state.u, state.c,
-                            params, dt, config.force_form)
+                            params, dt, state.mixture_pressure(params.eos))
     c_new = torus.helmholtz_solve(grid, rho_new, params.kappa, params.gamma)
     return FluidState(grid, state.t + dt, rho_new, u_new, c_new)
 

@@ -25,12 +25,12 @@ def report(num, ok, desc):
 
 
 def poly_params(mu=0.1, kappa=0.02, gamma=1.0):
-    return PhysicalParams(mu=mu, kappa=kappa, gamma=gamma,
+    return PhysicalParams(mu=mu, kappa=kappa,
                           eos=PolytropicEOS(1.0, 2.0, gamma))
 
 
 def vdw_params(mu=0.1, kappa=0.1, gamma=2.0):
-    return PhysicalParams(mu=mu, kappa=kappa, gamma=gamma,
+    return PhysicalParams(mu=mu, kappa=kappa,
                           eos=VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, gamma))
 
 
@@ -255,7 +255,7 @@ def test_criterion_08_picard():
     ode_err = max(abs(a[-1, 0] - ref[0]), abs(r[-1, 0] - ref[1]))
 
     # cross-check against the stepper, frozen velocity, pi recomputed per pass
-    params = PhysicalParams(mu=mu, kappa=0.02, gamma=1.0, eos=eos)
+    params = PhysicalParams(mu=mu, kappa=0.02, eos=eos)
     grid2 = PeriodicGrid(64)
     u_field = 0.2 * np.sin(2 * np.pi * grid2.x)
     alpha0 = np.full(grid2.n, 0.4) + 0.1 * np.sin(2 * np.pi * grid2.x)

@@ -13,7 +13,7 @@ from phasekit.torus import PeriodicGrid, derivative, mean
 
 
 def poly_params(mu=0.1, kappa=0.02, gamma=1.0):
-    return PhysicalParams(mu=mu, kappa=kappa, gamma=gamma,
+    return PhysicalParams(mu=mu, kappa=kappa,
                           eos=PolytropicEOS(1.0, 2.0, gamma))
 
 
@@ -51,7 +51,7 @@ def test_mixture_fields_degenerate_two_phase():
 def test_mixture_fields_arithmetic():
     # gamma -> 0 limit of the closed form: rho = 1.25, p_bar = 1.75
     grid = PeriodicGrid(32)
-    params = PhysicalParams(mu=1.0, kappa=1.0, gamma=1e-12,
+    params = PhysicalParams(mu=1.0, kappa=1.0,
                             eos=PolytropicEOS(1.0, 2.0, 1e-12))
     state = BNState.make(grid, 0.25, 2.0, 1.0, 0.0, params)
     rho, p_bar = mixture_fields(state, params.eos)
@@ -74,7 +74,7 @@ def test_relaxation_rhs_zero_cases():
 def test_relaxation_rhs_arithmetic():
     # mu = 1, gamma -> 0, alpha = 1/2, rho = (2, 1): source(alpha_p) = 0.75
     grid = PeriodicGrid(32)
-    params = PhysicalParams(mu=1.0, kappa=1.0, gamma=1e-12,
+    params = PhysicalParams(mu=1.0, kappa=1.0,
                             eos=PolytropicEOS(1.0, 2.0, 1e-12))
     state = BNState.make(grid, 0.5, 2.0, 1.0, 0.0, params)
     s_ap, s_am, s_rp, s_rm = relaxation_rhs(state, params)

@@ -8,6 +8,7 @@ from phasekit.cli import main
 from phasekit.config import (RunConfig, build_bn_initial, build_family,
                              build_nsk_initial, build_params, guard_rails,
                              parse_config)
+from phasekit.eos import PolytropicEOS
 from phasekit.errors import ConfigError
 from phasekit.io import read_diagnostics
 
@@ -100,7 +101,7 @@ def test_guard_rails_from_m0():
 def test_builders(tmp_path):
     config = parse_config(POLY_SMOOTH)
     params = build_params(config)
-    assert params.eos.to_dict()["type"] == "polytropic"
+    assert isinstance(params.eos, PolytropicEOS)
     state = build_nsk_initial(config, params)
     assert np.allclose(state.rho, 1.2)
     bn_state = build_bn_initial(config, params)
@@ -121,8 +122,9 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 
 # values refused at load, naming the file and the section: the first four
-# only the grid, the pressure law or the solver settings check, and no
-# float may be nan or infinite
+# only the grid, the pressure law or the solver settings check, no float
+# may be nan or infinite, and m0 = 0 is refused before the rails divide
+# by it
 REFUSED_AT_LOAD = [
     ("[bounds]", "[bounds]\nm0 = 0.5\n"),    # rails (1, 1)
     ("[eos]", "[eos]\nA = -1\n"),
@@ -131,6 +133,7 @@ REFUSED_AT_LOAD = [
     ("[time]", "[time]\nt_end = inf\n"),
     ("[time]", "[time]\ndt = nan\n"),
     ("[init]", "[init]\nu0 = nan\n"),
+    ("[bounds]", "[bounds]\nm0 = 0\n"),
 ]
 
 
@@ -277,6 +280,9 @@ EXIT_CODES = {
     "check-eos": ("check-eos", RAIL_PAST_POLE, 3,
                   "not inside the law's domain"),
     "config": ("simulate-nsk", "[physics]\ngamma = -1\n", 2, "config error"),
+    # the law takes gamma = 0 and check-eos accepts it; the solvers do not
+    "gamma-zero": ("simulate-nsk", POLY_SMOOTH + "[physics]\ngamma = 0\n", 2,
+                   "gamma must be positive"),
     # upper rail 2 m0 = 2.8 lies beyond the Van der Waals pole at B = 1.7
     "admissibility": ("simulate-nsk", RAIL_PAST_POLE, 3,
                       "not inside the law's domain"),

@@ -14,7 +14,7 @@ from phasekit.torus import (PeriodicGrid, derivative, l2_norm, mean,
 
 
 def poly_params(mu=0.1, kappa=0.02, gamma=1.0):
-    return PhysicalParams(mu=mu, kappa=kappa, gamma=gamma,
+    return PhysicalParams(mu=mu, kappa=kappa,
                           eos=PolytropicEOS(1.0, 2.0, gamma))
 
 
@@ -89,7 +89,7 @@ def test_bd_entropy_quadratic_in_mu_at_rest():
 
 def test_effective_viscous_flux_examples():
     grid = PeriodicGrid(128)
-    params = PhysicalParams(mu=1.0, kappa=1.0, gamma=1e-12,
+    params = PhysicalParams(mu=1.0, kappa=1.0,
                             eos=PolytropicEOS(1.0, 2.0, 1e-12))
     state = FluidState.make(grid, grid.constant(1.3), grid.constant(0.7), params)
     sigma = effective_viscous_flux(state, params)
@@ -178,7 +178,7 @@ def record_states(n):
     x = grid.x
     cases = []
     for params in (poly_params(mu=0.37),
-                   PhysicalParams(mu=0.1, kappa=0.05, gamma=2.0,
+                   PhysicalParams(mu=0.1, kappa=0.05,
                                   eos=VanDerWaalsEOS(3.0, 3.0, 8.0 / 3.0,
                                                      0.85, 2.0))):
         def nsk_state():

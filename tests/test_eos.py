@@ -189,8 +189,13 @@ def test_gauge_shift_leaves_relation_intact(poly):
 
 
 def test_make_eos_roundtrip(vdw, poly):
-    assert make_eos(vdw.to_dict()).to_dict() == vdw.to_dict()
-    assert make_eos(poly.to_dict()).to_dict() == poly.to_dict()
+    # the spec builds the law it names, with the spec's parameters
+    for law, spec in ((vdw, {"type": "van_der_waals", "A": 1.0, "B": 1.0,
+                             "R": 1.0, "T_star": 0.2, "gamma": 2.0}),
+                      (poly, {"type": "polytropic", "a": 1.0, "beta": 2.0,
+                              "gamma": 1.0})):
+        built = make_eos(spec)
+        assert type(built) is type(law) and vars(built) == vars(law)
     with pytest.raises(ValueError):
         make_eos({"type": "tabulated"})
 

@@ -13,7 +13,7 @@ from phasekit.torus import PeriodicGrid, mean
 
 
 def vdw_params(mu=0.1, kappa=0.1, gamma=2.0):
-    return PhysicalParams(mu=mu, kappa=kappa, gamma=gamma,
+    return PhysicalParams(mu=mu, kappa=kappa,
                           eos=VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, gamma))
 
 

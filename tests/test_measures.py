@@ -17,7 +17,7 @@ BOX = (0.25, 3.2)
 
 
 def poly_params(mu=0.1, kappa=0.02, gamma=1.0):
-    return PhysicalParams(mu=mu, kappa=kappa, gamma=gamma,
+    return PhysicalParams(mu=mu, kappa=kappa,
                           eos=PolytropicEOS(1.0, 2.0, gamma))
 
 

@@ -114,7 +114,7 @@ def test_pure_phase_bn_step_is_nsk_step(n, law, rho_modes, u_modes, u_mean,
     grid = PeriodicGrid(n)
     eos = VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0) if law == "vdw" else \
         PolytropicEOS(1.0, 2.0, 2.0)
-    params = PhysicalParams(mu=0.1, kappa=0.1, gamma=2.0, eos=eos)
+    params = PhysicalParams(mu=0.1, kappa=0.1, eos=eos)
     config = SolverConfig(dt=1.0, t_end=1.0, upwind=upwind)
     rho = smooth_field(rho_modes, grid, 1.0)
     u = smooth_field(u_modes, grid, u_mean)
@@ -161,7 +161,7 @@ def test_stacked_kernels_equal_row_by_row_calls(data, n, k, base, courant,
 
     # the step kernels on a batch of k density and velocity fields
     eos = VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0)
-    params = PhysicalParams(mu=0.1, kappa=0.1, gamma=2.0, eos=eos)
+    params = PhysicalParams(mu=0.1, kappa=0.1, eos=eos)
     rho = stack_of(data, grid, k, 0.6, 1.0)
     u = stack_of(data, grid, k, 2.0, base)
     dt = courant * grid.h / (1.0 + np.max(np.abs(u)))
@@ -174,21 +174,22 @@ def test_stacked_kernels_equal_row_by_row_calls(data, n, k, base, courant,
     rho_new = continuity_update(grid, rho, u, dt, upwind)
     assert same_bits(rho_new, [continuity_update(grid, r, v, dt, upwind)
                                for r, v in zip(rho, u)])
-    for form in ("artificial", "original"):
+    # the artificial form the solvers run and the original form: the bare
+    # pressure with the force gamma rho (c - rho)_x
+    for force_c, p in ((c, params.eos.artificial_pressure(rho)),
+                       (c - rho, params.eos.pressure(rho))):
         assert same_bits(
-            momentum_update(grid, rho_new, rho, u, c, params, dt, form),
-            [momentum_update(grid, *rows, params, dt, form)
-             for rows in zip(rho_new, rho, u, c)])
-        config = SolverConfig(dt=1.0, t_end=1.0, upwind=upwind,
-                              force_form=form)
-        batch = nsk_step(FluidState(grid, 0.5, rho, u, c), params, config,
-                         dt=dt)
-        rows = [nsk_step(FluidState(grid, 0.5, *fields), params, config,
-                         dt=dt) for fields in zip(rho, u, c)]
-        assert all(s.t == batch.t for s in rows)
-        for name in ("rho", "u", "c"):
-            assert same_bits(getattr(batch, name),
-                             [getattr(s, name) for s in rows])
+            momentum_update(grid, rho_new, rho, u, force_c, params, dt, p),
+            [momentum_update(grid, *rows, params, dt, p_row)
+             for *rows, p_row in zip(rho_new, rho, u, force_c, p)])
+    config = SolverConfig(dt=1.0, t_end=1.0, upwind=upwind)
+    batch = nsk_step(FluidState(grid, 0.5, rho, u, c), params, config, dt=dt)
+    rows = [nsk_step(FluidState(grid, 0.5, *fields), params, config, dt=dt)
+            for fields in zip(rho, u, c)]
+    assert all(s.t == batch.t for s in rows)
+    for name in ("rho", "u", "c"):
+        assert same_bits(getattr(batch, name),
+                         [getattr(s, name) for s in rows])
 
 
 def interp_oracle(f, pos, h):
@@ -265,7 +266,7 @@ def test_bn_step_keeps_the_closure(n, alpha_modes, rho_p_modes, rho_m_modes,
     # 1 ulp (2.2e-16)
     grid = PeriodicGrid(n)
     eos = VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0)
-    params = PhysicalParams(mu=mu, kappa=0.1, gamma=2.0, eos=eos)
+    params = PhysicalParams(mu=mu, kappa=0.1, eos=eos)
     config = SolverConfig(dt=1.0, t_end=1.0, cfl=0.4)
     state = BNState.make(grid, smooth_field(alpha_modes, grid, 0.5),
                          smooth_field(rho_p_modes, grid, 0.8),
@@ -288,7 +289,7 @@ def record_bits(records):
 def test_stacked_record_equals_per_state_records(data, n, k, two_phase):
     grid = PeriodicGrid(n)
     eos = VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0)
-    params = PhysicalParams(mu=0.1, kappa=0.1, gamma=2.0, eos=eos)
+    params = PhysicalParams(mu=0.1, kappa=0.1, eos=eos)
     rho = stack_of(data, grid, k, 0.6, 1.0)
     u = stack_of(data, grid, k, 2.0, 0.0)
     times = data.draw(st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k))
