@@ -25,10 +25,11 @@ traj = nsk_run(state, params, config)
 print(f"integrated {traj.n_steps} steps to t = {traj.snapshots[-1].t:.3f}")
 print(f"{'t':>7s} {'mass':>10s} {'energy':>12s} {'dissip':>11s} "
       f"{'bd_entropy':>12s} {'rho_min':>8s} {'rho_max':>8s}")
-for rec in traj.records[::200]:
-    print(f"{rec.t:7.3f} {rec.mass:10.6f} {rec.energy:12.4e} "
-          f"{rec.dissipation:11.3e} {rec.bd_entropy:12.4e} "
-          f"{rec.rho_min:8.4f} {rec.rho_max:8.4f}")
+rec = traj.records
+for k in range(0, rec.t.size, 200):
+    print(f"{rec.t[k]:7.3f} {rec.mass[k]:10.6f} {rec.energy[k]:12.4e} "
+          f"{rec.dissipation[k]:11.3e} {rec.bd_entropy[k]:12.4e} "
+          f"{rec.rho_min[k]:8.4f} {rec.rho_max[k]:8.4f}")
 
 rate = 4.0 * params.gamma * traj.dxc_sup
 report = balance_check(traj.records, gronwall_rate=rate)

@@ -257,7 +257,7 @@ def rho0_field(config: RunConfig, grid: PeriodicGrid) -> np.ndarray:
         return np.full(grid.n, init["rho0"])
     return make_oscillating_initial(grid, init["v_minus"], init["v_plus"],
                                     init["theta"], init["n_osc"],
-                                    init["delta"], bounds=guard_rails(config))
+                                    init["delta"])
 
 
 def build_nsk_initial(config: RunConfig, params: PhysicalParams) -> FluidState:

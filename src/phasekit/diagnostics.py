@@ -15,8 +15,9 @@ in Fourier space from the spectra of u and P_art, without forming Sigma.
 
 The state functionals also take a stacked state (``FluidState.stack`` or
 ``BNState.stack``, fields of shape (K, n)) and then return one value per
-state, bitwise equal to K separate calls; ``DiagnosticsRecord.unstack``
-splits such a record into K float records.
+state, bitwise equal to K separate calls.  A record of such values is the
+diagnostics table of K states: the run loop, the CSV writer and reader and
+balance_check all hold a series in that one form.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ RECORD_COLUMNS = ("t", "mass", "momentum", "energy", "dissipation",
 
 @dataclass
 class DiagnosticsRecord:
+    """One diagnostics.csv row, or as 1-D arrays a table of rows, one entry
+    per state in time order."""
     t: float
     mass: float
     momentum: float
@@ -46,14 +49,6 @@ class DiagnosticsRecord:
     sigma_grad_l2: float
     c_h2: float
     inv_sqrt_rho_grad: float
-
-    def as_row(self):
-        return [getattr(self, name) for name in RECORD_COLUMNS]
-
-    def unstack(self) -> list:
-        """The K float records of a record computed on a stacked state."""
-        return [DiagnosticsRecord(*row)
-                for row in np.column_stack(self.as_row()).tolist()]
 
 
 assert tuple(f.name for f in fields(DiagnosticsRecord)) == RECORD_COLUMNS
@@ -148,8 +143,9 @@ def compute_record(state, params) -> DiagnosticsRecord:
     )
 
 
-def balance_check(records, gronwall_rate: float | None = None) -> dict:
-    """Drift and balance report over a diagnostics series.
+def balance_check(records: DiagnosticsRecord,
+                  gronwall_rate: float | None = None) -> dict:
+    """Drift and balance report over a diagnostics table.
 
     The energy residual is |E(t_k) - E(0) + int_0^{t_k} D dt| with the
     dissipation integral taken by the trapezoid rule; it passes within 1 %
@@ -159,14 +155,11 @@ def balance_check(records, gronwall_rate: float | None = None) -> dict:
     supplied, the BD entropy is checked against its Gronwall envelope
     (eta(0) + mass/2) exp(rate t).
     """
-    if len(records) < 2:
+    t, mass, mom, e, d, eta = (
+        records.t, records.mass, records.momentum, records.energy,
+        records.dissipation, records.bd_entropy)
+    if np.size(t) < 2:
         raise ValueError("balance_check needs at least two records")
-    t = np.array([r.t for r in records])
-    mass = np.array([r.mass for r in records])
-    mom = np.array([r.momentum for r in records])
-    e = np.array([r.energy for r in records])
-    d = np.array([r.dissipation for r in records])
-    eta = np.array([r.bd_entropy for r in records])
 
     diss_cum = np.concatenate(
         [[0.0], np.cumsum(0.5 * (d[1:] + d[:-1]) * np.diff(t))])
@@ -181,9 +174,9 @@ def balance_check(records, gronwall_rate: float | None = None) -> dict:
         "energy_overshoot": float(np.max(e - e[0])),
         "max_bd_entropy": float(np.max(eta)),
         "sigma_grad_l2l2": float(np.sqrt(np.trapezoid(
-            np.array([r.sigma_grad_l2 for r in records]) ** 2, t))),
-        "rho_min": float(np.min([r.rho_min for r in records])),
-        "rho_max": float(np.max([r.rho_max for r in records])),
+            records.sigma_grad_l2 ** 2, t))),
+        "rho_min": float(np.min(records.rho_min)),
+        "rho_max": float(np.max(records.rho_max)),
     }
     report["mass_ok"] = bool(report["mass_drift"] <= 1e-12)
     report["energy_ok"] = bool(

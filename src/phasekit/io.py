@@ -38,19 +38,19 @@ def write_csv(path, header, columns):
             f.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-def write_diagnostics(path, records):
+def write_diagnostics(path, records: DiagnosticsRecord):
     write_csv(path, RECORD_COLUMNS,
-              [[getattr(r, name) for r in records] for name in RECORD_COLUMNS])
+              [getattr(records, name) for name in RECORD_COLUMNS])
 
 
-def read_diagnostics(path):
+def read_diagnostics(path) -> DiagnosticsRecord:
+    """The diagnostics table of a run, as the run held it."""
     data = np.genfromtxt(path, delimiter=",", names=True)
     if tuple(data.dtype.names) != RECORD_COLUMNS:
         raise ValueError(f"unexpected diagnostics columns in {path}: "
                          f"{data.dtype.names}")
     data = np.atleast_1d(data)
-    return [DiagnosticsRecord(*(float(row[name]) for name in RECORD_COLUMNS))
-            for row in data]
+    return DiagnosticsRecord(*(data[name].copy() for name in RECORD_COLUMNS))
 
 
 def write_trajectory(out_dir, trajectory):
@@ -62,7 +62,7 @@ def write_trajectory(out_dir, trajectory):
         write_csv(os.path.join(out_dir, f"snapshot_{i:05d}.csv"),
                   ["x", *names],
                   [state.grid.x, *(getattr(state, name) for name in names)])
-    if trajectory.records:
+    if trajectory.records is not None:
         write_diagnostics(os.path.join(out_dir, "diagnostics.csv"),
                           trajectory.records)
 

@@ -129,7 +129,7 @@ class FluidState:
 @dataclass
 class Trajectory:
     snapshots: list
-    records: list
+    records: diagnostics.DiagnosticsRecord | None
     params: PhysicalParams
     config: SolverConfig
     n_steps: int = 0
@@ -149,8 +149,8 @@ def smoothstep(s: np.ndarray) -> np.ndarray:
 
 
 def make_oscillating_initial(grid: PeriodicGrid, v_minus: float, v_plus: float,
-                             theta: float, n_osc: int, delta: float,
-                             bounds: tuple | None = None) -> np.ndarray:
+                             theta: float, n_osc: int, delta: float
+                             ) -> np.ndarray:
     """n-fold compressed two-value density profile rho0(n x).
 
     The base (n = 1) profile takes the value v_minus on a fraction theta of
@@ -171,11 +171,6 @@ def make_oscillating_initial(grid: PeriodicGrid, v_minus: float, v_plus: float,
         raise ValueError(
             f"unresolved transitions: compressed ramp width {delta / n_osc:.3e} "
             f"is below 4 h = {4.0 * grid.h:.3e}")
-    if bounds is not None:
-        lo, hi = bounds
-        if not (lo <= min(v_minus, v_plus) and max(v_minus, v_plus) <= hi):
-            raise ValueError(
-                f"profile values ({v_minus}, {v_plus}) outside guard rails {bounds}")
     y = (n_osc * grid.x) % 1.0
     # smoothed indicator of the arc (0, theta): periodized difference of
     # ramps; the jump at 0 contributes through both the j=0 and j=1 images
@@ -305,7 +300,8 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig,
     advances one step, rails(state) gives the railed density fields."""
     require_admissible(params.eos, 0.0, config.bounds[1])
     batch = initial.u.ndim == 2
-    runs = [Trajectory([row], [], params, config) for row in _rows(initial)]
+    runs = [Trajectory([row], None, params, config)
+            for row in _rows(initial)]
     results = list(runs)   # a failed row's entry becomes its BoundsError
     members = list(range(len(runs)))   # the run of each row of state
     cfl_limited = np.zeros(len(runs), dtype=bool)
@@ -314,6 +310,7 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig,
     t_stop = t_final - 1e-12 * config.t_end
     chunk_rows = max(1, _CHUNK_ELEMENTS // initial.grid.n)
     pending, pending_rows = [], 0
+    chunks, owners = [], []   # (11, rows) record columns, the run of each row
     while True:
         try:
             _check_state(state, rails(state), config.bounds)
@@ -331,20 +328,26 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig,
         # the next state has at most as many rows as this one
         if done or pending_rows + len(members) > chunk_rows:
             stacked = type(state).stack([s for s, _ in pending])
-            owners = [runs[j] for _, rows in pending for j in rows]
+            row_runs = [j for _, rows in pending for j in rows]
             if keep_records:
-                records = diagnostics.compute_record(stacked, params).unstack()
-                for run, record in zip(owners, records):
-                    run.records.append(record)
+                record = diagnostics.compute_record(stacked, params)
+                chunks.append(np.array([getattr(record, name) for name
+                                        in diagnostics.RECORD_COLUMNS]))
+                owners += row_runs
             dxc = torus.max_norm(
                 torus.derivative(state.grid, stacked.c, 1, "spectral"))
-            for run, value in zip(owners, dxc):
-                run.dxc_sup = max(run.dxc_sup, float(value))
+            for j, value in zip(row_runs, dxc):
+                runs[j].dxc_sup = max(runs[j].dxc_sup, float(value))
             pending, pending_rows = [], 0
         if done:
+            if keep_records:
+                table, owners = np.hstack(chunks), np.array(owners)
             for j in members:
                 runs[j].n_steps = n_steps
                 runs[j].cfl_limited = bool(cfl_limited[j])
+                if keep_records:
+                    runs[j].records = diagnostics.DiagnosticsRecord(
+                        *table[:, owners == j])
             return results if batch else runs[0]
         dt, limited = _step_length(state, rails(state), params, config,
                                    t_final - state.t)
@@ -372,7 +375,9 @@ def nsk_run(initial: FluidState, params: PhysicalParams, config: SolverConfig,
     step's start time.  Each step has length min(config.dt,
     t_final - t, cfl h / max(|u| + c_s)), the wave speed taken over the
     railed densities, until t >= t_final - 1e-12 t_end.  keep_records
-    records every state, one record per state in time order.  Snapshots:
+    records every state: records is the run's diagnostics table, a
+    DiagnosticsRecord of 1-D arrays with one entry per state in time order
+    (None without records).  Snapshots:
     the initial state, every snapshot_every-th step and the final state,
     the only one within the end tolerance.  cfl_limited: the CFL bound fell
     below config.dt on some step; dxc_sup: sup |c_x| over all states, with
@@ -383,10 +388,11 @@ def nsk_run(initial: FluidState, params: PhysicalParams, config: SolverConfig,
     until the final state, and their records and |c_x| come from one pass
     over the stack of their rows.  A state with more than K rows is a chunk
     of its own.
-    Each record equals compute_record of its state bitwise.  A checked
-    state's densities lie inside the rails, so its record does not raise,
-    and a failed run fails at the same state with the same error as it
-    would with one record per step.
+    Each run's table is built once, when the run finishes, from the rows
+    its chunks computed; row k equals compute_record of its k-th state
+    bitwise.  A checked state's densities lie inside the rails, so its
+    record does not raise, and a failed run fails at the same state with
+    the same error as it would with one record per step.
 
     A batch, an initial state whose fields have shape (M, n), runs M
     initial states in one loop, each step one nsk_step over all rows, and

@@ -2,6 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from phasekit.bn import BNState, bn_run
+from phasekit.eos import PolytropicEOS
+from phasekit.nsk import PhysicalParams, SolverConfig
+from phasekit.torus import PeriodicGrid
+
 
 def _relaxation_rhs(_, v, params):
     """Spatially homogeneous BN relaxation at rest, v = (alpha_p, rho_p,
@@ -26,3 +31,19 @@ def relaxation_oracle():
         assert sol.success, sol.message
         return sol.y[:, -1]
     return reference
+
+
+@pytest.fixture(scope="session")
+def homogeneous_relaxation():
+    """The one homogeneous relaxation run the relaxation checks share:
+    polytropic law (mu 0.1, kappa 0.02, gamma 1), N = 8, (alpha_p, rho_p,
+    rho_m) = (0.4, 1.5, 0.5) at rest, dt = 2e-4 to t = 1.0.  Snapshot k is
+    step 50 k."""
+    params = PhysicalParams(mu=0.1, kappa=0.02,
+                            eos=PolytropicEOS(1.0, 2.0, 1.0))
+    config = SolverConfig(dt=2e-4, t_end=1.0, bounds=(0.05, 20.0),
+                          snapshot_every=50)
+    state = BNState.make(PeriodicGrid(8), 0.4, 1.5, 0.5, 0.0, params)
+    traj = bn_run(state, params, config, keep_records=False)
+    assert traj.n_steps == 5000 and len(traj.snapshots) == 101
+    return traj

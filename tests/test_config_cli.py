@@ -199,7 +199,7 @@ def test_cli_simulate_nsk_outputs(tmp_path):
     header = open(os.path.join(out, snaps[0])).readline().strip()
     assert header == "x,rho,u,c"
     records = read_diagnostics(os.path.join(out, "diagnostics.csv"))
-    assert len(records) == 21  # one per step plus the initial record
+    assert records.t.shape == (21,)  # one per step plus the initial record
     meta = json.loads(open(os.path.join(out, "meta.json")).read())
     assert RunConfig.from_dict(meta["config"]) == parse_config(POLY_SMOOTH)
     assert meta["kind"] == "nsk"
@@ -273,6 +273,17 @@ rho_p = 2.7
 rho_m = 0.4
 """
 
+# a two-value profile reaching above the upper rail 2.8
+PROFILE_OFF_RAILS = """
+[grid]
+n = 256
+[init]
+v_plus = 3.5
+n_osc = 1
+[harness]
+n_list = 1, 2
+"""
+
 # one config per cause: command, config, exit code, text on stderr
 EXIT_CODES = {
     "ok": ("simulate-nsk", POLY_SMOOTH, 0, ""),
@@ -289,6 +300,14 @@ EXIT_CODES = {
     # rails (1/1.1, 1.1) around rho0 = 1.2 fail at t = 0
     "rails": ("simulate-nsk", POLY_SMOOTH + "[bounds]\nm0 = 0.55\n", 4,
               "guard rail violated"),
+    # initial data outside the rails fails the run loop's check at t = 0
+    # under every command; a family stops in its two-phase run
+    "profile-rails-nsk": ("simulate-nsk", PROFILE_OFF_RAILS, 4,
+                          "range [0.8, 3.5] outside"),
+    "profile-rails-bn": ("simulate-bn", PROFILE_OFF_RAILS, 4,
+                         "guard rail violated at t = 0"),
+    "profile-rails-homogenize": ("homogenize", PROFILE_OFF_RAILS, 4,
+                                 "guard rail violated at t = 0"),
     "non-finite": ("simulate-nsk", BLOW_UP, 4, "non-finite"),
     "non-finite-bn": ("simulate-bn", BLOW_UP, 4, "non-finite"),
     "law-refuses-step": ("simulate-bn", LAW_REFUSES_STEP, 4,

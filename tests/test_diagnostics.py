@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -112,7 +112,7 @@ def test_record_column_order():
     assert RECORD_COLUMNS == ("t", "mass", "momentum", "energy", "dissipation",
                               "bd_entropy", "rho_min", "rho_max",
                               "sigma_grad_l2", "c_h2", "inv_sqrt_rho_grad")
-    assert rec.as_row()[0] == 0.0
+    assert astuple(rec)[0] == rec.t == 0.0
     assert rec.rho_min == rec.rho_max == 1.0
 
 
@@ -139,11 +139,16 @@ def test_balance_check_fails_on_mass_or_energy_only():
     records = nsk_run(state, params, config).records
     report = balance_check(records)
     assert "momentum_ok" not in report and report["ok"]
-    last = records[-1]
-    assert balance_check(records[:-1] + [replace(last, momentum=1.0)])["ok"]
-    for bad in (replace(last, mass=last.mass + 1e-9),
-                replace(last, energy=last.energy + 1e-3)):
-        report = balance_check(records[:-1] + [bad])
+
+    def last_set(name, value):
+        column = getattr(records, name).copy()
+        column[-1] = value
+        return replace(records, **{name: column})
+
+    assert balance_check(last_set("momentum", 1.0))["ok"]
+    for bad in (last_set("mass", records.mass[-1] + 1e-9),
+                last_set("energy", records.energy[-1] + 1e-3)):
+        report = balance_check(bad)
         assert not report["ok"]
         assert not (report["mass_ok"] and report["energy_ok"])
 
@@ -152,8 +157,10 @@ def test_balance_check_needs_two_records():
     grid = PeriodicGrid(64)
     params = poly_params()
     state = FluidState.make(grid, grid.constant(1.0), grid.zeros(), params)
-    with pytest.raises(ValueError):
-        balance_check([compute_record(state, params)])
+    for record in (compute_record(state, params),
+                   compute_record(FluidState.stack([state]), params)):
+        with pytest.raises(ValueError):
+            balance_check(record)
 
 
 def test_gronwall_envelope_via_balance_check():

@@ -3,7 +3,9 @@ import re
 import numpy as np
 import pytest
 
+from phasekit import harness
 from phasekit.eos import VanDerWaalsEOS
+from phasekit.errors import BoundsError
 from phasekit.harness import (FamilyConfig, kinetic_consistency,
                               limit_initial_data, run_family, suggest_dt)
 from phasekit.measures import smoke_test_set
@@ -73,13 +75,16 @@ def test_limit_initial_data_degenerate():
     assert rho_p == rho_m == 1.2
 
 
-def test_family_validation():
+def test_family_validation(monkeypatch):
     with pytest.raises(ValueError):
         family(n_list=(4, 2))
     with pytest.raises(ValueError):
         family(grid_n=128, n_list=(1, 4))
-    with pytest.raises(ValueError):
-        family(v_plus=5.0)
+    # profile values outside the rails are the two-phase run's densities at
+    # t = 0: its check stops the family before any member steps
+    monkeypatch.setattr(harness, "nsk_run", None)
+    with pytest.raises(BoundsError, match="guard rail violated at t = 0:"):
+        run_family(family(v_plus=5.0))
 
 
 def test_degenerate_family_distances_vanish():
@@ -115,8 +120,8 @@ def test_member_failure_aborts_with_partial_report(monkeypatch, tmp_path):
     cfg.out_dir = str(tmp_path / "fam")
     real_initial = hmod.make_oscillating_initial
 
-    def above_rail_for_n2(grid, v_minus, v_plus, theta, n, delta, bounds=None):
-        rho0 = real_initial(grid, v_minus, v_plus, theta, n, delta, bounds)
+    def above_rail_for_n2(grid, v_minus, v_plus, theta, n, delta):
+        rho0 = real_initial(grid, v_minus, v_plus, theta, n, delta)
         return rho0 + 1.5 if n == 2 else rho0   # max 3.1 > upper rail 2.8
 
     monkeypatch.setattr(hmod, "make_oscillating_initial", above_rail_for_n2)
@@ -138,10 +143,9 @@ def test_family_whose_members_all_fail_writes_nothing(monkeypatch, tmp_path):
     cfg.out_dir = str(tmp_path / "fam")
     real_initial = hmod.make_oscillating_initial
 
-    def above_rail_for_members(grid, v_minus, v_plus, theta, n, delta,
-                               bounds=None):
+    def above_rail_for_members(grid, v_minus, v_plus, theta, n, delta):
         # max 3.1 > upper rail 2.8; n = 1 builds the two-phase data
-        rho0 = real_initial(grid, v_minus, v_plus, theta, n, delta, bounds)
+        rho0 = real_initial(grid, v_minus, v_plus, theta, n, delta)
         return rho0 + 1.5 if n > 1 else rho0
 
     monkeypatch.setattr(hmod, "make_oscillating_initial",
@@ -244,8 +248,8 @@ def cfl_limited_n2_family(monkeypatch, tmp_path):
     cfg = coarse_step_family(tmp_path)
     real_initial = hmod.make_oscillating_initial
 
-    def denser_n2(grid, v_minus, v_plus, theta, n, delta, bounds=None):
-        rho0 = real_initial(grid, v_minus, v_plus, theta, n, delta, bounds)
+    def denser_n2(grid, v_minus, v_plus, theta, n, delta):
+        rho0 = real_initial(grid, v_minus, v_plus, theta, n, delta)
         return rho0 + 0.8 if n == 2 else rho0
 
     monkeypatch.setattr(hmod, "make_oscillating_initial", denser_n2)

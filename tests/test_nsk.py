@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from phasekit import nsk
 from phasekit.bn import BNState, bn_run
-from phasekit.diagnostics import balance_check, compute_record
+from phasekit.diagnostics import RECORD_COLUMNS, balance_check, compute_record
 from phasekit.eos import AdmissibilityError, PolytropicEOS, VanDerWaalsEOS
 from phasekit.errors import BoundsError
 from phasekit.nsk import (FluidState, PhysicalParams, SolverConfig,
@@ -69,9 +70,15 @@ def test_oscillating_initial_validation():
         make_oscillating_initial(grid, 0.8, 1.6, 0.5, n_osc=8, delta=0.05)
     with pytest.raises(ValueError):
         make_oscillating_initial(grid, 0.8, 1.6, 0.5, n_osc=1, delta=0.7)
-    with pytest.raises(ValueError):
-        make_oscillating_initial(grid, 0.8, 1.6, 0.5, n_osc=1, delta=0.1,
-                                 bounds=(1.0, 2.0))
+    # the profile builder knows no rails: the run loop's check of the
+    # initial state refuses a profile outside them
+    params = poly_params()
+    rho0 = make_oscillating_initial(grid, 0.8, 1.6, 0.5, n_osc=1, delta=0.1)
+    assert np.min(rho0) == 0.8 and np.max(rho0) == 1.6
+    config = SolverConfig(dt=1e-3, t_end=0.01, bounds=(1.0, 2.0))
+    with pytest.raises(BoundsError, match="guard rail violated at t = 0:"):
+        nsk_run(FluidState.make(grid, rho0, grid.zeros(), params), params,
+                config)
 
 
 def test_constant_state_is_stationary():
@@ -96,8 +103,7 @@ def test_mass_conservation_1000_steps():
     m0 = mean(grid, state.rho)
     traj = nsk_run(state, params, config, keep_records=True)
     assert traj.n_steps >= 1000
-    for rec in traj.records:
-        assert abs(rec.mass - m0) <= 1e-12
+    assert np.max(np.abs(traj.records.mass - m0)) <= 1e-12
 
 
 def momentum_drift(n, dt, t_end=0.05):
@@ -126,8 +132,8 @@ def test_stationary_run_energy_constant():
     config = SolverConfig(dt=1e-3, t_end=0.05, bounds=(0.1, 10.0))
     state = FluidState.make(grid, grid.constant(1.0), grid.zeros(), params)
     traj = nsk_run(state, params, config)
-    energies = [r.energy for r in traj.records]
-    assert np.max(np.abs(np.array(energies) - energies[0])) < 1e-12
+    energies = traj.records.energy
+    assert np.max(np.abs(energies - energies[0])) < 1e-12
     report = balance_check(traj.records)
     assert report["mass_drift"] == 0.0
     assert report["energy_residual"] < 1e-12
@@ -147,8 +153,8 @@ def test_energy_balance_reference_run():
     traj = reference_smooth_run()
     report = balance_check(traj.records)
     assert report["energy_ok"], report
-    e0 = traj.records[0].energy
-    assert traj.records[-1].energy <= e0 * (1.0 + 1e-6)
+    e0 = traj.records.energy[0]
+    assert traj.records.energy[-1] <= e0 * (1.0 + 1e-6)
 
 
 def test_energy_balance_refines():
@@ -275,11 +281,12 @@ def chunk_run(solver, bounds=(0.05, 20.0), keep_records=True):
 def test_chunked_records_equal_per_state_records(solver):
     chunk, traj, _ = chunk_run(solver)
     assert traj.n_steps % chunk != 0 and traj.n_steps > 2 * chunk
-    assert len(traj.records) == traj.n_steps + 1 == len(traj.snapshots)
-    for rec, state in zip(traj.records, traj.snapshots):
-        expected = compute_record(state, traj.params).as_row()
-        assert np.array(rec.as_row()).tobytes() == np.array(expected).tobytes()
-        assert all(type(v) is float for v in rec.as_row())
+    table = record_table(traj.records)
+    assert table.shape == (len(RECORD_COLUMNS), traj.n_steps + 1)
+    assert len(traj.snapshots) == traj.n_steps + 1
+    for k, state in enumerate(traj.snapshots):
+        expected = record_table(compute_record(state, traj.params))
+        assert table[:, k].tobytes() == expected.tobytes()
     dxc = [max_norm(derivative(s.grid, s.c, 1, "spectral"))
            for s in traj.snapshots]
     assert 0 < int(np.argmax(dxc)) - chunk < chunk - 1
@@ -339,8 +346,15 @@ def assert_same_run(row, own):
             assert getattr(s, name).tobytes() == getattr(t, name).tobytes()
 
 
+def record_table(records):
+    """The columns of a record as one array: (11,) for a single record,
+    (11, K) for a table of K rows."""
+    return np.array(dataclasses.astuple(records))
+
+
 def record_rows(traj):
-    return np.array([r.as_row() for r in traj.records]).tobytes()
+    return (None if traj.records is None
+            else record_table(traj.records).tobytes())
 
 
 @pytest.mark.parametrize("keep_records", [True, False])
@@ -350,7 +364,10 @@ def test_batch_rows_equal_their_own_runs(keep_records):
     assert len(batch) == 3
     for row, run in zip(batch, own):
         assert run.n_steps > 2 * chunk and run.n_steps % chunk != 0
-        assert len(run.records) == (run.n_steps + 1 if keep_records else 0)
+        if keep_records:
+            assert run.records.t.shape == (run.n_steps + 1,)
+        else:
+            assert run.records is None
         assert not run.cfl_limited
         assert_same_run(row, run)
 
