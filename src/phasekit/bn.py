@@ -21,6 +21,9 @@ the continuity kernel on (mixture, rho_p - rho_m).  Every kernel acts
 pointwise or along the last axis, so each row of a stack is bitwise its own
 call; the stack only saves per-call overhead, which dominates on small grids
 (it is built with np.array((a, b)), which costs a quarter of np.stack).
+For the same reason the interpolation weights and the relaxation flow form
+each shared factor once, keeping every product's left-to-right order, so
+every value is bitwise what the written-out formulas give.
 
 picard_bn builds one phase's relaxation subsystem against a frozen pressure
 by a fixed point, as the uniqueness argument does: each iteration carries
@@ -112,15 +115,16 @@ def cubic_interp_periodic(f: np.ndarray, pos: np.ndarray, h: float) -> np.ndarra
     g = (pos % 1.0) / h
     j = np.floor(g).astype(int)   # in [0, n]: pos % 1.0 may round up to 1
     s = g - j
-    w_m1 = -s * (s - 1.0) * (s - 2.0) / 6.0
-    w_0 = (s + 1.0) * (s - 1.0) * (s - 2.0) / 2.0
-    w_p1 = -(s + 1.0) * s * (s - 2.0) / 2.0
-    w_p2 = (s + 1.0) * s * (s - 1.0) / 6.0
+    s_p1, s_m1, s_m2 = s + 1.0, s - 1.0, s - 2.0
+    w_m1 = -s * s_m1 * s_m2 / 6.0
+    w_0 = s_p1 * s_m1 * s_m2 / 2.0
+    w_p1 = -s_p1 * s * s_m2 / 2.0
+    w_p2 = s_p1 * s * s_m1 / 6.0
     # periodic padding: node i - 1 (mod n) sits at index i of fp, i in [0, n + 3]
     fp = np.concatenate((f[..., -1:], f, f[..., :3]), axis=-1)
 
     def node(k):   # the value at node j + k - 1 of each row
-        return np.take(fp, j + k, axis=-1)
+        return fp.take(j + k, axis=-1)
 
     return w_m1 * node(0) + w_0 * node(1) + w_p1 * node(2) + w_p2 * node(3)
 
@@ -174,11 +178,12 @@ def _relaxation_flow(alpha_p, alpha_m, rho_p, rho_m, lam_int):
     are invariants of the flow, so the update below keeps the closure and
     the pointwise mixture mass exact to round-off; no division by alpha."""
     g = np.exp(0.5 * lam_int)
-    denom = alpha_p * g + alpha_m / g
-    alpha_p_new = alpha_p * g / denom
-    alpha_m_new = (alpha_m / g) / denom
-    rho_p_new = rho_p * (alpha_p + alpha_m / g ** 2)
-    rho_m_new = rho_m * (alpha_m + alpha_p * g ** 2)
+    ap_g, am_g, g2 = alpha_p * g, alpha_m / g, g ** 2
+    denom = ap_g + am_g
+    alpha_p_new = ap_g / denom
+    alpha_m_new = am_g / denom
+    rho_p_new = rho_p * (alpha_p + alpha_m / g2)
+    rho_m_new = rho_m * (alpha_m + alpha_p * g2)
     return alpha_p_new, alpha_m_new, rho_p_new, rho_m_new
 
 

@@ -58,7 +58,9 @@ class EquationOfState:
 
     def _check_domain(self, r):
         r = np.asarray(r, dtype=float)
-        if np.any(r < 0.0) or np.any(r >= self.domain_max):
+        # NaN fails both tests and passes; the run loop's finite check
+        # rejects it
+        if (r < 0.0).any() or (r >= self.domain_max).any():
             raise ValueError(
                 f"density outside the law's domain [0, {self.domain_max}): "
                 f"range [{np.min(r)}, {np.max(r)}]")

@@ -116,7 +116,8 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
     stops the family first, with a ConfigError and nothing written.
     Profile values outside the guard rails are the two-phase run's
     densities at t = 0, so its check stops the family before any member
-    steps."""
+    steps; a BoundsError of the two-phase run is raised again with a prefix
+    that names the two-phase reference and the [init] profile."""
     grid = config.grid()
     u0 = config.u0_field(grid)
 
@@ -126,8 +127,14 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
         for n in config.n_list]
     alpha_p0, alpha_m0, rho_p0, rho_m0 = limit_initial_data(
         config.v_minus, config.v_plus, config.theta, config.delta, grid)
-    bn_state = BNState.make(grid, alpha_p0, rho_p0, rho_m0, u0, config.params)
-    bn_traj = bn_run(bn_state, config.params, config.solver)
+    try:
+        bn_state = BNState.make(grid, alpha_p0, rho_p0, rho_m0, u0,
+                                config.params)
+        bn_traj = bn_run(bn_state, config.params, config.solver)
+    except BoundsError as exc:
+        raise BoundsError(
+            f"two-phase reference from the [init] profile failed: {exc}"
+        ) from exc
 
     batch = FluidState.make(grid, np.stack(member_rho0),
                             np.tile(u0, (len(member_rho0), 1)), config.params)

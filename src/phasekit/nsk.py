@@ -11,6 +11,11 @@ coupling forces, Crank-Nicolson viscosity solved as a cyclic tridiagonal
 system.  Mass is conserved to round-off by construction; the momentum
 fluxes telescope, so the only momentum drift comes from the coupling force
 and vanishes at second order in h.
+
+The two flux kernels, continuity_update and momentum_update, which the
+two-phase step shares, form each periodic neighbour by a slice copy
+(_next, _prev) rather than np.roll: the values are the same copies, and on
+small grids np.roll's per-call overhead costs several times the copy.
 """
 
 from __future__ import annotations
@@ -200,16 +205,26 @@ def _check_state(state, fields: tuple, bounds: tuple):
                 f"range [{rmin:.6g}, {rmax:.6g}] outside [{lo}, {hi}]")
 
 
+def _next(f: np.ndarray) -> np.ndarray:
+    """The value at node i + 1 (mod n) of each row: np.roll(f, -1, axis=-1)."""
+    return np.concatenate((f[..., 1:], f[..., :1]), axis=-1)
+
+
+def _prev(f: np.ndarray) -> np.ndarray:
+    """The value at node i - 1 (mod n) of each row: np.roll(f, 1, axis=-1)."""
+    return np.concatenate((f[..., -1:], f[..., :-1]), axis=-1)
+
+
 def continuity_update(grid: PeriodicGrid, rho: np.ndarray, u: np.ndarray,
                       dt: float, upwind: float) -> np.ndarray:
     """One conservative step of rho_t + (rho u)_x = 0 with central flux and
     an upwind-style diffusive flux of coefficient upwind * h * |u|."""
     m = rho * u
-    flux = 0.5 * (m + np.roll(m, -1, axis=-1))
+    flux = 0.5 * (m + _next(m))
     if upwind > 0.0:
-        nu = upwind * 0.5 * (np.abs(u) + np.abs(np.roll(u, -1, axis=-1)))
-        flux = flux - nu * (np.roll(rho, -1, axis=-1) - rho)
-    return rho - (dt / grid.h) * (flux - np.roll(flux, 1, axis=-1))
+        nu = upwind * 0.5 * (np.abs(u) + np.abs(_next(u)))
+        flux = flux - nu * (_next(rho) - rho)
+    return rho - (dt / grid.h) * (flux - _prev(flux))
 
 
 def momentum_update(grid: PeriodicGrid, rho_new: np.ndarray, rho: np.ndarray,
@@ -224,19 +239,19 @@ def momentum_update(grid: PeriodicGrid, rho_new: np.ndarray, rho: np.ndarray,
     h = grid.h
     m = rho * u
     g = m * u + p
-    g_half = 0.5 * (g + np.roll(g, -1, axis=-1))
+    g_half = 0.5 * (g + _next(g))
     force = params.gamma * rho * torus.derivative(grid, c, 1, "central")
-    m_star = m - (dt / h) * (g_half - np.roll(g_half, 1, axis=-1)) + dt * force
+    m_star = m - (dt / h) * (g_half - _prev(g_half)) + dt * force
 
     a = 0.5 * params.mu * dt / h ** 2
-    rhs = m_star + a * (np.roll(u, -1, axis=-1) - 2.0 * u
-                        + np.roll(u, 1, axis=-1))
-    lower = np.full(grid.n, -a)
-    upper = np.full(grid.n, -a)
+    rhs = m_star + a * (_next(u) - 2.0 * u + _prev(u))
+    # one array for both off-diagonals: the solve passes slices of them to
+    # gtsv, which works on copies
+    off = np.full(grid.n, -a)
     diag = rho_new + 2.0 * a
     if rhs.ndim == 1:
-        return torus.solve_cyclic_tridiagonal(lower, diag, upper, rhs)
-    return np.stack([torus.solve_cyclic_tridiagonal(lower, d, upper, r)
+        return torus.solve_cyclic_tridiagonal(off, diag, off, rhs)
+    return np.stack([torus.solve_cyclic_tridiagonal(off, d, off, r)
                      for d, r in zip(diag, rhs)])
 
 

@@ -307,7 +307,8 @@ EXIT_CODES = {
     "profile-rails-bn": ("simulate-bn", PROFILE_OFF_RAILS, 4,
                          "guard rail violated at t = 0"),
     "profile-rails-homogenize": ("homogenize", PROFILE_OFF_RAILS, 4,
-                                 "guard rail violated at t = 0"),
+                                 "two-phase reference from the [init] profile "
+                                 "failed: density guard rail violated at t = 0"),
     "non-finite": ("simulate-nsk", BLOW_UP, 4, "non-finite"),
     "non-finite-bn": ("simulate-bn", BLOW_UP, 4, "non-finite"),
     "law-refuses-step": ("simulate-bn", LAW_REFUSES_STEP, 4,

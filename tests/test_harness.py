@@ -81,9 +81,12 @@ def test_family_validation(monkeypatch):
     with pytest.raises(ValueError):
         family(grid_n=128, n_list=(1, 4))
     # profile values outside the rails are the two-phase run's densities at
-    # t = 0: its check stops the family before any member steps
+    # t = 0: its check stops the family before any member steps, and the
+    # error names the two-phase reference
     monkeypatch.setattr(harness, "nsk_run", None)
-    with pytest.raises(BoundsError, match="guard rail violated at t = 0:"):
+    with pytest.raises(BoundsError, match=r"^two-phase reference from the "
+                       r"\[init\] profile failed: density guard rail "
+                       r"violated at t = 0:"):
         run_family(family(v_plus=5.0))
 
 

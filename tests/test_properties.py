@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 from scipy.linalg import solve_banded  # noqa: E402
 
-from phasekit.bn import (BNState, bn_step, cubic_interp_periodic,  # noqa: E402
-                         transport_with_source)
+from phasekit.bn import (BNState, _relaxation_flow, bn_step,  # noqa: E402
+                         cubic_interp_periodic, transport_with_source)
 from phasekit.config import RunConfig, parse_config  # noqa: E402
 from phasekit.diagnostics import compute_record  # noqa: E402
 from phasekit.eos import PolytropicEOS, VanDerWaalsEOS  # noqa: E402
@@ -254,6 +254,79 @@ def test_stacked_phase_kernels_equal_per_phase_calls(data, n, k, law, courant,
     assert same_bits(transport_with_source(grid, alpha, u_series, f_pair, times),
                      [transport_with_source(grid, a, u_series, f, times)
                       for a, f in zip(alpha, f_pair)])
+
+
+def continuity_oracle(grid, rho, u, dt, upwind):
+    """continuity_update with its neighbours from np.roll."""
+    m = rho * u
+    flux = 0.5 * (m + np.roll(m, -1, axis=-1))
+    if upwind > 0.0:
+        nu = upwind * 0.5 * (np.abs(u) + np.abs(np.roll(u, -1, axis=-1)))
+        flux = flux - nu * (np.roll(rho, -1, axis=-1) - rho)
+    return rho - (dt / grid.h) * (flux - np.roll(flux, 1, axis=-1))
+
+
+def momentum_oracle(grid, rho_new, rho, u, c, params, dt, p):
+    """momentum_update with its neighbours from np.roll and each row's
+    off-diagonals built for its own solve."""
+    m = rho * u
+    g = m * u + p
+    g_half = 0.5 * (g + np.roll(g, -1, axis=-1))
+    force = params.gamma * rho * derivative(grid, c, 1, "central")
+    m_star = m - (dt / grid.h) * (g_half - np.roll(g_half, 1, axis=-1)) + dt * force
+    a = 0.5 * params.mu * dt / grid.h ** 2
+    rhs = m_star + a * (np.roll(u, -1, axis=-1) - 2.0 * u
+                        + np.roll(u, 1, axis=-1))
+    rows = [solve_cyclic_tridiagonal(np.full(grid.n, -a), d,
+                                     np.full(grid.n, -a), r)
+            for d, r in zip(np.atleast_2d(rho_new + 2.0 * a), np.atleast_2d(rhs))]
+    return np.reshape(rows, rhs.shape)
+
+
+def relaxation_oracle(alpha_p, alpha_m, rho_p, rho_m, lam_int):
+    """_relaxation_flow with no factor shared between its outputs."""
+    g = np.exp(0.5 * lam_int)
+    denom = alpha_p * g + alpha_m / g
+    return (alpha_p * g / denom, (alpha_m / g) / denom,
+            rho_p * (alpha_p + alpha_m / g ** 2),
+            rho_m * (alpha_m + alpha_p * g ** 2))
+
+
+@FAST
+@given(data=st.data(), n=st.integers(4, 128).map(lambda k: 2 * k),
+       k=st.integers(1, 5), courant=st.floats(0.01, 1.0),
+       upwind=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       mu=st.floats(1e-3, 1.0))
+def test_step_kernels_equal_their_written_out_forms(data, n, k, courant,
+                                                    upwind, mu):
+    # bitwise, on arbitrary values: the flux kernels against their np.roll
+    # forms and the relaxation flow against its formula, on one field, a
+    # phase pair and a batch of k rows; a change in the order of operations
+    # fails here
+    grid = PeriodicGrid(n)
+    params = PhysicalParams(mu=mu, kappa=0.1,
+                            eos=VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0))
+
+    def draw(shape, lo, hi):
+        return data.draw(hnp.arrays(np.float64, shape, elements=finite(lo, hi)))
+
+    for shape in ((n,), (2, n), (k, n)):
+        rho_new, rho = draw(shape, 0.1, 2.5), draw(shape, 0.1, 2.5)
+        u, c = draw(shape, -3.0, 3.0), draw(shape, -3.0, 3.0)
+        p = draw(shape, -10.0, 10.0)
+        dt = courant * grid.h / (1.0 + np.max(np.abs(u)))
+        assert same_bits(continuity_update(grid, rho, u, dt, upwind),
+                         continuity_oracle(grid, rho, u, dt, upwind))
+        assert same_bits(
+            momentum_update(grid, rho_new, rho, u, c, params, dt, p),
+            momentum_oracle(grid, rho_new, rho, u, c, params, dt, p))
+
+        alpha_p = draw(shape, 0.0, 1.0)
+        fields = (alpha_p, 1.0 - alpha_p, rho, rho_new,
+                  draw(shape, -20.0, 20.0))
+        for got, want in zip(_relaxation_flow(*fields),
+                             relaxation_oracle(*fields)):
+            assert same_bits(got, want)
 
 
 @FAST
