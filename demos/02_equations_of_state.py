@@ -7,6 +7,7 @@ monotonicity once gamma is at least twice the attraction coefficient.
 Run:  python demos/02_equations_of_state.py
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,12 +18,12 @@ from phasekit import (PolytropicEOS, VanDerWaalsEOS, check_admissibility,
 print("== bare Van-der-Waals law (A=1, B=1, R=1, T*=0.2): gamma = 0 ==")
 bare = VanDerWaalsEOS(1.0, 1.0, 1.0, 0.2, gamma=0.0)
 report = check_admissibility(bare, 0.0, 0.999)
-print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
 
 print("\n== same law with gamma = 2A ==")
 cured = VanDerWaalsEOS(1.0, 1.0, 1.0, 0.2, gamma=2.0)
 report = check_admissibility(cured, 0.0, 0.999)
-print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
 
 print("\n== pressure, artificial pressure and potential along the isotherm ==")
 r = np.linspace(0.05, 0.95, 10)

@@ -1,6 +1,7 @@
 """Command-line entry points.
 
 Subcommands: simulate-nsk, simulate-bn, homogenize, check-eos, diagnose.
+Each command writes its run's files through io; the library writes none.
 Exit codes: 0 success, 2 config error, 3 admissibility failure, 4 failed
 run (a guard rail, a non-finite field or a step the law refuses, as the
 run loop decides).  No subcommand returns 5, the fixed-point failure of the
@@ -10,6 +11,7 @@ library's picard_bn.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -45,7 +47,7 @@ def cmd_check_eos(args) -> int:
     except AdmissibilityError:
         print(f"requested interval [0.0, {hi}]", file=sys.stderr)
         raise
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     return 0 if report.admissible else 3
 
 
@@ -73,8 +75,14 @@ def cmd_simulate_bn(args) -> int:
 def cmd_homogenize(args) -> int:
     config = load_config(args.config)
     out = args.out or config["output"]["directory"]
-    family = build_family(config, out_dir=out)
-    report = run_family(family)
+    try:
+        report = run_family(build_family(config))
+    except BoundsError as exc:
+        # a member failed: the report over the others is still written
+        if exc.partial_report is not None:
+            io.write_family(out, exc.partial_report)
+        raise
+    io.write_family(out, report)
     io.write_meta(os.path.join(out, "meta.json"), _meta_payload(config, {
         "kind": "homogenize",
         "sup_dist": report.sup_dist, "sup_uerr": report.sup_uerr,

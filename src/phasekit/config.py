@@ -283,12 +283,19 @@ def build_bn_initial(config: RunConfig, params: PhysicalParams) -> BNState:
                         params)
 
 
-def build_family(config: RunConfig, out_dir: str | None = None) -> FamilyConfig:
+def build_family(config: RunConfig) -> FamilyConfig:
+    """The homogenize family: members compressed from the [init] two-value
+    profile, the two-phase reference from its limit data."""
     init = config["init"]
+    if init["profile"] != "two_value":
+        raise ConfigError(f"homogenize needs [init].profile = two_value, got "
+                          f"{init['profile']!r}")
+    if not config["bn"]["from_profile"]:
+        raise ConfigError("homogenize derives the two-phase reference from "
+                          "[init]; [bn].from_profile = false is not supported")
     har = config["harness"]
     return FamilyConfig(
         n_list=tuple(har["n_list"]), v_minus=init["v_minus"],
         v_plus=init["v_plus"], theta=init["theta"], delta=init["delta"],
         u0=u0_field(config, build_grid(config)), params=build_params(config),
-        solver=build_solver(config), grid_n=config["grid"]["n"],
-        out_dir=out_dir)
+        solver=build_solver(config), grid_n=config["grid"]["n"])

@@ -32,14 +32,6 @@ class AdmissibilityReport:
     spinodal: tuple | None
     scan_interval: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "admissible": self.admissible,
-            "min_artificial_slope": self.min_artificial_slope,
-            "spinodal": list(self.spinodal) if self.spinodal is not None else None,
-            "scan_interval": list(self.scan_interval),
-        }
-
 
 class EquationOfState:
     """Base pressure law.  Subclasses provide closed forms for pressure,

@@ -7,9 +7,11 @@ class ConfigError(RuntimeError):
 
 class BoundsError(RuntimeError):
     """Density guard rail or finiteness violation, or a step that the
-    pressure law refuses, during a run."""
+    pressure law refuses, during a run.  A failed family carries the report
+    over its finished members as ``partial_report``."""
 
     exit_code = 4
+    partial_report = None
 
 
 class FixedPointError(RuntimeError):

@@ -17,12 +17,10 @@ then leaves its guard rails; a CFL-limited two-phase run stops it too.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import io
 from .bn import BNState, bn_run
 from .diagnostics import effective_viscous_flux
 from .errors import BoundsError, ConfigError
@@ -45,7 +43,6 @@ class FamilyConfig:
     params: PhysicalParams
     solver: SolverConfig
     grid_n: int
-    out_dir: str | None = None
 
     def __post_init__(self):
         self.n_list = tuple(int(n) for n in self.n_list)
@@ -109,11 +106,12 @@ def suggest_dt(params: PhysicalParams, rho_range: tuple, u_max: float,
 def run_family(config: FamilyConfig) -> ConvergenceReport:
     """Run the whole experiment and assemble the convergence report.
 
+    Nothing is written here: ``io.write_family`` writes a report's files.
     If a member run violates its guard rails the family is aborted with a
-    BoundsError whose ``partial_report`` attribute holds the report over
-    the members that finished (written to out_dir as well, when set).  A
-    run off the shared time grid, a CFL-limited member or two-phase run,
-    stops the family first, with a ConfigError and nothing written.
+    BoundsError whose ``partial_report`` holds the report over the members
+    that finished (None when none did).  A run off the shared time grid, a
+    CFL-limited member or two-phase run, stops the family first, with a
+    ConfigError.
     Profile values outside the guard rails are the two-phase run's
     densities at t = 0, so its check stops the family before any member
     steps; a BoundsError of the two-phase run is raised again with a prefix
@@ -145,22 +143,16 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
                 if isinstance(run, BoundsError)}
     if failures:
         survivors = tuple(n for n in config.n_list if n not in failures)
-        partial = None
-        if survivors:
-            partial = _assemble_report(config, bn_traj, members, survivors)
-            partial.extras["failures"] = failures
-            if config.out_dir is not None:
-                _write_family(config, partial)
         exc = BoundsError(
             "family aborted, member runs failed: "
             + "; ".join(f"n={n}: {msg}" for n, msg in failures.items()))
-        exc.partial_report = partial
+        if survivors:
+            exc.partial_report = _assemble_report(config, bn_traj, members,
+                                                  survivors)
+            exc.partial_report.extras["failures"] = failures
         raise exc
 
-    report = _assemble_report(config, bn_traj, members, config.n_list)
-    if config.out_dir is not None:
-        _write_family(config, report)
-    return report
+    return _assemble_report(config, bn_traj, members, config.n_list)
 
 
 def _require_shared_time_grid(n_list, runs, bn_traj):
@@ -219,27 +211,6 @@ def _assemble_report(config: FamilyConfig, bn_traj, members, n_list
 
 def _monotone_with_slack(values) -> bool:
     return all(b <= MONOTONE_SLACK * a for a, b in zip(values, values[1:]))
-
-
-def _write_family(config: FamilyConfig, report: ConvergenceReport):
-    out = config.out_dir
-    os.makedirs(out, exist_ok=True)
-    io.write_convergence(os.path.join(out, "convergence.csv"), report)
-    extras = report.extras
-    dictionary = extras["dictionary"]
-    io.write_trajectory(os.path.join(out, "bn"), extras["bn_trajectory"])
-    io.write_measure_summary(os.path.join(out, "bn", "measures.csv"),
-                             report.times, dictionary.names(),
-                             extras["bn_pairings"])
-    for n, traj, pairings, dists, w1s in zip(
-            report.n_list, extras["members"], extras["member_pairings"],
-            report.dist_series, report.wasserstein_series):
-        member_dir = os.path.join(out, f"member_n{n}")
-        io.write_trajectory(member_dir, traj)
-        io.write_distances(os.path.join(member_dir, "distances.csv"),
-                           report.times, dists, w1s)
-        io.write_measure_summary(os.path.join(member_dir, "measures.csv"),
-                                 report.times, dictionary.names(), pairings)
 
 
 def kinetic_consistency(trajectory) -> dict:

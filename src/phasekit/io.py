@@ -1,4 +1,5 @@
-"""Deterministic CSV/JSON persistence.
+"""Deterministic CSV/JSON persistence: the one module that writes files,
+called by the commands in cli.
 
 One CSV writer, write_csv, writes every table: each value is the repr of
 its Python value, so integers are written as integers and floats in
@@ -86,16 +87,29 @@ def write_convergence(path, report):
                              report.dist_series, report.uerr_series))
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+def write_family(out, report):
+    """The tree homogenize writes: convergence.csv, the two-phase reference
+    under bn/ and each member of the report under member_n<n>/, every run
+    with its measures.csv and each member with its distances.csv."""
+    write_convergence(os.path.join(out, "convergence.csv"), report)
+    extras = report.extras
+    names = extras["dictionary"].names()
+    write_trajectory(os.path.join(out, "bn"), extras["bn_trajectory"])
+    write_measure_summary(os.path.join(out, "bn", "measures.csv"),
+                          report.times, names, extras["bn_pairings"])
+    for n, traj, pairings, dists, w1s in zip(
+            report.n_list, extras["members"], extras["member_pairings"],
+            report.dist_series, report.wasserstein_series):
+        member_dir = os.path.join(out, f"member_n{n}")
+        write_trajectory(member_dir, traj)
+        write_distances(os.path.join(member_dir, "distances.csv"),
+                        report.times, dists, w1s)
+        write_measure_summary(os.path.join(member_dir, "measures.csv"),
+                              report.times, names, pairings)
 
 
 def write_meta(path, payload: dict):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True, default=_jsonify)
+        json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")

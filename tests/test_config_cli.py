@@ -106,8 +106,12 @@ def test_builders(tmp_path):
     assert np.allclose(state.rho, 1.2)
     bn_state = build_bn_initial(config, params)
     assert np.allclose(bn_state.alpha_p, 1.0)
-    family = build_family(parse_config(POLY_SMOOTH + "[grid]\nn = 256\n"))
+    # the family is built from the two-value profile, not from rho0
+    family = build_family(parse_config(
+        POLY_SMOOTH + "[grid]\nn = 256\n[init]\nprofile = two_value\n"))
     assert family.n_list == (2, 4)
+    with pytest.raises(ConfigError, match=r"\[init\]\.profile"):
+        build_family(config)
     # the velocity is u0 + u0_amp sin(2 pi u0_mode x) for a negative mode too
     config = parse_config(POLY_SMOOTH + "u0 = 0.5\nu0_mode = -2\nu0_amp = 1\n")
     x = np.arange(64) / 64
@@ -309,6 +313,13 @@ EXIT_CODES = {
     "profile-rails-homogenize": ("homogenize", PROFILE_OFF_RAILS, 4,
                                  "two-phase reference from the [init] profile "
                                  "failed: density guard rail violated at t = 0"),
+    # the family is built from the two-value profile and its limit data
+    "homogenize-constant": ("homogenize", POLY_SMOOTH, 2,
+                            "homogenize needs [init].profile = two_value, "
+                            "got 'constant'"),
+    "homogenize-bn-data": ("homogenize", MINIMAL + "[bn]\nfrom_profile = "
+                           "false\n", 2, "[bn].from_profile = false is not "
+                           "supported"),
     "non-finite": ("simulate-nsk", BLOW_UP, 4, "non-finite"),
     "non-finite-bn": ("simulate-bn", BLOW_UP, 4, "non-finite"),
     "law-refuses-step": ("simulate-bn", LAW_REFUSES_STEP, 4,

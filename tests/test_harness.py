@@ -115,50 +115,82 @@ def test_reference_family_behaviour():
         assert np.max(dists) <= 5.0 * dists[0] + 1e-3
 
 
-def test_member_failure_aborts_with_partial_report(monkeypatch, tmp_path):
-    import phasekit.harness as hmod
-    from phasekit.errors import BoundsError
+def lift_above_the_rail(monkeypatch, members):
+    """Members n in `members` start 1.5 denser (max 3.1 > upper rail 2.8);
+    n = 1 also builds the two-phase data, which stays inside."""
+    real_initial = harness.make_oscillating_initial
 
-    cfg = family(n_list=(1, 2), t_end=0.01)
-    cfg.out_dir = str(tmp_path / "fam")
-    real_initial = hmod.make_oscillating_initial
-
-    def above_rail_for_n2(grid, v_minus, v_plus, theta, n, delta):
+    def lifted(grid, v_minus, v_plus, theta, n, delta):
         rho0 = real_initial(grid, v_minus, v_plus, theta, n, delta)
-        return rho0 + 1.5 if n == 2 else rho0   # max 3.1 > upper rail 2.8
+        return rho0 + 1.5 if n in members else rho0
 
-    monkeypatch.setattr(hmod, "make_oscillating_initial", above_rail_for_n2)
+    monkeypatch.setattr(harness, "make_oscillating_initial", lifted)
+
+
+def test_member_failure_aborts_with_partial_report(monkeypatch):
+    lift_above_the_rail(monkeypatch, {2})
     with pytest.raises(BoundsError) as exc:
-        run_family(cfg)
+        run_family(family(n_list=(1, 2), t_end=0.01))
     partial = exc.value.partial_report
     assert partial is not None
     assert partial.n_list == (1,)
     assert list(partial.extras["failures"]) == [2]
     assert "guard rail violated" in partial.extras["failures"][2]
-    assert (tmp_path / "fam" / "convergence.csv").exists()
 
 
-def test_family_whose_members_all_fail_writes_nothing(monkeypatch, tmp_path):
-    import phasekit.harness as hmod
-    from phasekit.errors import BoundsError
-
-    cfg = family(n_list=(2, 3), t_end=0.01)
-    cfg.out_dir = str(tmp_path / "fam")
-    real_initial = hmod.make_oscillating_initial
-
-    def above_rail_for_members(grid, v_minus, v_plus, theta, n, delta):
-        # max 3.1 > upper rail 2.8; n = 1 builds the two-phase data
-        rho0 = real_initial(grid, v_minus, v_plus, theta, n, delta)
-        return rho0 + 1.5 if n > 1 else rho0
-
-    monkeypatch.setattr(hmod, "make_oscillating_initial",
-                        above_rail_for_members)
+def test_family_whose_members_all_fail_has_no_partial_report(monkeypatch):
+    lift_above_the_rail(monkeypatch, {2, 3})
     with pytest.raises(BoundsError, match=r"n=2: density guard rail violated "
                                           r"at t = 0: .*; n=3: density guard "
                                           r"rail violated at t = 0: ") as exc:
-        run_family(cfg)
+        run_family(family(n_list=(2, 3), t_end=0.01))
     assert exc.value.partial_report is None
-    assert not (tmp_path / "fam").exists()
+
+
+RAIL_FAMILY = """
+[grid]
+n = 256
+
+[time]
+dt = 1e-3
+t_end = 0.01
+snapshot_every = 5
+
+[harness]
+n_list = {n_list}
+"""
+
+
+def homogenize(tmp_path, n_list):
+    from phasekit.cli import main
+
+    cfg = tmp_path / "fam.cfg"
+    cfg.write_text(RAIL_FAMILY.format(n_list=n_list))
+    out = tmp_path / "fam"
+    return main(["homogenize", "--config", str(cfg), "--out", str(out)]), out
+
+
+def test_cli_writes_the_partial_report_of_a_failed_family(monkeypatch,
+                                                          tmp_path, capsys):
+    lift_above_the_rail(monkeypatch, {2})
+    code, out = homogenize(tmp_path, "1, 2")
+    assert code == 4
+    assert ("bounds failure: family aborted, member runs failed: n=2: "
+            "density guard rail violated at t = 0") in capsys.readouterr().err
+    # the report over n = 1, and no meta.json: the family did not finish
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bn", "convergence.csv", "member_n1"]
+    rows = (out / "convergence.csv").read_text().splitlines()
+    assert [row.split(",", 1)[0] for row in rows[1:]] == ["1"]
+
+
+def test_cli_writes_nothing_when_every_member_fails(monkeypatch, tmp_path,
+                                                     capsys):
+    lift_above_the_rail(monkeypatch, {2, 3})
+    code, out = homogenize(tmp_path, "2, 3")
+    assert code == 4
+    assert "family aborted" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unresolvable_member_fails_before_any_run(monkeypatch):
@@ -235,20 +267,19 @@ def test_family_above_the_cfl_bound_stops_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
-def coarse_step_family(tmp_path):
+def coarse_step_family():
     cfg = family(grid_n=256, n_list=(1, 2), t_end=0.03)
     cfg.solver.dt, cfg.solver.snapshot_every = 1.5e-3, 4
-    cfg.out_dir = str(tmp_path / "fam")
     return cfg
 
 
-def cfl_limited_n2_family(monkeypatch, tmp_path):
+def cfl_limited_n2_family(monkeypatch):
     # n = 2 starts 0.8 denser, which puts its CFL bound (1.2e-3 at t = 0)
     # below dt = 1.5e-3 and leaves n = 1's (2.8e-3) above it; the
     # members share one step length, so n = 1 leaves the time grid too
     import phasekit.harness as hmod
 
-    cfg = coarse_step_family(tmp_path)
+    cfg = coarse_step_family()
     real_initial = hmod.make_oscillating_initial
 
     def denser_n2(grid, v_minus, v_plus, theta, n, delta):
@@ -259,25 +290,23 @@ def cfl_limited_n2_family(monkeypatch, tmp_path):
     return cfg
 
 
-def test_family_names_the_cfl_limited_member(monkeypatch, tmp_path):
+def test_family_names_the_cfl_limited_member(monkeypatch):
     from phasekit.errors import ConfigError
 
-    cfg = cfl_limited_n2_family(monkeypatch, tmp_path)
+    cfg = cfl_limited_n2_family(monkeypatch)
     with pytest.raises(ConfigError, match=r"member n=2 left the shared time "
                                           r"grid \(CFL-limited: True\);"):
         run_family(cfg)
-    assert not (tmp_path / "fam").exists()
 
 
-def test_family_names_a_cfl_limited_member_that_then_fails(monkeypatch,
-                                                          tmp_path):
+def test_family_names_a_cfl_limited_member_that_then_fails(monkeypatch):
     # the upper rail 2.405 lies above n = 2's initial maximum 2.4 and below
     # its peak (2.41 by t = 0.03), and above n = 1's (1.606): n = 2 leaves
     # its rails mid-run after CFL-limited steps, which moved n = 1 off the
     # time grid, so no partial report over n = 1 is assembled
     from phasekit.errors import ConfigError
 
-    cfg = cfl_limited_n2_family(monkeypatch, tmp_path)
+    cfg = cfl_limited_n2_family(monkeypatch)
     cfg.solver.bounds = (1 / 2.8, 2.405)
     with pytest.raises(ConfigError) as exc:
         run_family(cfg)
@@ -288,18 +317,16 @@ def test_family_names_a_cfl_limited_member_that_then_fails(monkeypatch,
         r"and rerun", str(exc.value))
     t_fail = float(re.search(r"at t = (\S+):", str(exc.value)).group(1))
     assert 0.0 < t_fail < 0.03
-    assert not (tmp_path / "fam").exists()
 
 
-def test_family_names_a_cfl_limited_two_phase_reference(monkeypatch,
-                                                        tmp_path):
+def test_family_names_a_cfl_limited_two_phase_reference(monkeypatch):
     # the two-phase run's plus phase starts 0.8 denser: its CFL bound falls
     # below dt = 1.5e-3 while both members' stay above it, so only the
     # reference leaves the time grid, and no member is blamed for it
     import phasekit.harness as hmod
     from phasekit.errors import ConfigError
 
-    cfg = coarse_step_family(tmp_path)
+    cfg = coarse_step_family()
     real_limit = hmod.limit_initial_data
 
     def denser_plus_phase(*args):
@@ -312,4 +339,3 @@ def test_family_names_a_cfl_limited_two_phase_reference(monkeypatch,
     assert str(exc.value) == ("the two-phase reference left the shared time "
                               "grid (CFL-limited: True); lower [time].dt and "
                               "rerun")
-    assert not (tmp_path / "fam").exists()

@@ -1,9 +1,12 @@
-"""Pinned output digests of three small CLI runs.
+"""Pinned output digests of three small CLI runs, and pinned check-eos
+reports.
 
-Each test runs one ``phasekit`` subcommand and compares the sha256 of its
-whole output tree (file names and bytes; the ``provenance`` entry of
+Each run test runs one ``phasekit`` subcommand and compares the sha256 of
+its whole output tree (file names and bytes; the ``provenance`` entry of
 meta.json, which names the library versions, is left out) with a pinned
-value.  A refactor must leave every digest unchanged.  A change that alters
+value.  Each check-eos test compares the command's whole stdout and exit
+code with pinned ones.  A refactor must leave every digest and report
+unchanged.  A change that alters
 the numerics on purpose updates the pin in the same change, and its
 CHANGES.md line gives the max-abs field difference against the old output.
 
@@ -103,3 +106,56 @@ def test_output_tree_matches_pin(command, tmp_path, capsys):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
     assert tree_digest(out) == pin
+
+
+EOS_CASES = {
+    # the default Van der Waals law with gamma = 2: monotone on [0, 2.8]
+    # even though the bare law has a spinodal
+    "van-der-waals": ("[eos]\ntype = van_der_waals\n", 0, """{
+  "admissible": true,
+  "min_artificial_slope": 0.06666666666666668,
+  "scan_interval": [
+    0.0,
+    2.8
+  ],
+  "spinodal": [
+    0.03410432940781717,
+    2.6644503324815583
+  ]
+}
+"""),
+    # gamma = 0 leaves the spinodal in the artificial pressure
+    "gamma-zero": ("[physics]\ngamma = 0\n", 3, """{
+  "admissible": false,
+  "min_artificial_slope": -3.469701985818808,
+  "scan_interval": [
+    0.0,
+    2.8
+  ],
+  "spinodal": [
+    0.03410432940781717,
+    2.6644503324815583
+  ]
+}
+"""),
+    # no spinodal at all
+    "polytropic": ("[eos]\ntype = polytropic\n", 0, """{
+  "admissible": true,
+  "min_artificial_slope": 0.0,
+  "scan_interval": [
+    0.0,
+    2.8
+  ],
+  "spinodal": null
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EOS_CASES))
+def test_check_eos_report_matches_pin(case, tmp_path, capsys):
+    text, code, report = EOS_CASES[case]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["check-eos", "--config", str(cfg)]) == code
+    assert capsys.readouterr().out == report
