@@ -221,8 +221,8 @@ def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
     ap_t, am_t = cubic_interp_periodic(
         np.array((state.alpha_p, state.alpha_m)), feet, grid.h)
 
-    drift = float(np.max(np.abs(ap_t + am_t - 1.0)))
-    clip = float(-min(np.min(ap_t), np.min(am_t), 0.0))
+    drift = float(np.abs(ap_t + am_t - 1.0).max())
+    clip = float(-min(ap_t.min(), am_t.min(), 0.0))
     if monitor is not None:
         monitor["closure_drift"] = max(monitor.get("closure_drift", 0.0), drift)
         monitor["alpha_clip"] = max(monitor.get("alpha_clip", 0.0), clip)

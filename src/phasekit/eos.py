@@ -50,12 +50,18 @@ class EquationOfState:
 
     def _check_domain(self, r):
         r = np.asarray(r, dtype=float)
-        # NaN fails both tests and passes; the run loop's finite check
-        # rejects it
-        if (r < 0.0).any() or (r >= self.domain_max).any():
+        # one NaN-ignoring reduction per end: NaN passes, as it passes the
+        # elementwise tests r < 0 and r >= domain_max, and the run loop's
+        # finite check rejects it; an empty array passes too
+        if (np.fmin.reduce(r, axis=None, initial=np.inf) < 0.0
+                or np.fmax.reduce(r, axis=None, initial=-np.inf)
+                >= self.domain_max):
+            # the range of the values that decided, NaN left out; a zero
+            # end keeps the sign np.min and np.max give it
+            seen = r[~np.isnan(r)]
             raise ValueError(
                 f"density outside the law's domain [0, {self.domain_max}): "
-                f"range [{np.min(r)}, {np.max(r)}]")
+                f"range [{np.min(seen)}, {np.max(seen)}]")
         return r
 
     def artificial_pressure(self, r):
@@ -69,7 +75,8 @@ class EquationOfState:
     def potential(self, r):
         """Pressure potential W(r) = r * integral_{r_ref}^r P(s)/s^2 ds."""
         r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0):
+        # NaN passes, as it passes r <= 0
+        if np.fmin.reduce(r, axis=None, initial=np.inf) <= 0.0:
             raise ValueError("potential needs strictly positive density")
         self._check_domain(r)
         return r * (self._potential_inner(r) - self._potential_inner(self.r_ref))

@@ -14,13 +14,17 @@ and vanishes at second order in h.
 
 The two flux kernels, continuity_update and momentum_update, which the
 two-phase step shares, form each periodic neighbour by a slice copy
-(_next, _prev) rather than np.roll: the values are the same copies, and on
-small grids np.roll's per-call overhead costs several times the copy.
+(_next, _prev) rather than np.roll, the coupling force's central c_x
+included: the values are the same copies, and on small grids np.roll's
+per-call overhead costs several times the copy.  For the same reason the
+checks that run on every step (_check_state, _step_length) reduce each
+field once, with ndarray methods rather than the np.* wrappers.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,18 +191,22 @@ def make_oscillating_initial(grid: PeriodicGrid, v_minus: float, v_plus: float,
 
 def sound_speed_max(rho: np.ndarray, u: np.ndarray, eos: EquationOfState):
     """max(|u| + c_s) over the grid, one value per row of a batch."""
-    return torus.row_values(np.max(np.abs(u) + np.sqrt(np.maximum(
-        eos.d_artificial_pressure(rho), 0.0)), axis=-1))
+    return torus.row_values((np.abs(u) + np.sqrt(np.maximum(
+        eos.d_artificial_pressure(rho), 0.0))).max(axis=-1))
 
 
 def _check_state(state, fields: tuple, bounds: tuple):
     """The one test of a failed run: the railed density fields, u and c
-    finite and the railed densities inside the rails, else BoundsError."""
-    if not all(np.all(np.isfinite(f)) for f in (*fields, state.u, state.c)):
+    finite and the railed densities inside the rails, else BoundsError.
+    A railed field's min and max are NaN or infinite when the field holds
+    a NaN or an inf, so that one pair answers both tests."""
+    extremes = [(float(f.min()), float(f.max())) for f in fields]
+    if not (all(math.isfinite(rmin) and math.isfinite(rmax)
+                for rmin, rmax in extremes)
+            and np.isfinite(state.u).all() and np.isfinite(state.c).all()):
         raise BoundsError(f"non-finite field at t = {state.t:.6g}")
     lo, hi = bounds
-    for rho in fields:
-        rmin, rmax = float(np.min(rho)), float(np.max(rho))
+    for rmin, rmax in extremes:
         if rmin < lo or rmax > hi:
             raise BoundsError(
                 f"density guard rail violated at t = {state.t:.6g}: "
@@ -232,7 +240,9 @@ def momentum_update(grid: PeriodicGrid, rho_new: np.ndarray, rho: np.ndarray,
                     dt: float, p: np.ndarray) -> np.ndarray:
     """Conservative momentum step: explicit convection and flux of the
     nodal pressure p, explicit coupling force gamma rho c_x, Crank-Nicolson
-    viscosity.  Returns u at the new time level.  The solvers pass the
+    viscosity.  Returns u at the new time level.  c_x is the central
+    difference (c_{i+1} - c_{i-1}) / 2h from slice shifts, bitwise
+    torus.derivative(grid, c, 1, "central").  The solvers pass the
     artificial pressure of their (mixture) density; the original form, the
     bare pressure P with the force gamma rho (c - rho)_x, is the call with
     c - rho for c and eos.pressure(rho) for p."""
@@ -240,7 +250,7 @@ def momentum_update(grid: PeriodicGrid, rho_new: np.ndarray, rho: np.ndarray,
     m = rho * u
     g = m * u + p
     g_half = 0.5 * (g + _next(g))
-    force = params.gamma * rho * torus.derivative(grid, c, 1, "central")
+    force = params.gamma * rho * ((_next(c) - _prev(c)) / (2.0 * h))
     m_star = m - (dt / h) * (g_half - _prev(g_half)) + dt * force
 
     a = 0.5 * params.mu * dt / h ** 2
@@ -263,11 +273,11 @@ def _step_length(state, fields, params: PhysicalParams, config: SolverConfig,
     if len(fields) == 1:
         smax = sound_speed_max(fields[0], state.u, params.eos)
     else:   # the phases of a BN state: one law call on their stack
-        smax = np.max(sound_speed_max(np.array(fields), state.u, params.eos),
-                      axis=0)
+        smax = sound_speed_max(np.array(fields), state.u,
+                               params.eos).max(axis=0)
     with np.errstate(divide="ignore"):
         cfl_dt = config.cfl * state.grid.h / np.asarray(smax)
-    return min(config.dt, remaining, float(np.min(cfl_dt))), cfl_dt < config.dt
+    return min(config.dt, remaining, float(cfl_dt.min())), cfl_dt < config.dt
 
 
 def nsk_step(state: FluidState, params: PhysicalParams, config: SolverConfig,

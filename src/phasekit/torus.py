@@ -20,11 +20,14 @@ differs from the row solves in the last bit.  Two derivative backends are
 provided everywhere: ``"central"`` (second-order finite differences,
 exactly conservative in the telescoping sense) and ``"spectral"``
 (discrete-Fourier differentiation, exact on resolved trigonometric
-polynomials).  The backend is always an explicit argument, never module
-state.  The Fourier symbols (the wavenumbers, i k, -k^2, k^2 and the
-Sobolev weights of each order) are built once per grid and are read-only;
-each kernel applies them in the order it always did, so every value is
-bitwise what building them per call gave.
+polynomials).  The central backend serves the diagnostics and
+``bn.picard_bn``; ``nsk.momentum_update`` forms the same central c_x
+bitwise from slice shifts, without np.roll's per-call overhead.  The
+backend is always an explicit argument, never module state.  The Fourier
+symbols (the wavenumbers, i k, -k^2, k^2 and the Sobolev weights of each
+order) are built once per grid and are read-only; each kernel applies
+them in the order it always did, so every value is bitwise what building
+them per call gave.
 
 The kernels check shapes, not values: NaN and inf propagate to the result,
 and the run loop (``nsk._integrate``) decides whether a state is valid.

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
 from phasekit.eos import (AdmissibilityError, PolytropicEOS, VanDerWaalsEOS,
                           check_admissibility, make_eos,
                           quadratic_growth_constant, require_admissible)
+
+FAST = settings(max_examples=30, deadline=None)
 
 
 @pytest.fixture
@@ -207,3 +211,68 @@ def test_parameter_validation():
         PolytropicEOS(-1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         VanDerWaalsEOS(1.0, 0.0, 1.0, 0.2, 1.0)
+
+
+# the two laws of the domain checks: a pole at B = 3, and no upper end
+DOMAIN_LAWS = [VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0),
+               PolytropicEOS(1.0, 2.0, 1.0)]
+
+
+def refusal(call, r):
+    """The message of the ValueError that call(r) raises, else None."""
+    try:
+        call(r)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def check_domain_decision(law, r):
+    # _check_domain refuses exactly what the elementwise tests refuse, and
+    # names the range of the values other than NaN; potential refuses a
+    # density <= 0 first, again exactly as the elementwise test does
+    refused = bool((r < 0.0).any() or (r >= law.domain_max).any())
+    seen = r[~np.isnan(r)]
+    expected = (f"density outside the law's domain [0, {law.domain_max}): "
+                f"range [{np.min(seen)}, {np.max(seen)}]" if refused else None)
+    assert refusal(law._check_domain, r) == expected
+    if np.any(r <= 0.0):
+        expected = "potential needs strictly positive density"
+    # only the decision is pinned: W of an accepted subnormal density
+    # underflows in the log
+    with np.errstate(divide="ignore", under="ignore"):
+        assert refusal(law.potential, r) == expected
+
+
+DOMAIN_EDGES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 3.0,
+                np.nextafter(3.0, 0.0), np.nextafter(3.0, 4.0), 1.0, -1.0]
+
+
+@pytest.mark.parametrize("law", DOMAIN_LAWS)
+@pytest.mark.parametrize("r", [
+    np.array([]), np.zeros((2, 0)), np.array(np.nan), np.array(-0.0),
+    np.array(3.0), np.array(np.inf), np.array([np.nan, np.nan]),
+    np.array([-0.0, 0.0, 5.0]), np.array([0.0, -0.0, 5.0]),
+    np.array([[1.0, -0.0], [0.0, -1.0]]), np.array([np.nan, -1.0, 2.0]),
+    np.array([[np.nan, 1.0], [np.inf, 0.5]]), np.array([-np.inf, np.nan]),
+])
+def test_domain_decision_on_edge_arrays(law, r):
+    check_domain_decision(law, r)
+
+
+@FAST
+@given(data=st.data(), shape=st.sampled_from(
+    [(), (0,), (1,), (7,), (2, 0), (2, 5), (4, 3)]))
+def test_domain_decision_equals_the_elementwise_tests(data, shape):
+    values = st.one_of(st.sampled_from(DOMAIN_EDGES), st.floats(-1.0, 4.0))
+    r = data.draw(hnp.arrays(np.float64, shape, elements=values))
+    for law in DOMAIN_LAWS:
+        check_domain_decision(law, r)
+
+
+def test_domain_refusal_names_the_range_without_nan():
+    law = DOMAIN_LAWS[0]
+    with pytest.raises(ValueError, match=r"range \[-1\.0, 2\.0\]$"):
+        law.pressure(np.array([np.nan, -1.0, 2.0]))
+    with pytest.raises(ValueError, match=r"range \[0\.5, inf\]$"):
+        law.d_pressure(np.array([[0.5, np.nan], [np.inf, 1.0]]))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from phasekit import nsk
-from phasekit.bn import BNState, bn_run
+from phasekit.bn import BNState, bn_run, bn_step
 from phasekit.diagnostics import RECORD_COLUMNS, balance_check, compute_record
 from phasekit.eos import AdmissibilityError, PolytropicEOS, VanDerWaalsEOS
 from phasekit.errors import BoundsError
@@ -447,3 +447,136 @@ def test_batch_row_failing_after_cfl_limited_steps_keeps_its_flag():
     assert not batch[0].cfl_limited
     assert batch[0].snapshot_times[-1] == pytest.approx(5e-3, abs=1e-12)
     assert batch[0].n_steps > 5
+
+
+def check_state_oracle(state, fields, bounds):
+    """_check_state written out as it was before its one-reduction form:
+    a finite test of every element of each field, then np.min and np.max
+    of each railed field."""
+    if not all(np.all(np.isfinite(f)) for f in (*fields, state.u, state.c)):
+        raise BoundsError(f"non-finite field at t = {state.t:.6g}")
+    lo, hi = bounds
+    for rho in fields:
+        rmin, rmax = float(np.min(rho)), float(np.max(rho))
+        if rmin < lo or rmax > hi:
+            raise BoundsError(
+                f"density guard rail violated at t = {state.t:.6g}: "
+                f"range [{rmin:.6g}, {rmax:.6g}] outside [{lo}, {hi}]")
+
+
+def failure(check, *args):
+    """The message of the BoundsError that check(*args) raises, else None."""
+    try:
+        check(*args)
+    except BoundsError as exc:
+        return str(exc)
+    return None
+
+
+CHECK_BOUNDS = (0.5, 2.0)
+# one node's value: NaN, +-inf, each rail crossed from below and from
+# above, and a value far outside the rails, which only the railed fields
+# refuse
+CHECK_VALUES = (np.nan, np.inf, -np.inf,
+                np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+                np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0), 1e6)
+
+
+def checked_states():
+    """A clean NSK state, BN state and 3-row NSK batch at t = 0.123456789,
+    with their railed fields."""
+    grid = PeriodicGrid(16)
+    wave = np.sin(2 * np.pi * grid.x)
+    rho = 1.0 + 0.3 * wave
+    nsk_state = FluidState(grid, 0.123456789, rho, wave, rho.copy())
+    alpha = 0.5 + 0.2 * wave
+    bn_state = BNState(grid, 0.123456789, alpha, 1.0 - alpha, rho,
+                       1.2 - 0.2 * wave, wave, rho.copy())
+    rows = np.stack([rho, rho[::-1], 1.5 + 0.1 * wave])
+    batch = FluidState(grid, 0.123456789, rows, -rows, rows.copy())
+    return ((nsk_state, lambda s: (s.rho,)),
+            (bn_state, lambda s: (s.rho_p, s.rho_m)),
+            (batch, lambda s: (s.rho,)))
+
+
+def corrupted(state, changes):
+    """A copy of state with node (k or row, k) of field name set to value,
+    for each (name, index, value) of changes."""
+    fields = {f.name: getattr(state, f.name).copy()
+              for f in dataclasses.fields(state)[2:]}
+    for name, index, value in changes:
+        fields[name][index] = value
+    return dataclasses.replace(state, **fields)
+
+
+def test_state_check_fails_as_its_written_out_form():
+    # every field of each state, NaN, +-inf and each rail crossed, alone
+    # and in pairs of fields (the check order picks the message): the
+    # same BoundsError text or None, so the CLI's exit-4 texts stay
+    cases = 0
+    for state, rails in checked_states()[:2]:
+        names = [f.name for f in dataclasses.fields(state)[2:]]
+        singles = [(name, 3, value) for name in names
+                   for value in CHECK_VALUES]
+        changes = [[a] for a in singles] + [
+            [a, b] for a in singles for b in singles[::7] if a[0] != b[0]]
+        for change in changes:
+            bad = corrupted(state, change)
+            expected = failure(check_state_oracle, bad, rails(bad),
+                               CHECK_BOUNDS)
+            assert failure(nsk._check_state, bad, rails(bad),
+                           CHECK_BOUNDS) == expected
+            cases += expected is not None
+    assert cases > 100
+
+
+def test_batch_row_checks_fail_as_their_written_out_form():
+    # a batch with two corrupted rows: the batch check fails as its
+    # written-out form does, and _drop_failed_rows gives each failed row
+    # the error its written-out check raises and keeps the others
+    batch, rails = checked_states()[2]
+    for name in ("rho", "u", "c"):
+        for value, other in zip(CHECK_VALUES, CHECK_VALUES[::-1]):
+            bad = corrupted(batch, [(name, (1, 5), value),
+                                    ("rho", (2, 9), other)])
+            assert (failure(nsk._check_state, bad, rails(bad), CHECK_BOUNDS)
+                    == failure(check_state_oracle, bad, rails(bad),
+                               CHECK_BOUNDS))
+            results = ["run 0", "run 1", "run 2"]
+            kept, members = nsk._drop_failed_rows(
+                bad, [0, 1, 2], rails, CHECK_BOUNDS, results,
+                np.zeros(3, dtype=bool))
+            for j, row in enumerate(nsk._rows(bad)):
+                expected = failure(check_state_oracle, row, rails(row),
+                                   CHECK_BOUNDS)
+                got = results[j]
+                assert (None if got == f"run {j}" else str(got)) == expected
+                assert (j in members) == (expected is None)
+            assert np.array_equal(kept.rho, bad.rho[members])
+
+
+def test_step_kernels_make_no_roll_call(monkeypatch):
+    # the flux kernels and the coupling force shift by slicing; the
+    # records still reach np.roll through torus.derivative's central
+    # backend, which keeps it until ROADMAP 1b drops numpy.roll from the
+    # benchmark tracer's REACHES
+    calls = []
+    roll = np.roll
+
+    def counting_roll(*args, **kwargs):
+        calls.append(args)
+        return roll(*args, **kwargs)
+
+    monkeypatch.setattr(np, "roll", counting_roll)
+    grid = PeriodicGrid(32)
+    params = poly_params()
+    config = SolverConfig(dt=1e-3, t_end=1e-2)
+    wave = np.sin(2 * np.pi * grid.x)
+    fluid = FluidState.make(grid, 1.0 + 0.2 * wave, 0.3 * wave, params)
+    two_phase = BNState.make(grid, 0.5 + 0.2 * wave, 1.0 + 0.2 * wave,
+                             1.2 - 0.1 * wave, 0.3 * wave, params)
+    nsk_step(fluid, params, config, 1e-3)
+    bn_step(two_phase, params, config, 1e-3)
+    assert calls == []
+    compute_record(fluid, params)
+    assert len(calls) > 0
