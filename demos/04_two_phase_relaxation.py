@@ -20,7 +20,7 @@ print("== homogeneous pressure relaxation ==")
 config = SolverConfig(dt=2e-4, t_end=0.8, bounds=(0.05, 20.0),
                       snapshot_every=400)
 state = BNState.make(grid, 0.4, 1.5, 0.5, 0.0, params)
-traj = bn_run(state, params, config, keep_records=False)
+traj = bn_run(state, params, config)
 print(f"{'t':>6s} {'alpha_p':>9s} {'rho_p':>8s} {'rho_m':>8s} {'|gap|':>10s}")
 for s in traj.snapshots:
     gap = abs(float(params.eos.artificial_pressure(s.rho_p[0])
@@ -33,10 +33,10 @@ rho0 = 1.0 + 0.2 * np.sin(2 * np.pi * grid.x)
 u0 = 0.1 * np.cos(2 * np.pi * grid.x)
 short = SolverConfig(dt=2e-4, t_end=0.05, bounds=(0.05, 20.0),
                      snapshot_every=10 ** 9)
-single = nsk_run(FluidState.make(grid, rho0, u0, params), params, short,
-                 keep_records=False).snapshots[-1]
-two = bn_run(BNState.make(grid, 1.0, rho0, rho0, u0, params), params, short,
-             keep_records=False).snapshots[-1]
+single = nsk_run(FluidState.make(grid, rho0, u0, params), params,
+                 short).snapshots[-1]
+two = bn_run(BNState.make(grid, 1.0, rho0, rho0, u0, params), params,
+             short).snapshots[-1]
 print(f"  max |rho_p - rho| = {np.max(np.abs(two.rho_p - single.rho)):.2e}")
 print(f"  max |u_bn - u|    = {np.max(np.abs(two.u - single.u)):.2e}")
 

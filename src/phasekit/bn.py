@@ -252,12 +252,13 @@ def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
     return BNState(grid, state.t + dt, ap, am, rp, rm, u_new, c_new)
 
 
-def bn_run(initial: BNState, params: PhysicalParams, config: SolverConfig,
-           keep_records: bool = True) -> Trajectory:
-    """Integrate to t_end with the run loop documented in nsk_run;
-    extras["monitor"] holds the largest closure drift and alpha clip."""
+def bn_run(initial: BNState, params: PhysicalParams,
+           config: SolverConfig) -> Trajectory:
+    """Integrate to t_end with the run loop documented in nsk_run, every
+    state recorded; extras["monitor"] holds the largest closure drift and
+    alpha clip."""
     monitor = {}
-    traj = _integrate(initial, params, config, keep_records,
+    traj = _integrate(initial, params, config,
                       partial(bn_step, monitor=monitor),
                       lambda s: (s.rho_p, s.rho_m))
     traj.extras["monitor"] = monitor

@@ -111,10 +111,9 @@ def make_parser() -> argparse.ArgumentParser:
                     "homogenization diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_config=True, needs_out=False):
+    def add(name, fn, needs_out=False):
         p = sub.add_parser(name)
-        if needs_config:
-            p.add_argument("--config", required=True, help="run config file")
+        p.add_argument("--config", required=True, help="run config file")
         if needs_out:
             p.add_argument("--out", default=None,
                            help="output directory (overrides [output])")

@@ -107,23 +107,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {sec: dict(vals) for sec, vals in self.sections.items()}
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunConfig":
-        """Load a to_dict() payload by writing it out as config text, so it
-        meets the same parsers and checks as a file."""
-        lines = []
-        for section, values in payload.items():
-            lines.append(f"[{section}]")
-            for key, value in values.items():
-                text = (", ".join(map(str, value)) if isinstance(value, list)
-                        else str(value))
-                # one line, no comment mark, no padding that parsing drops
-                if "#" in text or text.splitlines(True) != [text.strip()]:
-                    raise ConfigError(f"<dict>: [{section}].{key}: {value!r} "
-                                      f"is not one config value")
-                lines.append(f"{key} = {text}")
-        return parse_config("\n".join(lines), path="<dict>")
-
 
 def load_config(path: str) -> RunConfig:
     try:

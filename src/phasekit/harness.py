@@ -28,7 +28,7 @@ from .measures import (TestDictionary, distance, empirical_from_state,
                        kinetic_residual, smoke_test_set, two_dirac_from_bn,
                        wasserstein_avg)
 from .nsk import (FluidState, PhysicalParams, SolverConfig,
-                  make_oscillating_initial, nsk_run)
+                  make_oscillating_initial, nsk_run, sound_speed_max)
 from .torus import PeriodicGrid, mean
 
 
@@ -46,6 +46,8 @@ class FamilyConfig:
 
     def __post_init__(self):
         self.n_list = tuple(int(n) for n in self.n_list)
+        if not self.n_list:
+            raise ValueError("n_list must not be empty")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError("n_list must be strictly increasing")
         if self.grid_n < 64 * max(self.n_list):
@@ -98,9 +100,7 @@ def suggest_dt(params: PhysicalParams, rho_range: tuple, u_max: float,
     """0.7 times the CFL step for densities in rho_range, so every family
     member runs on the same uniform time grid."""
     r = np.linspace(rho_range[0], rho_range[1], 257)
-    smax = float(np.max(np.sqrt(np.maximum(
-        params.eos.d_artificial_pressure(r), 0.0)))) + abs(u_max)
-    return 0.7 * cfl * grid.h / smax
+    return 0.7 * cfl * grid.h / sound_speed_max(r, u_max, params.eos)
 
 
 def run_family(config: FamilyConfig) -> ConvergenceReport:

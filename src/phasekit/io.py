@@ -63,9 +63,8 @@ def write_trajectory(out_dir, trajectory):
         write_csv(os.path.join(out_dir, f"snapshot_{i:05d}.csv"),
                   ["x", *names],
                   [state.grid.x, *(getattr(state, name) for name in names)])
-    if trajectory.records is not None:
-        write_diagnostics(os.path.join(out_dir, "diagnostics.csv"),
-                          trajectory.records)
+    write_diagnostics(os.path.join(out_dir, "diagnostics.csv"),
+                      trajectory.records)
 
 
 def write_measure_summary(path, times, names, pairings):

@@ -137,8 +137,10 @@ class FluidState:
 
 @dataclass
 class Trajectory:
+    """A finished run of nsk_run or bn_run: its snapshots, and in records
+    its diagnostics table, one entry per state in time order."""
     snapshots: list
-    records: diagnostics.DiagnosticsRecord | None
+    records: diagnostics.DiagnosticsRecord
     params: PhysicalParams
     config: SolverConfig
     n_steps: int = 0
@@ -319,10 +321,11 @@ def _drop_failed_rows(state, members: list, rails, bounds, results: list,
 _CHUNK_ELEMENTS = 8192
 
 
-def _integrate(initial, params: PhysicalParams, config: SolverConfig,
-               keep_records: bool, step, rails):
+def _integrate(initial, params: PhysicalParams, config: SolverConfig, step,
+               rails):
     """The run loop of nsk_run and bn_run: step(state, params, config, dt=dt)
-    advances one step, rails(state) gives the railed density fields."""
+    advances one step, rails(state) gives the railed density fields.  Each
+    run's records are None until the run finishes, then its table."""
     require_admissible(params.eos, 0.0, config.bounds[1])
     batch = initial.u.ndim == 2
     runs = [Trajectory([row], None, params, config)
@@ -354,25 +357,22 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig,
         if done or pending_rows + len(members) > chunk_rows:
             stacked = type(state).stack([s for s, _ in pending])
             row_runs = [j for _, rows in pending for j in rows]
-            if keep_records:
-                record = diagnostics.compute_record(stacked, params)
-                chunks.append(np.array([getattr(record, name) for name
-                                        in diagnostics.RECORD_COLUMNS]))
-                owners += row_runs
+            record = diagnostics.compute_record(stacked, params)
+            chunks.append(np.array([getattr(record, name) for name
+                                    in diagnostics.RECORD_COLUMNS]))
+            owners += row_runs
             dxc = torus.max_norm(
                 torus.derivative(state.grid, stacked.c, 1, "spectral"))
             for j, value in zip(row_runs, dxc):
                 runs[j].dxc_sup = max(runs[j].dxc_sup, float(value))
             pending, pending_rows = [], 0
         if done:
-            if keep_records:
-                table, owners = np.hstack(chunks), np.array(owners)
+            table, owners = np.hstack(chunks), np.array(owners)
             for j in members:
                 runs[j].n_steps = n_steps
                 runs[j].cfl_limited = bool(cfl_limited[j])
-                if keep_records:
-                    runs[j].records = diagnostics.DiagnosticsRecord(
-                        *table[:, owners == j])
+                runs[j].records = diagnostics.DiagnosticsRecord(
+                    *table[:, owners == j])
             return results if batch else runs[0]
         dt, limited = _step_length(state, rails(state), params, config,
                                    t_final - state.t)
@@ -387,8 +387,8 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig,
                 runs[j].snapshots.append(row)
 
 
-def nsk_run(initial: FluidState, params: PhysicalParams, config: SolverConfig,
-            keep_records: bool = True) -> Trajectory | list:
+def nsk_run(initial: FluidState, params: PhysicalParams,
+            config: SolverConfig) -> Trajectory | list:
     """Integrate from initial.t to t_final = initial.t + config.t_end.
 
     The run loop, shared with bn_run: the law must be admissible on [0,
@@ -399,14 +399,12 @@ def nsk_run(initial: FluidState, params: PhysicalParams, config: SolverConfig,
     the pressure law refuses, say) raises BoundsError, which names the
     step's start time.  Each step has length min(config.dt,
     t_final - t, cfl h / max(|u| + c_s)), the wave speed taken over the
-    railed densities, until t >= t_final - 1e-12 t_end.  keep_records
-    records every state: records is the run's diagnostics table, a
-    DiagnosticsRecord of 1-D arrays with one entry per state in time order
-    (None without records).  Snapshots:
+    railed densities, until t >= t_final - 1e-12 t_end.  Every state is
+    recorded: records is the run's diagnostics table, a DiagnosticsRecord
+    of 1-D arrays with one entry per state in time order.  Snapshots:
     the initial state, every snapshot_every-th step and the final state,
     the only one within the end tolerance.  cfl_limited: the CFL bound fell
-    below config.dt on some step; dxc_sup: sup |c_x| over all states, with
-    or without records.
+    below config.dt on some step; dxc_sup: sup |c_x| over all states.
 
     Records are computed in chunks: checked states are held while their
     rows, one per state or per batch row, fit in K = max(1, 8192 // n), or
@@ -432,5 +430,4 @@ def nsk_run(initial: FluidState, params: PhysicalParams, config: SolverConfig,
     and dxc_sup) equals its own run's bitwise.
     bn_step does not take a batch.
     """
-    return _integrate(initial, params, config, keep_records, nsk_step,
-                      lambda s: (s.rho,))
+    return _integrate(initial, params, config, nsk_step, lambda s: (s.rho,))

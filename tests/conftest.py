@@ -44,6 +44,27 @@ def homogeneous_relaxation():
     config = SolverConfig(dt=2e-4, t_end=1.0, bounds=(0.05, 20.0),
                           snapshot_every=50)
     state = BNState.make(PeriodicGrid(8), 0.4, 1.5, 0.5, 0.0, params)
-    traj = bn_run(state, params, config, keep_records=False)
+    traj = bn_run(state, params, config)
     assert traj.n_steps == 5000 and len(traj.snapshots) == 101
     return traj
+
+
+@pytest.fixture(scope="session")
+def config_text():
+    """text(payload): the config file that spells out every value of a
+    RunConfig.to_dict() payload, such as the "config" entry of a run's
+    meta.json, so that parse_config(text(config.to_dict())) == config."""
+    def text(payload):
+        lines = []
+        for section, values in payload.items():
+            lines.append(f"[{section}]")
+            for key, value in values.items():
+                if isinstance(value, bool):
+                    value = str(value).lower()
+                elif isinstance(value, list):
+                    value = ", ".join(str(v) for v in value)
+                elif isinstance(value, float):
+                    value = repr(value)
+                lines.append(f"{key} = {value}")
+        return "\n".join(lines) + "\n"
+    return text

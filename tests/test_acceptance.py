@@ -96,8 +96,7 @@ def test_criterion_02_conservation(smooth_run):
                               upwind=0.0, snapshot_every=10 ** 9)
         rho0 = 1.0 + 0.2 * np.sin(2 * np.pi * grid.x)
         state = FluidState.make(grid, rho0, grid.zeros(), params)
-        final = nsk_run(state, params, config,
-                        keep_records=False).snapshots[-1]
+        final = nsk_run(state, params, config).snapshots[-1]
         return abs(mean(grid, final.rho * final.u)
                    - mean(grid, state.rho * state.u))
 
@@ -167,7 +166,7 @@ def test_criterion_05_dispersion():
                           upwind=0.0, snapshot_every=250)
     rho0 = rho_bar + 0.01 * np.sin(2 * np.pi * k * grid.x)
     traj = nsk_run(FluidState.make(grid, rho0, grid.zeros(), params), params,
-                   config, keep_records=False)
+                   config)
     ts = traj.snapshot_times
     vecs = np.array([[np.fft.rfft(s.rho - rho_bar)[k] / grid.n,
                       np.fft.rfft(s.u)[k] / grid.n] for s in traj.snapshots]).T
@@ -188,9 +187,9 @@ def test_criterion_06_bn_nsk_degeneracy():
     rho0 = 1.0 + 0.2 * np.sin(2 * np.pi * grid.x)
     u0 = 0.1 * np.cos(2 * np.pi * grid.x)
     nsk_traj = nsk_run(FluidState.make(grid, rho0, u0, params), params,
-                       config, keep_records=False)
+                       config)
     bn_traj = bn_run(BNState.make(grid, 1.0, rho0, rho0, u0, params), params,
-                     config, keep_records=False)
+                     config)
     err = max(max(np.max(np.abs(sb.rho_p - sn.rho)),
                   np.max(np.abs(sb.u - sn.u)))
               for sb, sn in zip(bn_traj.snapshots, nsk_traj.snapshots))
@@ -298,7 +297,7 @@ def test_criterion_09_kinetic_residuals():
     config = SolverConfig(dt=1e-3, t_end=0.05, bounds=box, snapshot_every=1)
     const = nsk_run(FluidState.make(grid, grid.constant(1.3),
                                     grid.constant(0.4), params), params,
-                    config, keep_records=False)
+                    config)
     zero_max = max(kinetic_consistency(const).values())
     zero_ok = zero_max <= 1e-13
 
@@ -309,7 +308,7 @@ def test_criterion_09_kinetic_residuals():
         rho0 = (1.0 + 0.2 * np.sin(2 * np.pi * g.x)
                 + 0.05 * np.cos(4 * np.pi * g.x + 0.7))
         traj = nsk_run(FluidState.make(g, rho0, g.zeros(), params), params,
-                       cfg, keep_records=False)
+                       cfg)
         return np.array(list(kinetic_consistency(traj).values()))
 
     def bn_res(n, dt, t_end=0.04):
@@ -319,7 +318,7 @@ def test_criterion_09_kinetic_residuals():
         alpha0 = 0.5 + 0.2 * np.sin(2 * np.pi * g.x + 0.3)
         state = BNState.make(g, alpha0, 1.5, 0.7,
                              0.1 * np.cos(2 * np.pi * g.x), params)
-        traj = bn_run(state, params, cfg, keep_records=False)
+        traj = bn_run(state, params, cfg)
         return np.array(list(kinetic_consistency(traj).values()))
 
     orders = []

@@ -166,10 +166,9 @@ def test_pure_phase_degenerates_to_single_phase():
                           snapshot_every=50)
     rho0 = 1.0 + 0.2 * np.sin(2 * np.pi * grid.x)
     u0 = 0.1 * np.cos(2 * np.pi * grid.x)
-    nsk_traj = nsk_run(FluidState.make(grid, rho0, u0, params), params, config,
-                       keep_records=False)
+    nsk_traj = nsk_run(FluidState.make(grid, rho0, u0, params), params, config)
     bn_traj = bn_run(BNState.make(grid, 1.0, rho0, rho0, u0, params), params,
-                     config, keep_records=False)
+                     config)
     assert len(nsk_traj.snapshots) == len(bn_traj.snapshots)
     for s_nsk, s_bn in zip(nsk_traj.snapshots, bn_traj.snapshots):
         assert s_bn.t == pytest.approx(s_nsk.t, abs=1e-14)
@@ -207,9 +206,8 @@ def test_equal_densities_stay_equal_and_match_nsk():
     u0 = 0.1 * np.cos(2 * np.pi * grid.x)
     alpha0 = 0.5 + 0.3 * np.sin(4 * np.pi * grid.x)
     bn_traj = bn_run(BNState.make(grid, alpha0, rho0, rho0, u0, params),
-                     params, config, keep_records=False)
-    nsk_traj = nsk_run(FluidState.make(grid, rho0, u0, params), params, config,
-                       keep_records=False)
+                     params, config)
+    nsk_traj = nsk_run(FluidState.make(grid, rho0, u0, params), params, config)
     final = bn_traj.snapshots[-1]
     assert np.max(np.abs(final.rho_p - final.rho_m)) <= 1e-9
     assert np.max(np.abs(final.rho_p - nsk_traj.snapshots[-1].rho)) <= 1e-10
@@ -223,7 +221,7 @@ def test_mixture_mass_conserved():
     state = BNState.make(grid, 0.4, 1.0 + 0.2 * np.sin(2 * np.pi * grid.x),
                          0.8, 0.1 * np.cos(2 * np.pi * grid.x), params)
     m0 = mean(grid, state.alpha_p * state.rho_p + state.alpha_m * state.rho_m)
-    traj = bn_run(state, params, config, keep_records=False)
+    traj = bn_run(state, params, config)
     final = traj.snapshots[-1]
     m1 = mean(grid, final.alpha_p * final.rho_p + final.alpha_m * final.rho_m)
     assert traj.n_steps >= 1000
@@ -237,7 +235,7 @@ def test_closure_monitored_along_run():
     alpha0 = 0.5 + 0.4 * np.sin(2 * np.pi * grid.x)
     state = BNState.make(grid, alpha0, 1.4, 0.7,
                          0.2 * np.sin(2 * np.pi * grid.x), params)
-    traj = bn_run(state, params, config, keep_records=False)
+    traj = bn_run(state, params, config)
     assert traj.extras["monitor"]["closure_drift"] < 1e-10
     assert traj.extras["monitor"]["alpha_clip"] <= 1e-12
 
@@ -250,14 +248,14 @@ def test_single_final_snapshot_at_end_tolerance():
     config = SolverConfig(dt=1e-3 - 5e-14, t_end=0.01, bounds=(0.05, 20.0),
                           snapshot_every=3)
     state = BNState.make(grid, 0.4, 1.2, 0.8, 0.0, params)
-    traj = bn_run(state, params, config, keep_records=False)
+    traj = bn_run(state, params, config)
     times = traj.snapshot_times
     assert traj.n_steps == 11
     assert np.sum(times >= config.t_end - 1e-12) == 1
     assert times[-1] == pytest.approx(config.t_end, abs=1e-14)
 
 
-def cfl_limited_run(keep_records):
+def test_run_reports_cfl_limit():
     # dt = 0.05 is far above the CFL bound, so the run takes many short steps
     grid = PeriodicGrid(32)
     params = poly_params()
@@ -265,20 +263,10 @@ def cfl_limited_run(keep_records):
     alpha0 = 0.5 + 0.2 * np.sin(2 * np.pi * grid.x)
     state = BNState.make(grid, alpha0, 1.2, 0.8,
                          0.3 * np.sin(2 * np.pi * grid.x), params)
-    return bn_run(state, params, config, keep_records=keep_records)
-
-
-def test_run_reports_cfl_limit():
-    traj = cfl_limited_run(keep_records=False)
+    traj = bn_run(state, params, config)
     assert traj.n_steps > 4
     assert traj.cfl_limited
-
-
-def test_dxc_sup_independent_of_records():
-    with_records = cfl_limited_run(keep_records=True)
-    without = cfl_limited_run(keep_records=False)
-    assert with_records.dxc_sup > 0.0
-    assert without.dxc_sup == with_records.dxc_sup
+    assert traj.dxc_sup > 0.0
 
 
 # ------------------------------------------------------------------- picard

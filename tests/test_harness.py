@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phasekit import harness
-from phasekit.eos import VanDerWaalsEOS
+from phasekit.eos import PolytropicEOS, VanDerWaalsEOS
 from phasekit.errors import BoundsError
 from phasekit.harness import (FamilyConfig, kinetic_consistency,
                               limit_initial_data, run_family, suggest_dt)
@@ -75,7 +75,26 @@ def test_limit_initial_data_degenerate():
     assert rho_p == rho_m == 1.2
 
 
+@pytest.mark.parametrize("eos", [VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0),
+                                 PolytropicEOS(1.0, 2.0, 1.0)],
+                         ids=["van_der_waals", "polytropic"])
+def test_suggest_dt_equals_its_written_out_form(eos):
+    # max(|u| + c_s) is |u| + max c_s bitwise: rounding is monotone
+    params = PhysicalParams(mu=0.1, kappa=0.1, eos=eos)
+    for rho_range, u_max in (((0.5, 2.0), 0.5), ((0.3, 2.7), -0.3),
+                             ((1e-3, 1.0), 0.0), ((0.8, 1.6), 1e3)):
+        for n in (256, 2048):
+            grid = PeriodicGrid(n)
+            r = np.linspace(rho_range[0], rho_range[1], 257)
+            smax = float(np.max(np.sqrt(np.maximum(
+                eos.d_artificial_pressure(r), 0.0)))) + abs(u_max)
+            assert (suggest_dt(params, rho_range, u_max, 0.4, grid)
+                    == 0.7 * 0.4 * grid.h / smax)
+
+
 def test_family_validation(monkeypatch):
+    with pytest.raises(ValueError, match="n_list must not be empty"):
+        family(n_list=())
     with pytest.raises(ValueError):
         family(n_list=(4, 2))
     with pytest.raises(ValueError):
@@ -217,7 +236,7 @@ def test_kinetic_consistency_wrapper():
     residuals = {}
     for t0 in (0.0, 0.013):
         traj = nsk_run(FluidState.make(grid, rho0, grid.zeros(), params, t=t0),
-                       params, solver, keep_records=False)
+                       params, solver)
         residuals[t0] = kinetic_consistency(traj)
     assert set(residuals[0.0]) == {p.name for p in smoke_test_set(0.02)}
     assert all(np.isfinite(v) for v in residuals[0.0].values())

@@ -57,7 +57,7 @@ def test_moment_consistency_along_run():
     config = SolverConfig(dt=2e-4, t_end=0.01, bounds=BOX)
     rho0 = 1.0 + 0.2 * np.sin(2 * np.pi * grid.x)
     traj = nsk_run(FluidState.make(grid, rho0, grid.zeros(), params), params,
-                   config, keep_records=False)
+                   config)
     for s in traj.snapshots:
         m = empirical_from_state(s, BOX)
         assert abs(m.pair(lambda x, xi: xi) - mean(grid, s.rho)) <= 1e-12
@@ -168,7 +168,7 @@ def test_kinetic_residual_constant_state_is_zero():
     params = poly_params()
     config = SolverConfig(dt=1e-3, t_end=0.05, bounds=BOX, snapshot_every=1)
     state = FluidState.make(grid, grid.constant(1.3), grid.constant(0.4), params)
-    traj = nsk_run(state, params, config, keep_records=False)
+    traj = nsk_run(state, params, config)
     for name, resid in kinetic_consistency(traj).items():
         assert resid <= 1e-13, name
 
@@ -179,7 +179,7 @@ def refinement_residuals(run, initial, n, dt, t_end=0.04):
     params = poly_params()
     config = SolverConfig(dt=dt, t_end=t_end, bounds=BOX, snapshot_every=1,
                           upwind=0.0)
-    traj = run(initial(grid, params), params, config, keep_records=False)
+    traj = run(initial(grid, params), params, config)
     return list(kinetic_consistency(traj).values())
 
 

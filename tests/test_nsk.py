@@ -101,7 +101,7 @@ def test_mass_conservation_1000_steps():
     u0 = 0.2 * np.cos(2 * np.pi * grid.x)
     state = FluidState.make(grid, rho0, u0, params)
     m0 = mean(grid, state.rho)
-    traj = nsk_run(state, params, config, keep_records=True)
+    traj = nsk_run(state, params, config)
     assert traj.n_steps >= 1000
     assert np.max(np.abs(traj.records.mass - m0)) <= 1e-12
 
@@ -113,7 +113,7 @@ def momentum_drift(n, dt, t_end=0.05):
                           snapshot_every=10 ** 9)
     rho0 = 1.0 + 0.2 * np.sin(2 * np.pi * grid.x)
     state = FluidState.make(grid, rho0, grid.zeros(), params)
-    traj = nsk_run(state, params, config, keep_records=False)
+    traj = nsk_run(state, params, config)
     final = traj.snapshots[-1]
     return abs(mean(grid, final.rho * final.u) - mean(grid, state.rho * state.u))
 
@@ -191,11 +191,10 @@ def test_guard_rail_violation_raises():
     assert BoundsError.exit_code == 4
 
 
-@pytest.mark.parametrize("keep_records", [True, False])
 @pytest.mark.parametrize("solver", ["nsk", "bn"])
-def test_blow_up_raises_bounds_error(solver, keep_records):
+def test_blow_up_raises_bounds_error(solver):
     # u = 1e307 sin(2 pi x) overflows in the first step; the run loop
-    # reports it, with or without records
+    # reports it
     grid = PeriodicGrid(64)
     params = poly_params()
     config = SolverConfig(dt=1e-3, t_end=0.1, bounds=(0.05, 20.0))
@@ -207,7 +206,7 @@ def test_blow_up_raises_bounds_error(solver, keep_records):
         run, state = bn_run, BNState.make(grid, 0.5, 1.2, 1.0, u0, params)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(BoundsError, match="non-finite"):
-        run(state, params, config, keep_records=keep_records)
+        run(state, params, config)
 
 
 def test_inadmissible_eos_refused():
@@ -251,14 +250,14 @@ def test_single_final_snapshot_at_end_tolerance():
     config = SolverConfig(dt=1e-3 - 5e-14, t_end=0.01, bounds=(0.05, 20.0),
                           snapshot_every=3)
     state = FluidState.make(grid, grid.constant(1.0), grid.zeros(), params)
-    traj = nsk_run(state, params, config, keep_records=False)
+    traj = nsk_run(state, params, config)
     times = traj.snapshot_times
     assert traj.n_steps == 11
     assert np.sum(times >= config.t_end - 1e-12) == 1
     assert times[-1] == pytest.approx(config.t_end, abs=1e-14)
 
 
-def chunk_run(solver, bounds=(0.05, 20.0), keep_records=True):
+def chunk_run(solver, bounds=(0.05, 20.0)):
     """A run of 2.5 record chunks, every state a snapshot, whose peak
     density and sup |c_x| are reached inside the second chunk."""
     grid = PeriodicGrid(128)
@@ -270,11 +269,9 @@ def chunk_run(solver, bounds=(0.05, 20.0), keep_records=True):
     u0 = -0.5 * np.sin(2 * np.pi * grid.x)
     if solver == "nsk":
         state = FluidState.make(grid, rho0, u0, params)
-        return chunk, nsk_run(state, params, config, keep_records), (
-            lambda s: (s.rho,))
+        return chunk, nsk_run(state, params, config), lambda s: (s.rho,)
     state = BNState.make(grid, 0.3, rho0, 1.1 * rho0, u0, params)
-    return chunk, bn_run(state, params, config, keep_records), (
-        lambda s: (s.rho_p, s.rho_m))
+    return chunk, bn_run(state, params, config), lambda s: (s.rho_p, s.rho_m)
 
 
 @pytest.mark.parametrize("solver", ["nsk", "bn"])
@@ -291,7 +288,6 @@ def test_chunked_records_equal_per_state_records(solver):
            for s in traj.snapshots]
     assert 0 < int(np.argmax(dxc)) - chunk < chunk - 1
     assert traj.dxc_sup == max(dxc)
-    assert chunk_run(solver, keep_records=False)[1].dxc_sup == traj.dxc_sup
 
 
 @pytest.mark.parametrize("solver", ["nsk", "bn"])
@@ -306,13 +302,12 @@ def test_rail_failure_inside_a_chunk(solver):
     with pytest.raises(BoundsError) as expected:
         nsk._check_state(traj.snapshots[fail], rails(traj.snapshots[fail]),
                          bounds)
-    for keep_records in (True, False):
-        with pytest.raises(BoundsError) as exc:
-            chunk_run(solver, bounds, keep_records)
-        assert str(exc.value) == str(expected.value)
+    with pytest.raises(BoundsError) as exc:
+        chunk_run(solver, bounds)
+    assert str(exc.value) == str(expected.value)
 
 
-def batch_and_own_runs(amplitudes, bounds=(0.05, 20.0), keep_records=True):
+def batch_and_own_runs(amplitudes, bounds=(0.05, 20.0)):
     """One batch run of a row per amplitude and each row's own run (or the
     BoundsError that ended it), over 2.5 record chunks of the batch; chunk
     is the number of batch states that a chunk's row bound holds."""
@@ -327,18 +322,18 @@ def batch_and_own_runs(amplitudes, bounds=(0.05, 20.0), keep_records=True):
     for rho, u in zip(rho0, u0):
         try:
             own.append(nsk_run(FluidState.make(grid, rho, u, params), params,
-                               config, keep_records))
+                               config))
         except BoundsError as exc:
             own.append(exc)
-    batch = nsk_run(FluidState.make(grid, rho0, u0, params), params, config,
-                    keep_records)
+    batch = nsk_run(FluidState.make(grid, rho0, u0, params), params, config)
     return chunk, batch, own
 
 
 def assert_same_run(row, own):
     assert (row.n_steps, row.dxc_sup, row.cfl_limited) == (
         own.n_steps, own.dxc_sup, own.cfl_limited)
-    assert record_rows(row) == record_rows(own)
+    assert (record_table(row.records).tobytes()
+            == record_table(own.records).tobytes())
     assert len(row.snapshots) == len(own.snapshots)
     for s, t in zip(row.snapshots, own.snapshots):
         assert s.t == t.t
@@ -352,22 +347,12 @@ def record_table(records):
     return np.array(dataclasses.astuple(records))
 
 
-def record_rows(traj):
-    return (None if traj.records is None
-            else record_table(traj.records).tobytes())
-
-
-@pytest.mark.parametrize("keep_records", [True, False])
-def test_batch_rows_equal_their_own_runs(keep_records):
-    chunk, batch, own = batch_and_own_runs((0.05, 0.2, 0.1),
-                                           keep_records=keep_records)
+def test_batch_rows_equal_their_own_runs():
+    chunk, batch, own = batch_and_own_runs((0.05, 0.2, 0.1))
     assert len(batch) == 3
     for row, run in zip(batch, own):
         assert run.n_steps > 2 * chunk and run.n_steps % chunk != 0
-        if keep_records:
-            assert run.records.t.shape == (run.n_steps + 1,)
-        else:
-            assert run.records is None
+        assert run.records.t.shape == (run.n_steps + 1,)
         assert not run.cfl_limited
         assert_same_run(row, run)
 

@@ -14,7 +14,7 @@ from scipy.linalg import solve_banded  # noqa: E402
 
 from phasekit.bn import (BNState, _relaxation_flow, bn_step,  # noqa: E402
                          cubic_interp_periodic, transport_with_source)
-from phasekit.config import RunConfig, parse_config  # noqa: E402
+from phasekit.config import parse_config  # noqa: E402
 from phasekit.diagnostics import compute_record  # noqa: E402
 from phasekit.eos import PolytropicEOS, VanDerWaalsEOS  # noqa: E402
 from phasekit.nsk import (FluidState, PhysicalParams,  # noqa: E402
@@ -438,25 +438,10 @@ CONFIGS = st.fixed_dictionaries({
 })
 
 
-def config_text(config) -> str:
-    """The config file that spells out every value of `config`."""
-    lines = []
-    for section, values in config.to_dict().items():
-        lines.append(f"[{section}]")
-        for key, value in values.items():
-            if isinstance(value, bool):
-                value = str(value).lower()
-            elif isinstance(value, list):
-                value = ", ".join(str(v) for v in value)
-            elif isinstance(value, float):
-                value = repr(value)
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
-
-
 @FAST
 @given(payload=CONFIGS)
-def test_config_round_trips(payload):
-    config = RunConfig.from_dict(payload)
-    assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
-    assert parse_config(config_text(config)) == config
+def test_config_round_trips(config_text, payload):
+    config = parse_config(config_text(payload))
+    assert config.to_dict() == payload
+    meta = json.loads(json.dumps(config.to_dict()))
+    assert parse_config(config_text(meta)) == config

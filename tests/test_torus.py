@@ -327,8 +327,7 @@ def test_cyclic_tridiagonal_scaling_is_exact_on_nsk_16384(monkeypatch):
     params = build_params(config)
     solver = build_solver(config)
     nsk_run(build_nsk_initial(config, params), params,
-            dataclasses.replace(solver, t_end=3 * solver.dt),
-            keep_records=False)
+            dataclasses.replace(solver, t_end=3 * solver.dt))
     assert len(systems) == 3
     for system in systems:
         assert unscaled_sweep_is_subnormal(*system[:3])
