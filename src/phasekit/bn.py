@@ -22,8 +22,12 @@ pointwise or along the last axis, so each row of a stack is bitwise its own
 call; the stack only saves per-call overhead, which dominates on small grids
 (it is built with np.array((a, b)), which costs a quarter of np.stack).
 For the same reason the interpolation weights and the relaxation flow form
-each shared factor once, keeping every product's left-to-right order, so
-every value is bitwise what the written-out formulas give.
+each shared factor once, keeping every product's left-to-right order, the
+two negative interpolation weights enter the sum as subtractions, the
+periodic wrap is x - floor(x) (bitwise x % 1.0, at a quarter or less of
+np.remainder's cost on small grids), and the relaxation's half step forms
+only the two densities its midpoint gap reads, so every value is bitwise
+what the written-out formulas give.
 
 picard_bn builds one phase's relaxation subsystem against a frozen pressure
 by a fixed point, as the uniqueness argument does: each iteration carries
@@ -112,29 +116,34 @@ def cubic_interp_periodic(f: np.ndarray, pos: np.ndarray, h: float) -> np.ndarra
     positions (in x units).  f may be a stack of fields along its last
     axis, all interpolated at the same positions: each row is bitwise its
     own call."""
-    g = (pos % 1.0) / h
-    j = np.floor(g).astype(int)   # in [0, n]: pos % 1.0 may round up to 1
+    g = (pos - np.floor(pos)) / h   # bitwise (pos % 1.0) / h
+    j = np.floor(g).astype(int)   # in [0, n]: a tiny negative pos wraps to 1.0
     s = g - j
     s_p1, s_m1, s_m2 = s + 1.0, s - 1.0, s - 2.0
-    w_m1 = -s * s_m1 * s_m2 / 6.0
+    sp = s_p1 * s
+    # the weights of nodes j - 1 and j + 1 without their minus signs, which
+    # the sum applies as subtractions: (-a) b = -(a b), x + (-y) = x - y
+    v_m1 = s * s_m1 * s_m2 / 6.0
     w_0 = s_p1 * s_m1 * s_m2 / 2.0
-    w_p1 = -s_p1 * s * s_m2 / 2.0
-    w_p2 = s_p1 * s * s_m1 / 6.0
+    v_p1 = sp * s_m2 / 2.0
+    w_p2 = sp * s_m1 / 6.0
     # periodic padding: node i - 1 (mod n) sits at index i of fp, i in [0, n + 3]
     fp = np.concatenate((f[..., -1:], f, f[..., :3]), axis=-1)
 
     def node(k):   # the value at node j + k - 1 of each row
         return fp.take(j + k, axis=-1)
 
-    return w_m1 * node(0) + w_0 * node(1) + w_p1 * node(2) + w_p2 * node(3)
+    return w_0 * node(1) - v_m1 * node(0) - v_p1 * node(2) + w_p2 * node(3)
 
 
 def trace_feet(grid: PeriodicGrid, u_start: np.ndarray, u_mid: np.ndarray,
                dt: float) -> np.ndarray:
     """Departure points of the characteristics dX/ds = u through each node,
-    one RK2 (midpoint) step backwards."""
+    one RK2 (midpoint) step backwards, wrapped into [0, 1] (a tiny negative
+    foot wraps to 1.0)."""
     x_half = grid.x - 0.5 * dt * u_start
-    return (grid.x - dt * cubic_interp_periodic(u_mid, x_half, grid.h)) % 1.0
+    feet = grid.x - dt * cubic_interp_periodic(u_mid, x_half, grid.h)
+    return feet - np.floor(feet)   # bitwise feet % 1.0
 
 
 def transport_with_source(grid: PeriodicGrid, a0: np.ndarray,
@@ -178,26 +187,31 @@ def _relaxation_flow(alpha_p, alpha_m, rho_p, rho_m, lam_int):
     are invariants of the flow, so the update below keeps the closure and
     the pointwise mixture mass exact to round-off; no division by alpha."""
     g = np.exp(0.5 * lam_int)
-    ap_g, am_g, g2 = alpha_p * g, alpha_m / g, g ** 2
+    ap_g, am_g = alpha_p * g, alpha_m / g
     denom = ap_g + am_g
-    alpha_p_new = ap_g / denom
-    alpha_m_new = am_g / denom
-    rho_p_new = rho_p * (alpha_p + alpha_m / g2)
-    rho_m_new = rho_m * (alpha_m + alpha_p * g2)
-    return alpha_p_new, alpha_m_new, rho_p_new, rho_m_new
+    return (ap_g / denom, am_g / denom,
+            *_relaxed_densities(alpha_p, alpha_m, rho_p, rho_m, g))
+
+
+def _relaxed_densities(alpha_p, alpha_m, rho_p, rho_m, g):
+    """The phase densities of _relaxation_flow, for g = exp(lam_int / 2)."""
+    g2 = g ** 2
+    return rho_p * (alpha_p + alpha_m / g2), rho_m * (alpha_m + alpha_p * g2)
 
 
 def _relaxation_substep(alpha_p, alpha_m, rho_p, rho_m, params, dt):
     """Pointwise relaxation over dt: the exact frozen-gap flow driven by a
-    midpoint evaluation of the pressure gap (second order in dt)."""
+    midpoint evaluation of the pressure gap (second order in dt).  The
+    half step forms only the densities that the midpoint gap reads."""
     eos, mu = params.eos, params.mu
 
     def gap(rp, rm):
         p_p, p_m = eos.artificial_pressure(np.array((rp, rm)))
         return (p_p - p_m) / mu
 
-    _, _, rp_half, rm_half = _relaxation_flow(
-        alpha_p, alpha_m, rho_p, rho_m, 0.5 * dt * gap(rho_p, rho_m))
+    g_half = np.exp(0.5 * (0.5 * dt * gap(rho_p, rho_m)))
+    rp_half, rm_half = _relaxed_densities(alpha_p, alpha_m, rho_p, rho_m,
+                                          g_half)
     return _relaxation_flow(alpha_p, alpha_m, rho_p, rho_m,
                             dt * gap(rp_half, rm_half))
 
@@ -234,7 +248,7 @@ def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
         raise BoundsError(
             f"volume fraction below -1e-12 (clip {clip:.3e}) at t = "
             f"{state.t + dt:.6g}")
-    ap_t = np.clip(ap_t, 0.0, 1.0)
+    ap_t = ap_t.clip(0.0, 1.0)
     am_t = 1.0 - ap_t
 
     mix_t, diff_t = continuity_update(

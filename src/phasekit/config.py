@@ -15,7 +15,7 @@ import numpy as np
 from .bn import BNState
 from .eos import make_eos
 from .errors import ConfigError
-from .harness import FamilyConfig, limit_initial_data
+from .harness import FamilyConfig, check_n_list, limit_initial_data
 from .nsk import (FluidState, PhysicalParams, SolverConfig,
                   make_oscillating_initial)
 from .torus import PeriodicGrid
@@ -186,13 +186,10 @@ def _validate(config: RunConfig, path: str):
     bn = config["bn"]
     if not 0.0 <= bn["alpha_p"] <= 1.0:
         err(f"[bn].alpha_p must lie in [0, 1], got {bn['alpha_p']}")
-    n_list = config["harness"]["n_list"]
-    if not n_list:
-        err("[harness].n_list must not be empty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        err("n_list must be strictly increasing")
-    if min(n_list) < 1:
-        err(f"[harness].n_list entries must be at least 1, got {n_list}")
+    try:
+        check_n_list(config["harness"]["n_list"])
+    except ValueError as exc:
+        err(f"[harness].{exc}")
     if not config["output"]["directory"]:
         err("[output].directory must not be empty")
 

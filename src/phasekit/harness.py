@@ -32,6 +32,19 @@ from .nsk import (FluidState, PhysicalParams, SolverConfig,
 from .torus import PeriodicGrid, mean
 
 
+def check_n_list(n_list) -> None:
+    """Raise ValueError unless n_list is a non-empty, strictly increasing
+    list of positive oscillation counts.  The one rule for the family's
+    members; the config loader prefixes its section to the message."""
+    n_list = list(n_list)
+    if not n_list:
+        raise ValueError("n_list must not be empty")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"n_list must be strictly increasing, got {n_list}")
+    if min(n_list) < 1:
+        raise ValueError(f"n_list entries must be at least 1, got {n_list}")
+
+
 @dataclass
 class FamilyConfig:
     n_list: tuple
@@ -46,10 +59,7 @@ class FamilyConfig:
 
     def __post_init__(self):
         self.n_list = tuple(int(n) for n in self.n_list)
-        if not self.n_list:
-            raise ValueError("n_list must not be empty")
-        if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
-            raise ValueError("n_list must be strictly increasing")
+        check_n_list(self.n_list)
         if self.grid_n < 64 * max(self.n_list):
             raise ValueError(
                 f"grid too coarse: need at least {64 * max(self.n_list)} nodes "

@@ -68,7 +68,8 @@ def test_negative_gamma_rejected():
 def test_nonincreasing_n_list_rejected():
     with pytest.raises(ConfigError) as exc:
         parse_config("[harness]\nn_list = 8, 4\n")
-    assert "strictly increasing" in str(exc.value)
+    assert str(exc.value).endswith(
+        ": [harness].n_list must be strictly increasing, got [8, 4]")
 
 
 def test_bad_value_reports_line():

@@ -95,8 +95,13 @@ def test_suggest_dt_equals_its_written_out_form(eos):
 def test_family_validation(monkeypatch):
     with pytest.raises(ValueError, match="n_list must not be empty"):
         family(n_list=())
-    with pytest.raises(ValueError):
+    # the config loader reports the same rule with its [harness]. prefix
+    with pytest.raises(ValueError, match=r"^n_list must be strictly "
+                       r"increasing, got \[4, 2\]$"):
         family(n_list=(4, 2))
+    with pytest.raises(ValueError, match=r"^n_list entries must be at "
+                       r"least 1, got \[0, 2\]$"):
+        family(n_list=(0, 2))
     with pytest.raises(ValueError):
         family(grid_n=128, n_list=(1, 4))
     # profile values outside the rails are the two-phase run's densities at

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 from scipy.linalg import solve_banded  # noqa: E402
 
-from phasekit.bn import (BNState, _relaxation_flow, bn_step,  # noqa: E402
-                         cubic_interp_periodic, transport_with_source)
+from phasekit.bn import (BNState, _relaxation_flow,  # noqa: E402
+                         _relaxation_substep, bn_step, cubic_interp_periodic,
+                         trace_feet, transport_with_source)
 from phasekit.config import parse_config  # noqa: E402
 from phasekit.diagnostics import compute_record  # noqa: E402
 from phasekit.eos import PolytropicEOS, VanDerWaalsEOS  # noqa: E402
@@ -218,6 +219,48 @@ def positions(n):
                          -1e-300, -0.0, 1.0, 2.0]))
 
 
+def trace_feet_oracle(grid, u_start, u_mid, dt):
+    """trace_feet with the np.remainder wrap."""
+    x_half = grid.x - 0.5 * dt * u_start
+    return (grid.x - dt * cubic_interp_periodic(u_mid, x_half, grid.h)) % 1.0
+
+
+# velocities at node 0 whose foot, with dt = 1 and u_start = 0 on a grid of
+# 2^k nodes, is exactly -u: tiny negatives, which wrap to 1.0, the largest
+# doubles below 1 and 2, integers, and +0.0 from either zero (a foot of -0.0
+# cannot arise: x_0 = +0.0 and +0.0 - y is never -0.0; interp_oracle covers
+# the position -0.0)
+EDGE_VELOCITIES = [2.0 ** -60, 1e-300, 5e-324, -(1.0 - 2.0 ** -53),
+                   -(2.0 - 2.0 ** -52), 0.0, -0.0, 1.0, -1.0, -3.0, 2.0]
+
+
+@pytest.mark.parametrize("u0", EDGE_VELOCITIES)
+def test_trace_feet_wraps_edge_feet_as_remainder(u0):
+    grid = PeriodicGrid(64)
+    u_start = np.zeros(grid.n)
+    u_mid = 0.5 + 0.25 * np.sin(2 * np.pi * grid.x)
+    u_mid[0] = u0
+    foot = grid.x[0] - cubic_interp_periodic(u_mid, grid.x, grid.h)[0]
+    assert same_bits(foot, -u0 if u0 else 0.0)   # the edge value, unwrapped
+    feet = trace_feet(grid, u_start, u_mid, 1.0)
+    assert same_bits(feet, trace_feet_oracle(grid, u_start, u_mid, 1.0))
+    if 0.0 < u0 < 1e-16:
+        assert feet[0] == 1.0
+
+
+@FAST
+@given(data=st.data(), n=st.integers(4, 256).map(lambda k: 2 * k),
+       dt=st.floats(-2.0, 2.0))
+def test_trace_feet_equals_its_remainder_form(data, n, dt):
+    # arbitrary velocities and step lengths, feet well outside [0, 1]
+    grid = PeriodicGrid(n)
+    u_start, u_mid = (data.draw(hnp.arrays(np.float64, n,
+                                           elements=st.floats(-4.0, 4.0)))
+                      for _ in range(2))
+    assert same_bits(trace_feet(grid, u_start, u_mid, dt),
+                     trace_feet_oracle(grid, u_start, u_mid, dt))
+
+
 @FAST
 @given(data=st.data(), n=st.integers(4, 256).map(lambda k: 2 * k),
        k=st.integers(1, 4), law=st.sampled_from(["vdw", "poly"]),
@@ -292,6 +335,19 @@ def relaxation_oracle(alpha_p, alpha_m, rho_p, rho_m, lam_int):
             rho_m * (alpha_m + alpha_p * g ** 2))
 
 
+def relaxation_substep_oracle(alpha_p, alpha_m, rho_p, rho_m, params, dt):
+    """_relaxation_substep as two full flows, the first one's fractions
+    discarded."""
+    def gap(rp, rm):
+        p_p, p_m = params.eos.artificial_pressure(np.array((rp, rm)))
+        return (p_p - p_m) / params.mu
+
+    _, _, rp_half, rm_half = relaxation_oracle(
+        alpha_p, alpha_m, rho_p, rho_m, 0.5 * dt * gap(rho_p, rho_m))
+    return relaxation_oracle(alpha_p, alpha_m, rho_p, rho_m,
+                             dt * gap(rp_half, rm_half))
+
+
 @FAST
 @given(data=st.data(), n=st.integers(4, 128).map(lambda k: 2 * k),
        k=st.integers(1, 5), courant=st.floats(0.01, 1.0),
@@ -300,9 +356,9 @@ def relaxation_oracle(alpha_p, alpha_m, rho_p, rho_m, lam_int):
 def test_step_kernels_equal_their_written_out_forms(data, n, k, courant,
                                                     upwind, mu):
     # bitwise, on arbitrary values: the flux kernels against their np.roll
-    # forms and the relaxation flow against its formula, on one field, a
-    # phase pair and a batch of k rows; a change in the order of operations
-    # fails here
+    # forms, the relaxation flow against its formula and the relaxation
+    # substep against its two-flow form, on one field, a phase pair and a
+    # batch of k rows; a change in the order of operations fails here
     grid = PeriodicGrid(n)
     params = PhysicalParams(mu=mu, kappa=0.1,
                             eos=VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0))
@@ -326,6 +382,14 @@ def test_step_kernels_equal_their_written_out_forms(data, n, k, courant,
                   draw(shape, -20.0, 20.0))
         for got, want in zip(_relaxation_flow(*fields),
                              relaxation_oracle(*fields)):
+            assert same_bits(got, want)
+        # a step of up to mu / 10: the law's artificial pressure stays below
+        # 1 on [0.1, 2.5], so the half-step densities stay below 2.7, inside
+        # its domain [0, 3)
+        dt_relax = data.draw(st.floats(0.0, 0.1)) * mu
+        for got, want in zip(
+                _relaxation_substep(*fields[:4], params, dt_relax),
+                relaxation_substep_oracle(*fields[:4], params, dt_relax)):
             assert same_bits(got, want)
 
 
