@@ -18,6 +18,12 @@ The state functionals also take a stacked state (``FluidState.stack`` or
 state, bitwise equal to K separate calls.  A record of such values is the
 diagnostics table of K states: the run loop, the CSV writer and reader and
 balance_check all hold a series in that one form.
+
+The functionals follow torus' in-place rule: numpy reuses the temporaries
+of a chain only from 256 KiB up, so each sum of densities accumulates in
+an array the functional allocated, keeping every operation's operands and
+association (an exact swap of the two operands of one sum or product
+aside); neither the state's fields nor the shared densities are written.
 """
 
 from __future__ import annotations
@@ -54,10 +60,13 @@ def _shared_terms(state, params, backend: str) -> tuple:
     W(rho), the coupling 1/2 gamma (rho - c)^2 and the gradient term
     1/2 kappa c_x^2."""
     rho = state.mixture_density
-    dc = torus.derivative(state.grid, state.c, 1, backend)
-    return (rho, params.eos.potential(rho),
-            0.5 * params.gamma * (rho - state.c) ** 2,
-            0.5 * params.kappa * dc ** 2)
+    coupling = rho - state.c
+    coupling **= 2
+    coupling *= 0.5 * params.gamma
+    gradient = torus.derivative(state.grid, state.c, 1, backend)
+    gradient **= 2
+    gradient *= 0.5 * params.kappa
+    return rho, params.eos.potential(rho), coupling, gradient
 
 
 def _energy(state, params, backend: str, bd_drift: bool, terms):
@@ -66,8 +75,15 @@ def _energy(state, params, backend: str, bd_drift: bool, terms):
         terms or _shared_terms(state, params, backend))
     v = state.u
     if bd_drift:
-        v = v + params.mu * torus.derivative(grid, rho, 1, backend) / rho ** 2
-    dens = 0.5 * rho * v ** 2 + potential + coupling + gradient
+        v = torus.derivative(grid, rho, 1, backend)
+        v *= params.mu
+        v /= rho ** 2
+        v += state.u          # u + mu rho_x / rho^2
+    dens = 0.5 * rho
+    dens *= v ** 2
+    dens += potential
+    dens += coupling
+    dens += gradient
     return torus.row_values(grid.h * np.sum(dens, axis=-1))
 
 
@@ -81,7 +97,8 @@ def energy(state, params, backend: str = "central", *, _terms=None):
 def dissipation(state, params):
     grid = state.grid
     du = torus.derivative(grid, state.u, 1, "central")
-    return torus.row_values(grid.h * params.mu * np.sum(du ** 2, axis=-1))
+    du **= 2
+    return torus.row_values(grid.h * params.mu * np.sum(du, axis=-1))
 
 
 def bd_entropy(state, params, *, _terms=None):
@@ -105,9 +122,12 @@ def _sigma_grad_l2(state, params):
     Parseval.  u and P_art take one rfft each: numpy's rfft of their
     (2, n) stack is slower than the two calls at n = 16384."""
     grid = state.grid
-    u_hat = np.fft.rfft(state.u)
-    p_hat = np.fft.rfft(state.mixture_pressure(params.eos))
-    dsigma = params.mu * (grid._minus_k2 * u_hat) - grid._ik * p_hat
+    dsigma = np.fft.rfft(state.u)
+    dsigma *= grid._minus_k2
+    dsigma *= params.mu
+    p_x = np.fft.rfft(state.mixture_pressure(params.eos))
+    p_x *= grid._ik
+    dsigma -= p_x
     dsigma[..., -1] = 0.0
     return torus.spectral_norm(grid, dsigma)
 
@@ -122,6 +142,8 @@ def compute_record(state, params) -> DiagnosticsRecord:
     grid = state.grid
     terms = _shared_terms(state, params, "central")
     rho = terms[0]
+    inv_sqrt_rho = np.sqrt(rho)
+    np.divide(1.0, inv_sqrt_rho, out=inv_sqrt_rho)
     return DiagnosticsRecord(
         t=torus.row_values(state.t),
         mass=torus.mean(grid, rho),
@@ -134,7 +156,7 @@ def compute_record(state, params) -> DiagnosticsRecord:
         sigma_grad_l2=_sigma_grad_l2(state, params),
         c_h2=torus.sobolev_norm(grid, state.c, 2),
         inv_sqrt_rho_grad=torus.l2_norm(grid, torus.derivative(
-            grid, 1.0 / np.sqrt(rho), 1, "spectral")),
+            grid, inv_sqrt_rho, 1, "spectral")),
     )
 
 

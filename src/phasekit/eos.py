@@ -8,6 +8,16 @@ reference density (1 whenever 1 is an interior point of the domain).
 Negative pressures are allowed: a Van-der-Waals law dips below zero inside
 its spinodal interval and only the monotonicity of the artificial pressure
 matters for the solvers.
+
+The formulas follow torus' in-place rule: numpy reuses the temporaries of
+a chain only from 256 KiB up, so each formula updates an array it
+allocated with augmented assignment, keeping every operation's operands
+and association (an exact swap of the two operands of one sum or product
+aside), and writes into no argument.  Augmented assignment also works on
+the numpy scalars that a 0-d or Python-float density gives, so a scalar
+takes the same path.  A square is ``x **= 2``, numpy's square of an array
+and the scalar power of a scalar, each bitwise ``x ** 2``; ``x *= x``
+would not be, since numpy's scalar power is not always the product.
 """
 
 from __future__ import annotations
@@ -66,11 +76,17 @@ class EquationOfState:
 
     def artificial_pressure(self, r):
         r = np.asarray(r, dtype=float)
-        return self.pressure(r) + 0.5 * self.gamma * r ** 2
+        p = self.pressure(r)
+        coupling = r ** 2
+        coupling *= 0.5 * self.gamma
+        p += coupling
+        return p
 
     def d_artificial_pressure(self, r):
         r = np.asarray(r, dtype=float)
-        return self.d_pressure(r) + self.gamma * r
+        dp = self.d_pressure(r)
+        dp += self.gamma * r
+        return dp
 
     def potential(self, r):
         """Pressure potential W(r) = r * integral_{r_ref}^r P(s)/s^2 ds."""
@@ -79,7 +95,10 @@ class EquationOfState:
         if np.fmin.reduce(r, axis=None, initial=np.inf) <= 0.0:
             raise ValueError("potential needs strictly positive density")
         self._check_domain(r)
-        return r * (self._potential_inner(r) - self._potential_inner(self.r_ref))
+        w = self._potential_inner(r)
+        w -= self._potential_inner(self.r_ref)
+        w *= r
+        return w
 
     def _potential_inner(self, r):
         raise NotImplementedError
@@ -107,15 +126,27 @@ class VanDerWaalsEOS(EquationOfState):
 
     def pressure(self, r):
         r = self._check_domain(r)
-        return self.R * self.T_star * r / (self.B - r) - self.A * r ** 2
+        p = self.R * self.T_star * r
+        p /= self.B - r
+        attraction = r ** 2
+        attraction *= self.A
+        p -= attraction
+        return p
 
     def d_pressure(self, r):
         r = self._check_domain(r)
-        return self.B * self.R * self.T_star / (self.B - r) ** 2 - 2.0 * self.A * r
+        gap = self.B - r
+        gap **= 2
+        dp = self.B * self.R * self.T_star / gap
+        dp -= 2.0 * self.A * r
+        return dp
 
     def _potential_inner(self, r):
         # integral of P(s)/s^2 = R T*/(s (B - s)) - A
-        return (self.R * self.T_star / self.B) * np.log(r / (self.B - r)) - self.A * r
+        w = np.log(r / (self.B - r))
+        w *= self.R * self.T_star / self.B
+        w -= self.A * r
+        return w
 
 
 class PolytropicEOS(EquationOfState):

@@ -19,6 +19,12 @@ included: the values are the same copies, and on small grids np.roll's
 per-call overhead costs several times the copy.  For the same reason the
 checks that run on every step (_check_state, _step_length) reduce each
 field once, with ndarray methods rather than the np.* wrappers.
+
+The kernels follow torus' in-place rule: numpy reuses the temporaries of
+a chain only from 256 KiB up, above every benchmark field, so each kernel
+writes its intermediates in place into arrays it allocated, keeping every
+operation's operands and association (an exact swap of the two operands
+of one sum or product aside), and writes into no argument.
 """
 
 from __future__ import annotations
@@ -193,8 +199,11 @@ def make_oscillating_initial(grid: PeriodicGrid, v_minus: float, v_plus: float,
 
 def sound_speed_max(rho: np.ndarray, u: np.ndarray, eos: EquationOfState):
     """max(|u| + c_s) over the grid, one value per row of a batch."""
-    return torus.row_values((np.abs(u) + np.sqrt(np.maximum(
-        eos.d_artificial_pressure(rho), 0.0))).max(axis=-1))
+    speed = eos.d_artificial_pressure(rho)
+    np.maximum(speed, 0.0, out=speed)
+    np.sqrt(speed, out=speed)
+    speed += np.abs(u)
+    return torus.row_values(speed.max(axis=-1))
 
 
 def _check_state(state, fields: tuple, bounds: tuple):
@@ -229,12 +238,22 @@ def continuity_update(grid: PeriodicGrid, rho: np.ndarray, u: np.ndarray,
                       dt: float, upwind: float) -> np.ndarray:
     """One conservative step of rho_t + (rho u)_x = 0 with central flux and
     an upwind-style diffusive flux of coefficient upwind * h * |u|."""
-    m = rho * u
-    flux = 0.5 * (m + _next(m))
+    flux = rho * u
+    flux += _next(flux)
+    flux *= 0.5
     if upwind > 0.0:
-        nu = upwind * 0.5 * (np.abs(u) + np.abs(_next(u)))
-        flux = flux - nu * (_next(rho) - rho)
-    return rho - (dt / grid.h) * (flux - _prev(flux))
+        speed = np.abs(u)
+        nu = _next(speed)
+        nu += speed
+        nu *= upwind * 0.5
+        jump = _next(rho)
+        jump -= rho
+        jump *= nu
+        flux -= jump
+    dflux = _prev(flux)
+    np.subtract(flux, dflux, out=dflux)
+    dflux *= dt / grid.h
+    return np.subtract(rho, dflux, out=dflux)
 
 
 def momentum_update(grid: PeriodicGrid, rho_new: np.ndarray, rho: np.ndarray,
@@ -250,13 +269,28 @@ def momentum_update(grid: PeriodicGrid, rho_new: np.ndarray, rho: np.ndarray,
     c - rho for c and eos.pressure(rho) for p."""
     h = grid.h
     m = rho * u
-    g = m * u + p
-    g_half = 0.5 * (g + _next(g))
-    force = params.gamma * rho * ((_next(c) - _prev(c)) / (2.0 * h))
-    m_star = m - (dt / h) * (g_half - _prev(g_half)) + dt * force
+    g = m * u
+    g += p
+    g += _next(g)
+    g *= 0.5                              # the flux at the half nodes
+    dg = _prev(g)
+    np.subtract(g, dg, out=dg)
+    dg *= dt / h
+    force = _next(c)
+    force -= _prev(c)
+    force /= 2.0 * h                      # c_x
+    force *= params.gamma * rho
+    force *= dt
+    rhs = m                               # m_star, then the rhs
+    rhs -= dg
+    rhs += force
 
     a = 0.5 * params.mu * dt / h ** 2
-    rhs = m_star + a * (_next(u) - 2.0 * u + _prev(u))
+    lap = _next(u)
+    lap -= 2.0 * u
+    lap += _prev(u)
+    lap *= a
+    rhs += lap
     # one array for both off-diagonals: the solve passes slices of them to
     # gtsv, which works on copies
     off = np.full(grid.n, -a)
@@ -355,14 +389,19 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig, step,
         done = state.t >= t_stop
         # the next state has at most as many rows as this one
         if done or pending_rows + len(members) > chunk_rows:
-            stacked = type(state).stack([s for s, _ in pending])
+            # a chunk of one state is recorded from that state, uncopied
+            stacked = (pending[0][0] if len(pending) == 1
+                       else type(state).stack([s for s, _ in pending]))
             row_runs = [j for _, rows in pending for j in rows]
             record = diagnostics.compute_record(stacked, params)
-            chunks.append(np.array([getattr(record, name) for name
-                                    in diagnostics.RECORD_COLUMNS]))
+            # a column of one value (t of a batch state) fills its row
+            chunk = np.empty((len(diagnostics.RECORD_COLUMNS), len(row_runs)))
+            for row, name in zip(chunk, diagnostics.RECORD_COLUMNS):
+                row[...] = getattr(record, name)
+            chunks.append(chunk)
             owners += row_runs
-            dxc = torus.max_norm(
-                torus.derivative(state.grid, stacked.c, 1, "spectral"))
+            dxc = np.atleast_1d(torus.max_norm(
+                torus.derivative(state.grid, stacked.c, 1, "spectral")))
             for j, value in zip(row_runs, dxc):
                 runs[j].dxc_sup = max(runs[j].dxc_sup, float(value))
             pending, pending_rows = [], 0
@@ -410,7 +449,8 @@ def nsk_run(initial: FluidState, params: PhysicalParams,
     rows, one per state or per batch row, fit in K = max(1, 8192 // n), or
     until the final state, and their records and |c_x| come from one pass
     over the stack of their rows.  A state with more than K rows is a chunk
-    of its own.
+    of its own, and a chunk of one state is read from that state itself,
+    without the copy a stack makes.
     Each run's table is built once, when the run finishes, from the rows
     its chunks computed; row k equals compute_record of its k-th state
     bitwise.  A checked state's densities lie inside the rails, so its

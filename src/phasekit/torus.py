@@ -25,9 +25,24 @@ polynomials).  The central backend serves the diagnostics and
 bitwise from slice shifts, without np.roll's per-call overhead.  The
 backend is always an explicit argument, never module state.  The Fourier
 symbols (the wavenumbers, i k, -k^2, k^2 and the Sobolev weights of each
-order) are built once per grid and are read-only; each kernel applies
-them in the order it always did, so every value is bitwise what building
-them per call gave.
+order) are built once per grid and are read-only, and so are the node
+coordinates ``grid.x``, which every state on the grid shares; each kernel
+applies the symbols in the order it always did, so every value is bitwise
+what building them per call gave.
+
+The kernels write their intermediates in place.  numpy reuses a temporary
+of a chain such as ``a * b + c`` only for arrays of 256 KiB or more, and a
+field of the benchmark's largest grid (16384 nodes) is 128 KiB, so every
+operator of a written-out chain allocates a fresh array that is not in
+cache.  Instead each kernel allocates an array of its own and updates it
+with in-place ufuncs and augmented assignment (``x **= 2`` is numpy's
+in-place square, bitwise ``x ** 2``).  Every operation keeps its operands
+and their association; where the in-place form must swap the two operands
+of one sum or product, that swap is exact in IEEE arithmetic, so every
+value is bitwise the written-out formula's.  No kernel writes into an
+argument, a state's field, ``grid.x`` or a grid symbol, and none returns a
+view that keeps a larger buffer alive.  The same rule holds in ``nsk``,
+``eos`` and ``diagnostics``.
 
 The kernels check shapes, not values: NaN and inf propagate to the result,
 and the run loop (``nsk._integrate``) decides whether a state is valid.
@@ -63,7 +78,7 @@ class PeriodicGrid:
             raise ValueError(f"grid size must be even, got {n}")
         self.n = n
         self.h = 1.0 / n
-        self.x = np.arange(n) / n
+        self.x = _read_only(np.arange(n) / n)
         k = TWO_PI * np.arange(n // 2 + 1)
         self._k = _read_only(k)
         self._ik = _read_only(1j * k)
@@ -123,18 +138,22 @@ def derivative(grid: PeriodicGrid, f: np.ndarray, order: int = 1,
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     if backend == "central":
+        df = np.roll(f, -1, axis=-1)
         if order == 1:
-            return (np.roll(f, -1, axis=-1)
-                    - np.roll(f, 1, axis=-1)) / (2.0 * grid.h)
-        return (np.roll(f, -1, axis=-1) - 2.0 * f
-                + np.roll(f, 1, axis=-1)) / grid.h ** 2
+            df -= np.roll(f, 1, axis=-1)
+            df /= 2.0 * grid.h
+        else:
+            df -= 2.0 * f
+            df += np.roll(f, 1, axis=-1)
+            df /= grid.h ** 2
+        return df
     if backend == "spectral":
         fh = np.fft.rfft(f)
         if order == 1:
-            fh = fh * grid._ik
+            fh *= grid._ik
             fh[..., -1] = 0.0  # Nyquist mode has no well-defined odd derivative
         else:
-            fh = fh * grid._minus_k2
+            fh *= grid._minus_k2
         return np.fft.irfft(fh, n=grid.n)
     raise ValueError(f"unknown backend {backend!r}")
 
@@ -175,8 +194,11 @@ def helmholtz_solve(grid: PeriodicGrid, rho: np.ndarray, kappa: float,
     if kappa <= 0.0 or gamma <= 0.0:
         raise ValueError(f"kappa and gamma must be positive, got {kappa}, {gamma}")
     if backend == "fourier":
-        rh = np.fft.rfft(rho)
-        ch = gamma * rh / (kappa * grid._k2 + gamma)
+        ch = np.fft.rfft(rho)
+        ch *= gamma
+        den = kappa * grid._k2
+        den += gamma
+        ch /= den
         return np.fft.irfft(ch, n=grid.n)
     if backend == "fd":
         a = kappa / grid.h ** 2
@@ -253,10 +275,12 @@ def solve_cyclic_tridiagonal(lower: np.ndarray, diag: np.ndarray,
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     y, z = x.T
-    z = np.ldexp(z, -s)
+    z = np.ldexp(z, -s)   # a fresh array: the result does not hold b
     v_y = y[0] + v_last * y[n - 1]
     v_z = z[0] + v_last * z[n - 1]
-    return y - z * v_y / (1.0 + v_z)
+    z *= v_y
+    z /= 1.0 + v_z
+    return np.subtract(y, z, out=z)   # y - z v_y / (1 + v_z)
 
 
 def sobolev_norm(grid: PeriodicGrid, f: np.ndarray, order: int):
@@ -273,8 +297,9 @@ def spectral_norm(grid: PeriodicGrid, fh: np.ndarray, order: int = 0):
     """The H^order norm of the field (or of each row) whose rfft is fh, by
     Parseval with the grid's cached Sobolev weights; order 0 is the L^2(T)
     norm, which equals l2_norm of the field up to rounding."""
-    fh = fh / grid.n
-    weighted = grid._sobolev_weights(order) * np.abs(fh) ** 2
+    weighted = np.abs(fh / grid.n)
+    weighted **= 2
+    weighted *= grid._sobolev_weights(order)
     return row_values(np.sqrt(np.sum(weighted, axis=-1)))
 
 

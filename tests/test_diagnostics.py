@@ -5,11 +5,11 @@ import pytest
 
 from phasekit.bn import BNState
 from phasekit.diagnostics import (RECORD_COLUMNS, balance_check, bd_entropy,
-                                  compute_record, dissipation,
-                                  effective_viscous_flux, energy)
+                                  compute_record, effective_viscous_flux,
+                                  energy)
 from phasekit.eos import PolytropicEOS, VanDerWaalsEOS
 from phasekit.nsk import FluidState, PhysicalParams, SolverConfig, nsk_run
-from phasekit.torus import (PeriodicGrid, derivative, l2_norm, mean,
+from phasekit.torus import (TWO_PI, PeriodicGrid, derivative, l2_norm, mean,
                             sobolev_norm)
 
 
@@ -243,10 +243,26 @@ def test_sigma_grad_l2_matches_physical_space_flux(n):
         assert np.all(np.abs(got - expect) <= 1e-12 * expect)
 
 
+def first_sigma_grad_l2(state, params):
+    """||Sigma_x||_L2 as first written in Fourier space: -mu k^2 u_hat -
+    i k P_hat without its Nyquist mode, each symbol and the Parseval
+    weights built per call."""
+    grid = state.grid
+    n = grid.n
+    k = TWO_PI * np.arange(n // 2 + 1)
+    dsigma = (params.mu * (-(k ** 2) * np.fft.rfft(state.u))
+              - (1j * k) * np.fft.rfft(state.mixture_pressure(params.eos)))
+    dsigma[..., -1] = 0.0
+    weights = np.full(k.size, 2.0)
+    weights[0] = weights[-1] = 1.0
+    return np.sqrt(np.sum(weights * np.abs(dsigma / n) ** 2, axis=-1))
+
+
 @pytest.mark.parametrize("n", [64, 2048])
 def test_record_columns_match_first_formulas(n):
-    # every column but sigma_grad_l2 is bitwise what the functionals gave
-    # when each computed its own densities
+    # every column is bitwise what the functionals gave when each computed
+    # its own densities, written out here: dissipation and sigma_grad_l2
+    # too, the latter with its symbols built per call
     for params, state in record_states(n):
         grid = state.grid
         rho = state.mixture_density
@@ -256,14 +272,17 @@ def test_record_columns_match_first_formulas(n):
             "mass": mean(grid, rho),
             "momentum": mean(grid, rho * state.u),
             "energy": first_energy(state, params, "central", False),
-            "dissipation": dissipation(state, params),
+            "dissipation": grid.h * params.mu * np.sum(derivative(
+                grid, state.u, 1, "central") ** 2, axis=-1),
             "bd_entropy": first_energy(state, params, "central", True),
             "rho_min": np.min(rho, axis=-1),
             "rho_max": np.max(rho, axis=-1),
+            "sigma_grad_l2": first_sigma_grad_l2(state, params),
             "c_h2": sobolev_norm(grid, state.c, 2),
             "inv_sqrt_rho_grad": l2_norm(grid, derivative(
                 grid, 1.0 / np.sqrt(rho), 1, "spectral")),
         }
+        assert set(expect) == set(RECORD_COLUMNS)
         for name, value in expect.items():
             assert same_bits(getattr(rec, name), value), name
 

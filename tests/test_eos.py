@@ -213,6 +213,66 @@ def test_parameter_validation():
         VanDerWaalsEOS(1.0, 0.0, 1.0, 0.2, 1.0)
 
 
+def written_out(law):
+    """The law's five functions as first written, each one expression
+    evaluated left to right: the oracle of the in-place formulas."""
+    g = law.gamma
+    if isinstance(law, VanDerWaalsEOS):
+        R, T, A, B = law.R, law.T_star, law.A, law.B
+
+        def pressure(r):
+            return R * T * r / (B - r) - A * r ** 2
+
+        def d_pressure(r):
+            return B * R * T / (B - r) ** 2 - 2.0 * A * r
+
+        def inner(r):
+            return (R * T / B) * np.log(r / (B - r)) - A * r
+    else:
+        a, beta = law.a, law.beta
+
+        def pressure(r):
+            return a * r ** beta
+
+        def d_pressure(r):
+            return a * beta * r ** (beta - 1.0)
+
+        def inner(r):
+            return a * (r ** (beta - 1.0) - 1.0) / (beta - 1.0)
+    return {
+        "pressure": pressure,
+        "d_pressure": d_pressure,
+        "artificial_pressure": lambda r: pressure(r) + 0.5 * g * r ** 2,
+        "d_artificial_pressure": lambda r: d_pressure(r) + g * r,
+        "potential": lambda r: r * (inner(r) - inner(law.r_ref)),
+    }
+
+
+@pytest.mark.parametrize("law", [
+    VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0),
+    VanDerWaalsEOS(1.3, 0.9, 0.7, 0.35, 1.5),   # gauged at r_ref = B / 2
+    PolytropicEOS(1.3, 2.5, 1.0),
+], ids=["vdw", "vdw_narrow", "poly"])
+@pytest.mark.parametrize("method", ["pressure", "d_pressure",
+                                    "artificial_pressure",
+                                    "d_artificial_pressure", "potential"])
+def test_laws_equal_their_written_out_forms(method, law):
+    # bitwise, with the type of the result, on (n,) and (2, n) arrays, on
+    # 0-d arrays and on Python floats, which the bisection and the gauge
+    # r_ref pass; the oracle gets the float array the law converts r to
+    rng = np.random.default_rng(5)
+    r = rng.uniform(0.02, 0.98 * min(law.domain_max, 4.0), 128)
+    oracle = written_out(law)[method]
+    for value in (r[:64], r.reshape(2, 64),
+                  *(np.asarray(x) for x in r[:16]),
+                  *(float(x) for x in r[16:32])):
+        got = getattr(law, method)(value)
+        want = oracle(np.asarray(value, dtype=float))
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 # the two laws of the domain checks: a pole at B = 3, and no upper end
 DOMAIN_LAWS = [VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0),
                PolytropicEOS(1.0, 2.0, 1.0)]

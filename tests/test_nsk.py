@@ -10,7 +10,8 @@ from phasekit.diagnostics import RECORD_COLUMNS, balance_check, compute_record
 from phasekit.eos import AdmissibilityError, PolytropicEOS, VanDerWaalsEOS
 from phasekit.errors import BoundsError
 from phasekit.nsk import (FluidState, PhysicalParams, SolverConfig,
-                          make_oscillating_initial, nsk_run, nsk_step)
+                          make_oscillating_initial, nsk_run, nsk_step,
+                          sound_speed_max)
 from phasekit.torus import PeriodicGrid, derivative, max_norm, mean
 
 
@@ -565,3 +566,23 @@ def test_step_kernels_make_no_roll_call(monkeypatch):
     assert calls == []
     compute_record(fluid, params)
     assert len(calls) > 0
+
+
+def test_sound_speed_max_equals_its_written_out_form():
+    # bitwise: max(|u| + sqrt(max(P_art'(rho), 0))) along the last axis, on
+    # one field, a phase stack with one velocity, a batch and a density scan
+    # with a scalar speed; at gamma = 0 the law has a spinodal, where
+    # P_art' < 0 and the clamp decides
+    rng = np.random.default_rng(9)
+    for eos in (VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0),
+                VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 0.0)):
+        for rho, u in (
+                (rng.uniform(0.1, 2.5, 64), rng.uniform(-2.0, 2.0, 64)),
+                (rng.uniform(0.1, 2.5, (2, 64)), rng.uniform(-2.0, 2.0, 64)),
+                (rng.uniform(0.1, 2.5, (3, 64)),
+                 rng.uniform(-2.0, 2.0, (3, 64))),
+                (np.linspace(0.1, 2.5, 257), 0.3)):
+            expected = np.max(np.abs(u) + np.sqrt(np.maximum(
+                eos.d_artificial_pressure(rho), 0.0)), axis=-1)
+            got = sound_speed_max(rho, u, eos)
+            assert np.asarray(got).tobytes() == expected.tobytes()
