@@ -4,25 +4,143 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from phasekit import cli
+from phasekit import cli, io
+from phasekit.bn import BNState, bn_run
 from phasekit.diagnostics import RECORD_COLUMNS, balance_check, compute_record
-from phasekit.io import read_diagnostics, write_csv
+from phasekit.eos import PolytropicEOS
+from phasekit.io import FormattedColumn, read_diagnostics, write_csv
+from phasekit.nsk import FluidState, PhysicalParams, SolverConfig, nsk_run
+from phasekit.torus import PeriodicGrid
+
+
+def per_cell(header, columns):
+    """The text of a table with one repr per cell: the writer's oracle."""
+    columns = [np.asarray(c) for c in columns]
+    lines = [",".join(header)]
+    for k in range(len(columns[0])):
+        cells = []
+        for c in columns:
+            value = c[k].tolist()
+            cells += map(repr, value if c.ndim == 2 else [value])
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+# signed zeros, NaNs of three payloads, infinities, subnormals and the
+# neighbours of repr's switches to exponent notation at 1e16 and 1e-4
+SPECIAL = np.concatenate([
+    [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310,
+     2.225073858507201e-308, 2.2250738585072014e-308, 1e16,
+     9999999999999998.0, 1.0000000000000002e16, 1e-4,
+     9.999999999999999e-05, 1.0000000000000002e-04, 1e-5,
+     1.7976931348623157e308, -0.0, 0.0],
+    np.array([0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001],
+             dtype=np.uint64).view(np.float64)])
+HEADER = ("n", "special", "constant", "short", "block", "long", "wide",
+          "reversed", "a", "b", "c")
+
+
+def table(rows, rng):
+    """The columns of an 11-cell table: an int column, 1D float columns
+    (constant, and periodic with a period shorter than, equal to and
+    longer than the writer's block, others not periodic, one of them a
+    reversed view) and a 2D block of three in Fortran order."""
+    block = io._rows_per_block(len(HEADER))
+
+    def periodic(period):
+        return np.tile(rng.normal(size=period), rows // period + 1)[:rows]
+
+    zeros = np.where(np.arange(rows) % 3 == 0, -0.0, 0.0)
+    wide = rng.normal(size=rows) * 10.0 ** rng.integers(-320, 308, rows)
+    pairs = np.asfortranarray(np.column_stack(
+        [rng.normal(size=rows), zeros, rng.uniform(0.0, 1e-300, rows)]))
+    return [np.arange(rows) * 3 - 7,
+            np.resize(SPECIAL, rows),
+            np.full(rows, 0.1),
+            periodic(7), periodic(block), periodic(block + 13),
+            np.where(np.arange(rows) % 5 == 0, zeros, wide),
+            (wide * 0.5)[::-1],
+            pairs]
 
 
 def test_write_csv_columns_and_blocks(tmp_path):
-    # more rows than one conversion block, so rows cross a block boundary
+    # bitwise what one repr per cell writes, from one row to rows across
+    # several blocks, on writable and on read-only columns alike
     rng = np.random.default_rng(0)
-    k = 600
-    ints = np.arange(k) * 3
-    floats = rng.normal(size=k) * 10.0 ** rng.integers(-20, 20, size=k)
-    block = rng.normal(size=(k, 3))
-    path = tmp_path / "sub" / "table.csv"
-    write_csv(str(path), ("n", "f", "a", "b", "c"), (ints, floats, block))
-    expected = ["n,f,a,b,c"] + [
-        ",".join([str(int(n)), repr(float(f))] + [repr(float(v)) for v in row])
-        for n, f, row in zip(ints, floats, block)]
-    text = path.read_text()
-    assert text.endswith("\n") and text.splitlines() == expected
+    block = io._rows_per_block(len(HEADER))
+    for rows in (1, block, 2 * block + 5, 8193):
+        columns = table(rows, rng)
+        expected = per_cell(HEADER, columns)
+        copies = [c.copy() for c in columns]
+        path = tmp_path / "sub" / f"table_{rows}.csv"
+        write_csv(str(path), HEADER, columns)
+        assert path.read_bytes() == expected.encode()
+        assert all(c.tobytes() == d.tobytes() for c, d in zip(columns, copies))
+        for c in copies:
+            c.flags.writeable = False
+        write_csv(str(path), HEADER, copies)
+        assert path.read_bytes() == expected.encode()
+    # the tables do hold -0.0, NaN, a subnormal and exponent notation
+    first = expected.splitlines()[1].split(",")
+    assert first[:3] == ["-7", "0.0", "0.1"]
+    assert all(text in expected
+               for text in ("-0.0", "nan", "5e-324", "1e+16", "1e-05"))
+
+
+@pytest.mark.parametrize("header, columns, shapes", [
+    (("a", "b"), lambda: (np.zeros(4), np.zeros(5)), ["(4,)", "(5,)"]),
+    (("a", "b", "c"), lambda: (np.zeros(4), np.zeros((3, 2))),
+     ["(4,)", "(3, 2)"]),
+    (("a",), lambda: (np.zeros(4), np.zeros(4)), ["1 header names"]),
+    (("a", "b", "c"), lambda: (np.zeros(4), np.zeros((4, 1))),
+     ["3 header names"]),
+    (("x", "a"), lambda: (FormattedColumn(np.zeros(5), 2), np.zeros(4)),
+     ["(5,) formatted for 2 cells a row", "(4,)"]),
+    (("x", "a"), lambda: (FormattedColumn(np.zeros(4), 3), np.zeros(4)),
+     ["(4,) formatted for 3 cells a row"]),
+    (("a",), lambda: (np.zeros((2, 2, 2)),), ["(2, 2, 2)"]),
+], ids=["rows", "block_rows", "short_header", "long_header", "formatted_rows",
+        "formatted_width", "3d"])
+def test_write_csv_refuses_a_ragged_table(tmp_path, header, columns, shapes):
+    # a ragged table raises before any file is written, naming the path
+    # and the shapes, instead of zip dropping or misaligning rows
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(ValueError, match="ragged table") as err:
+        write_csv(str(path), header, columns())
+    assert str(path) in str(err.value)
+    assert all(shape in str(err.value) for shape in shapes)
+    assert not path.exists()
+
+
+def test_snapshot_x_is_the_grid_of_each_trajectory(tmp_path):
+    # runs on three grids and two table widths, written in one process:
+    # each snapshot's x column is repr(i / n) on its own trajectory's grid
+    params = PhysicalParams(mu=0.1, kappa=0.02,
+                            eos=PolytropicEOS(1.0, 2.0, 1.0))
+    config = SolverConfig(dt=1e-4, t_end=3e-4, bounds=(0.05, 20.0))
+
+    def profile(grid):
+        return 1.0 + 0.2 * np.sin(2 * np.pi * grid.x)
+
+    runs = []
+    for n in (64, 128):
+        grid = PeriodicGrid(n)
+        runs.append((n, 4, nsk_run(FluidState.make(
+            grid, profile(grid), grid.zeros(), params), params, config)))
+    # 2048 nodes span two of the writer's blocks at 7 cells a row
+    grid = PeriodicGrid(2048)
+    runs.append((2048, 7, bn_run(BNState.make(
+        grid, 0.4, profile(grid), profile(grid), grid.zeros(), params),
+        params, config)))
+    for k, (n, width, traj) in enumerate(runs):
+        out = tmp_path / f"run{k}"
+        io.write_trajectory(str(out), traj)
+        paths = sorted(out.glob("snapshot_*.csv"))
+        assert len(paths) == len(traj.snapshots) == 4
+        for path in paths:
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            assert len(rows) == n + 1 and {len(r) for r in rows} == {width}
+            assert [r[0] for r in rows[1:]] == [repr(i / n) for i in range(n)]
 
 
 # a two-value profile with a moving start, 300 steps in three record
