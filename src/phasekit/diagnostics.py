@@ -12,6 +12,10 @@ share one evaluation of the potential W(rho), the coupling density and the
 gradient density 1/2 kappa c_x^2, and each sums its terms in the order it
 does when called alone, so both stay bitwise; the gradient of Sigma is read
 in Fourier space from the spectra of u and P_art, without forming Sigma.
+The run loop forms each record chunk's central c_x once, for the record's
+gradient density and for the run's sup |c_x|, and hands it to
+``compute_record``; called without it, the record forms the same c_x
+itself.
 
 The state functionals also take a stacked state (``FluidState.stack`` or
 ``BNState.stack``, fields of shape (K, n)) and then return one value per
@@ -55,24 +59,23 @@ class DiagnosticsRecord:
 RECORD_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
-def _shared_terms(state, params, backend: str) -> tuple:
+def _shared_terms(state, params, c_x: np.ndarray) -> tuple:
     """The densities that energy and bd_entropy share: rho, the potential
     W(rho), the coupling 1/2 gamma (rho - c)^2 and the gradient term
-    1/2 kappa c_x^2."""
+    1/2 kappa c_x^2, from the given c_x, which is not written."""
     rho = state.mixture_density
     coupling = rho - state.c
     coupling **= 2
     coupling *= 0.5 * params.gamma
-    gradient = torus.derivative(state.grid, state.c, 1, backend)
-    gradient **= 2
+    gradient = c_x ** 2
     gradient *= 0.5 * params.kappa
     return rho, params.eos.potential(rho), coupling, gradient
 
 
 def _energy(state, params, backend: str, bd_drift: bool, terms):
     grid = state.grid
-    rho, potential, coupling, gradient = (
-        terms or _shared_terms(state, params, backend))
+    rho, potential, coupling, gradient = terms or _shared_terms(
+        state, params, torus.derivative(grid, state.c, 1, backend))
     v = state.u
     if bd_drift:
         v = torus.derivative(grid, rho, 1, backend)
@@ -89,8 +92,8 @@ def _energy(state, params, backend: str, bd_drift: bool, terms):
 
 def energy(state, params, backend: str = "central", *, _terms=None):
     """Total energy: kinetic + pressure potential + coupling + gradient.
-    _terms carries _shared_terms(state, params, backend) when the caller
-    has them already."""
+    _terms carries _shared_terms(state, params, c_x), c_x the derivative of
+    state.c in this backend, when the caller has them already."""
     return _energy(state, params, backend, bd_drift=False, terms=_terms)
 
 
@@ -132,15 +135,19 @@ def _sigma_grad_l2(state, params):
     return torus.spectral_norm(grid, dsigma)
 
 
-def compute_record(state, params) -> DiagnosticsRecord:
+def compute_record(state, params, *, _c_x=None) -> DiagnosticsRecord:
     """One diagnostics.csv row, or K rows for a stacked state.  Energy,
     dissipation and BD entropy use the solver's central differences, and
     energy and BD entropy share one evaluation of their potential, coupling
     and gradient densities.  The Sigma gradient is read in Fourier space
     from the spectra of u and P_art; the 1/sqrt(rho) gradient is
-    spectral."""
+    spectral.  _c_x carries the central c_x of state.c when the caller has
+    it already (the run loop, which also takes sup |c_x| from it); it is
+    not written."""
     grid = state.grid
-    terms = _shared_terms(state, params, "central")
+    if _c_x is None:
+        _c_x = torus.derivative(grid, state.c, 1, "central")
+    terms = _shared_terms(state, params, _c_x)
     rho = terms[0]
     inv_sqrt_rho = np.sqrt(rho)
     np.divide(1.0, inv_sqrt_rho, out=inv_sqrt_rho)
@@ -168,9 +175,10 @@ def balance_check(records: DiagnosticsRecord,
     dissipation integral taken by the trapezoid rule; it passes within 1 %
     and the energy increase within 1e-6 of |E(0)| (of 1 if E(0) = 0).  Mass
     drift passes within 1e-12; momentum drift is reported, not checked.  When
-    gronwall_rate (= 4 gamma sup_t ||c_x||_inf, measured from the run) is
-    supplied, the BD entropy is checked against its Gronwall envelope
-    (eta(0) + mass/2) exp(rate t).
+    gronwall_rate (= 4 gamma sup_t ||c_x||_inf, measured from the run as
+    Trajectory.dxc_sup: the central c_x, the one the coupling force
+    applies) is supplied, the BD entropy is checked against its Gronwall
+    envelope (eta(0) + mass/2) exp(rate t).
     """
     t, mass, mom, e, d, eta = (
         records.t, records.mass, records.momentum, records.energy,

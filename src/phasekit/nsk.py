@@ -144,7 +144,9 @@ class FluidState:
 @dataclass
 class Trajectory:
     """A finished run of nsk_run or bn_run: its snapshots, and in records
-    its diagnostics table, one entry per state in time order."""
+    its diagnostics table, one entry per state in time order.  dxc_sup is
+    sup |c_x| over all states, for the central c_x, the one the coupling
+    force applies."""
     snapshots: list
     records: diagnostics.DiagnosticsRecord
     params: PhysicalParams
@@ -393,15 +395,17 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig, step,
             stacked = (pending[0][0] if len(pending) == 1
                        else type(state).stack([s for s, _ in pending]))
             row_runs = [j for _, rows in pending for j in rows]
-            record = diagnostics.compute_record(stacked, params)
+            # the central c_x of the coupling force, for the record's
+            # gradient density and each row's sup |c_x|
+            c_x = torus.derivative(state.grid, stacked.c, 1, "central")
+            record = diagnostics.compute_record(stacked, params, _c_x=c_x)
             # a column of one value (t of a batch state) fills its row
             chunk = np.empty((len(diagnostics.RECORD_COLUMNS), len(row_runs)))
             for row, name in zip(chunk, diagnostics.RECORD_COLUMNS):
                 row[...] = getattr(record, name)
             chunks.append(chunk)
             owners += row_runs
-            dxc = np.atleast_1d(torus.max_norm(
-                torus.derivative(state.grid, stacked.c, 1, "spectral")))
+            dxc = np.atleast_1d(torus.max_norm(c_x))
             for j, value in zip(row_runs, dxc):
                 runs[j].dxc_sup = max(runs[j].dxc_sup, float(value))
             pending, pending_rows = [], 0
@@ -443,14 +447,16 @@ def nsk_run(initial: FluidState, params: PhysicalParams,
     of 1-D arrays with one entry per state in time order.  Snapshots:
     the initial state, every snapshot_every-th step and the final state,
     the only one within the end tolerance.  cfl_limited: the CFL bound fell
-    below config.dt on some step; dxc_sup: sup |c_x| over all states.
+    below config.dt on some step; dxc_sup: sup |c_x| over all states, for
+    the central c_x, the one the coupling force applies.
 
     Records are computed in chunks: checked states are held while their
     rows, one per state or per batch row, fit in K = max(1, 8192 // n), or
     until the final state, and their records and |c_x| come from one pass
-    over the stack of their rows.  A state with more than K rows is a chunk
-    of its own, and a chunk of one state is read from that state itself,
-    without the copy a stack makes.
+    over the stack of their rows: the chunk's central c_x is formed once,
+    and the record's gradient density and each row's sup |c_x| read it.
+    A state with more than K rows is a chunk of its own, and a chunk of one
+    state is read from that state itself, without the copy a stack makes.
     Each run's table is built once, when the run finishes, from the rows
     its chunks computed; row k equals compute_record of its k-th state
     bitwise.  A checked state's densities lie inside the rails, so its

@@ -285,7 +285,8 @@ def test_chunked_records_equal_per_state_records(solver):
     for k, state in enumerate(traj.snapshots):
         expected = record_table(compute_record(state, traj.params))
         assert table[:, k].tobytes() == expected.tobytes()
-    dxc = [max_norm(derivative(s.grid, s.c, 1, "spectral"))
+    # sup |c_x| of the central c_x, the one the coupling force applies
+    dxc = [max_norm(derivative(s.grid, s.c, 1, "central"))
            for s in traj.snapshots]
     assert 0 < int(np.argmax(dxc)) - chunk < chunk - 1
     assert traj.dxc_sup == max(dxc)
@@ -379,9 +380,9 @@ def test_record_chunks_are_bounded_by_rows(monkeypatch):
     # with one state, so no record stack holds more than 4 rows
     stacked_rows = []
 
-    def compute_record(state, params):
+    def compute_record(state, params, **kwargs):
         stacked_rows.append(len(state.rho))
-        return real_compute_record(state, params)
+        return real_compute_record(state, params, **kwargs)
 
     real_compute_record = nsk.diagnostics.compute_record
     monkeypatch.setattr(nsk.diagnostics, "compute_record", compute_record)
@@ -393,6 +394,29 @@ def test_record_chunks_are_bounded_by_rows(monkeypatch):
     nsk_run(FluidState.make(grid, rho0, np.zeros_like(rho0), params), params,
             config)
     assert stacked_rows == [4] * 7
+
+
+@pytest.mark.parametrize("solver", ["nsk", "bn"])
+def test_fft_calls_per_step_and_record_chunk(solver, monkeypatch):
+    # the initial state's and each step's Helmholtz solve take one rfft and
+    # one irfft; each record chunk takes five: two rffts for the Sigma
+    # gradient, one for c_h2 and an rfft and an irfft for the 1/sqrt(rho)
+    # gradient.  sup |c_x| reads the chunk's central c_x and takes none
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    chunk, traj, _ = chunk_run(solver)
+    chunks = -(-(traj.n_steps + 1) // chunk)
+    assert chunks == 3
+    assert len(calls) == 2 + 2 * traj.n_steps + 5 * chunks
+    assert calls.count("irfft") == 1 + traj.n_steps + chunks
 
 
 def test_batch_shares_one_step_length():
