@@ -23,20 +23,25 @@ state, bitwise equal to K separate calls.  A record of such values is the
 diagnostics table of K states: the run loop, the CSV writer and reader and
 balance_check all hold a series in that one form.
 
-The functionals follow torus' in-place rule: numpy reuses the temporaries
-of a chain only from 256 KiB up, so each sum of densities accumulates in
-an array the functional allocated, keeping every operation's operands and
-association (an exact swap of the two operands of one sum or product
-aside); neither the state's fields nor the shared densities are written.
+The functionals follow torus' in-place rule (see the torus module
+docstring): each sum of densities accumulates in an array the functional
+allocated, and neither the state's fields nor the shared densities are
+written.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import torus
+
+# the Gronwall envelope is formed only up to e^700 (below the largest
+# float, e^709.78), and compared in log space beyond
+_LOG_ENVELOPE_MAX = 700.0
+
 
 @dataclass
 class DiagnosticsRecord:
@@ -178,7 +183,12 @@ def balance_check(records: DiagnosticsRecord,
     gronwall_rate (= 4 gamma sup_t ||c_x||_inf, measured from the run as
     Trajectory.dxc_sup: the central c_x, the one the coupling force
     applies) is supplied, the BD entropy is checked against its Gronwall
-    envelope (eta(0) + mass/2) exp(rate t).
+    envelope s exp(rate t), s = eta(0) + mass/2, with a 1e-12 tolerance,
+    and gronwall_margin is the least gap.  Where rate t + log max(|s|, 1)
+    exceeds 700 the envelope is not formed, since exp overflows past
+    709.78: those rows are decided in log space, log eta <= log s + rate t
+    (a row with eta <= 0 passes; with s <= 0 every other row fails), and
+    the margin is taken over the remaining rows, which include t(0).
     """
     t, mass, mom, e, d, eta = (
         records.t, records.mass, records.momentum, records.energy,
@@ -208,9 +218,19 @@ def balance_check(records: DiagnosticsRecord,
         energy_residual <= 0.01 * e_scale
         and report["energy_increase"] <= 1e-6 * e_scale)
     if gronwall_rate is not None:
-        envelope = (eta[0] + 0.5 * mass[0]) * np.exp(gronwall_rate * (t - t[0]))
-        report["gronwall_ok"] = bool(np.all(eta <= envelope + 1e-12))
-        report["gronwall_margin"] = float(np.min(envelope - eta))
+        scale = eta[0] + 0.5 * mass[0]
+        growth = gronwall_rate * (t - t[0])
+        near = (growth + math.log(max(abs(scale), 1.0))
+                <= _LOG_ENVELOPE_MAX)
+        envelope = scale * np.exp(growth[near])
+        eta_far = eta[~near]
+        rising = ~(eta_far <= 0.0)   # NaN included, and it fails
+        log_scale = math.log(scale) if scale > 0.0 else -math.inf
+        far_ok = np.all(np.log(eta_far[rising])
+                        <= log_scale + growth[~near][rising])
+        report["gronwall_ok"] = bool(
+            np.all(eta[near] <= envelope + 1e-12) and far_ok)
+        report["gronwall_margin"] = float(np.min(envelope - eta[near]))
     report["ok"] = bool(report["mass_ok"] and report["energy_ok"]
                         and report.get("gronwall_ok", True))
     return report

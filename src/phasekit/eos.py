@@ -9,13 +9,11 @@ Negative pressures are allowed: a Van-der-Waals law dips below zero inside
 its spinodal interval and only the monotonicity of the artificial pressure
 matters for the solvers.
 
-The formulas follow torus' in-place rule: numpy reuses the temporaries of
-a chain only from 256 KiB up, so each formula updates an array it
-allocated with augmented assignment, keeping every operation's operands
-and association (an exact swap of the two operands of one sum or product
-aside), and writes into no argument.  Augmented assignment also works on
-the numpy scalars that a 0-d or Python-float density gives, so a scalar
-takes the same path.  A square is ``x **= 2``, numpy's square of an array
+The formulas follow torus' in-place rule (see the torus module
+docstring), each updating an array it allocated with augmented
+assignment.  Augmented assignment also works on the numpy scalars that a
+0-d or Python-float density gives, so a scalar takes the same path.  A
+square is ``x **= 2``, numpy's square of an array
 and the scalar power of a scalar, each bitwise ``x ** 2``; ``x *= x``
 would not be, since numpy's scalar power is not always the product.
 """

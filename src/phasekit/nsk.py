@@ -20,11 +20,7 @@ per-call overhead costs several times the copy.  For the same reason the
 checks that run on every step (_check_state, _step_length) reduce each
 field once, with ndarray methods rather than the np.* wrappers.
 
-The kernels follow torus' in-place rule: numpy reuses the temporaries of
-a chain only from 256 KiB up, above every benchmark field, so each kernel
-writes its intermediates in place into arrays it allocated, keeping every
-operation's operands and association (an exact swap of the two operands
-of one sum or product aside), and writes into no argument.
+The kernels follow torus' in-place rule (see the torus module docstring).
 """
 
 from __future__ import annotations
@@ -268,7 +264,15 @@ def momentum_update(grid: PeriodicGrid, rho_new: np.ndarray, rho: np.ndarray,
     torus.derivative(grid, c, 1, "central").  The solvers pass the
     artificial pressure of their (mixture) density; the original form, the
     bare pressure P with the force gamma rho (c - rho)_x, is the call with
-    c - rho for c and eos.pressure(rho) for p."""
+    c - rho for c and eos.pressure(rho) for p.
+
+    The viscous system is (rho_new + 2a) u - a (u_{i-1} + u_{i+1}) = rhs,
+    a = mu dt / 2h^2: symmetric, with the scalar off-diagonal -a, and
+    strictly diagonally dominant while rho_new > 0, so
+    torus.solve_cyclic_tridiagonal solves it by one LDL^T factorization
+    (one solve per row of a stack).  A rho_new that makes the system
+    indefinite raises numpy.linalg.LinAlgError, a ValueError, which the
+    run loop reports as a failed step."""
     h = grid.h
     m = rho * u
     g = m * u
@@ -293,13 +297,10 @@ def momentum_update(grid: PeriodicGrid, rho_new: np.ndarray, rho: np.ndarray,
     lap += _prev(u)
     lap *= a
     rhs += lap
-    # one array for both off-diagonals: the solve passes slices of them to
-    # gtsv, which works on copies
-    off = np.full(grid.n, -a)
     diag = rho_new + 2.0 * a
     if rhs.ndim == 1:
-        return torus.solve_cyclic_tridiagonal(off, diag, off, rhs)
-    return np.stack([torus.solve_cyclic_tridiagonal(off, d, off, r)
+        return torus.solve_cyclic_tridiagonal(diag, -a, rhs)
+    return np.stack([torus.solve_cyclic_tridiagonal(d, -a, r)
                      for d, r in zip(diag, rhs)])
 
 

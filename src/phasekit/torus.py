@@ -7,16 +7,18 @@ Grid fields are plain 1D numpy arrays sampled at the nodes of a
 fields: the result has one row (or one value) per field, bitwise equal to K
 separate calls, and a reduction of a single field is a Python float.
 ``primitive``, ``dealias``, the fd backend of ``helmholtz_solve`` and
-``solve_cyclic_tridiagonal`` take one field; the latter calls LAPACK gtsv
-directly and makes no BLAS call: its corner correction reads the two inner
-products it needs in closed form, so no solve wakes a BLAS thread pool.  It
-solves its Sherman-Morrison column scaled by a power of two, at least 2^123
-below overflow, so that the column's geometric decay (about 0.92 per node
-on the N = 16384 momentum matrix) does not run nearly half the sweep in
-subnormal arithmetic; the result is bitwise the unscaled solve's wherever
-that sweep has no subnormal intermediate.  ``nsk.momentum_update`` solves a
-stack one row at a time, because one block-banded solve of all rows
-differs from the row solves in the last bit.  Two derivative backends are
+``solve_cyclic_tridiagonal`` take one field.  The latter solves the
+symmetric positive definite cyclic systems that the momentum step and the
+fd Helmholtz backend form, with a scalar off-diagonal: one LAPACK dptsv
+factorization and solve of the rhs over all n nodes, then the
+Sherman-Morrison column solved on its factors only on the two end windows
+outside which its correction is below 2^-b of the largest entry of the
+result (b = 64; the bound is in its docstring).  It makes no BLAS call,
+since its corner correction reads the two inner products it needs in
+closed form, so no solve wakes a BLAS thread pool.
+``nsk.momentum_update`` solves a stack one row at a time, because one
+block-banded solve of all rows differs from the row solves in the last
+bit.  Two derivative backends are
 provided everywhere: ``"central"`` (second-order finite differences,
 exactly conservative in the telescoping sense) and ``"spectral"``
 (discrete-Fourier differentiation, exact on resolved trigonometric
@@ -43,8 +45,9 @@ and their association; where the in-place form must swap the two operands
 of one sum or product, that swap is exact in IEEE arithmetic, so every
 value is bitwise the written-out formula's.  No kernel writes into an
 argument, a state's field, ``grid.x`` or a grid symbol, and none returns a
-view that keeps a larger buffer alive.  The same rule holds in ``nsk``,
-``eos`` and ``diagnostics``.
+view that keeps a larger buffer alive.  This is the library's in-place
+rule, stated here once; the kernels of ``nsk``, ``eos`` and
+``diagnostics`` follow it too.
 
 The kernels check shapes, not values: NaN and inf propagate to the result,
 and the run loop (``nsk._integrate``) decides whether a state is valid.
@@ -55,9 +58,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv, dpttrs
 
 TWO_PI = 2.0 * np.pi
+# b of solve_cyclic_tridiagonal: its end windows hold the correction column
+# to within 2^-b of the largest entry of the result
+_WINDOW_BITS = 64
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -204,85 +210,87 @@ def helmholtz_solve(grid: PeriodicGrid, rho: np.ndarray, kappa: float,
         return np.fft.irfft(ch, n=grid.n)
     if backend == "fd":
         a = kappa / grid.h ** 2
-        lower = np.full(grid.n, -a)
-        diag = np.full(grid.n, 2.0 * a + gamma)
-        upper = np.full(grid.n, -a)
-        return solve_cyclic_tridiagonal(lower, diag, upper, gamma * rho)
+        return solve_cyclic_tridiagonal(np.full(grid.n, 2.0 * a + gamma),
+                                        -a, gamma * rho)
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def solve_cyclic_tridiagonal(lower: np.ndarray, diag: np.ndarray,
-                             upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the periodic tridiagonal system A x = rhs.
+def solve_cyclic_tridiagonal(diag: np.ndarray, off: float,
+                             rhs: np.ndarray) -> np.ndarray:
+    """Solve the periodic symmetric tridiagonal system A x = rhs.
 
-    Row i reads lower[i]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1] = rhs[i]
-    with wrap-around corners lower[0] and upper[n-1].  Sherman-Morrison on
-    top of one LAPACK gtsv call with the two right-hand sides rhs and u =
-    (alpha, 0, ..., 0, upper[n-1]), alpha = -diag[0], or -(|upper[0]| +
-    |lower[0]|) when diag[0] == 0, so that a zero diag[0] of a nonsingular
-    system needs no division by zero.  scipy's solve_banded((1, 1), ...)
-    dispatches to the same gtsv with the same three diagonals; the direct
-    call skips building the (3, n) band matrix and the argument checks.  A
-    singular reduced system, or a zero row 0, raises
-    numpy.linalg.LinAlgError.
+    Row i reads off*x[i-1] + diag[i]*x[i] + off*x[i+1] = rhs[i], indices
+    mod n.  The solve accepts the systems the library forms, the momentum
+    matrix diag(rho) + aL and the fd Helmholtz matrix: symmetric, one
+    scalar off-diagonal, a positive diagonal and, for the windows below,
+    strict dominance min(diag) > 2|off|.  Sherman-Morrison writes A = B +
+    u v^T, u = (alpha, 0, ..., 0, off), alpha = -diag[0], v = u / alpha; B
+    drops the corners and holds diag[0] - alpha and diag[n-1] - off * (off
+    / alpha) (quotient first, so that neither underflows nor overflows on
+    a system scaled beyond about 1e+-154), and is positive definite when A
+    is.  One LAPACK dptsv call (LDL^T, no pivoting) solves B y = rhs and
+    leaves the factors; a B that is not positive definite raises
+    numpy.linalg.LinAlgError.  One dpttrs call on the factors solves
+    B z = u, and x = y - z (v.y) / (1 + v.z), with v.y = y[0] + v[n-1]
+    y[n-1] (and v.z alike) in closed form, no BLAS dot.
 
-    The column u is solved scaled by 2^s, s = 900 - e clamped to [0, 900],
-    with e the binary exponent of max(|alpha|, |upper[n-1]|), and its
-    solution z is unscaled by ldexp.  Scaling by a power of two is exact,
-    and gtsv's pivots do not depend on the right-hand side, so z and the
-    result are bitwise the unscaled solve's wherever the unscaled sweep has
-    no subnormal intermediate; where it has, the scaled sweep is the more
-    accurate one.  The scaled entries of u stay below 2^901, 2^123 below
-    overflow.  z does not change when the whole system is scaled (z[0] is
-    about -1/2 when row 0 is diagonally dominant), and the clamp at 900
-    lets it grow to 2^124 before the scaled z overflows, at any scale of
-    the system.  The rhs column is not scaled.
-
-    The correction vector v = (1, 0, ..., 0, lower[0]/alpha) has two
-    nonzero entries.  The corner term of the reduced diagonal is formed as
-    upper[n-1] * v[n-1], the quotient first, so that on a system scaled
-    beyond about 1e+-154 the product of the two corner entries neither
-    underflows nor overflows.  v @ y is read as y[0] + v[n-1] * y[n-1]
-    (and v @ z alike), with no BLAS dot.  That equals numpy's length-n dot
-    bitwise when n % 16 == 0 (numpy 2.4.6 with OpenBLAS 0.3.31, as pinned in
-    constraints.txt); on other grids it may differ in the last bit.
+    z is solved only on its end windows, rows [0, W) and [n - W, n), as
+    one 2W system whose blocks are joined by a zero multiplier, and the
+    correction is applied there only.  Each multiplier of B's LDL^T, taken
+    from the top or from the bottom, is at most r = 2q / (1 + sqrt(1 -
+    4q^2)) in size, q = |off| / min(diag).  So |z_i| <= 2/3 r^i + r^(n-i),
+    and since the correction z_i (v.y) / (1 + v.z) is z_i (v.x) with
+    |v.x| <= 1.5 ||x||_inf, what the windows leave out, and what the zero
+    join changes inside them, is at most 2.5 r^W ||x||_inf.  W = ceil((b +
+    2) / -log2 r) brings that below 2^-b ||x||_inf: the result is that
+    close to the full-column solve's, apart from the rounding of the last
+    subtraction.  b = 64 lies 11 bits below the unit roundoff, so no bit of
+    an entry above about 2^-10 ||x||_inf moves unless it lies that close to
+    a rounding tie.  When 2W >= n, or A is not strictly dominant, the
+    window is the whole grid.  Within the windows z decays by at most
+    about 2^-(b+2), so it needs no scaling to stay out of subnormal
+    arithmetic, which a full sweep enters past about 8,500 nodes at r =
+    0.92 (the N = 16384 momentum matrix) and then runs several times
+    slower.
     """
     n = diag.size
-    corner_low = lower[0]
-    corner_up = upper[n - 1]
-
-    # rank-one correction u v^T removing the two corner entries
     alpha = -diag[0]
-    if alpha == 0.0:
-        # keeps row 0 of the reduced system diagonally dominant
-        alpha = -(abs(upper[0]) + abs(corner_low))
-        if alpha == 0.0:
-            raise np.linalg.LinAlgError("singular matrix: row 0 is zero")
-    v_last = corner_low / alpha
+    if alpha >= 0.0:   # B's first pivot, 2 diag[0], would not be positive
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+    v_last = off / alpha
     d = np.array(diag, dtype=float)
     d[0] = diag[0] - alpha
-    d[n - 1] = diag[n - 1] - corner_up * v_last
+    d[n - 1] = diag[n - 1] - off * v_last
+    d, e, y, info = dptsv(d, np.full(n - 1, off), rhs,
+                          overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("matrix is not positive definite")
 
-    # the two right-hand sides rhs and 2^s u as the rows of one buffer,
-    # passed transposed so gtsv gets Fortran order without a copy
-    e = math.frexp(max(abs(alpha), abs(corner_up)))[1] - 1
-    s = min(900, max(0, 900 - e))
-    b = np.zeros((2, n))
-    b[0] = rhs
-    b[1, 0] = math.ldexp(alpha, s)
-    b[1, n - 1] = math.ldexp(corner_up, s)
+    w = n
+    d_min = diag.min()
+    if d_min > 2.0 * abs(off):   # strictly dominant
+        q = abs(off) / d_min
+        r = 2.0 * q / (1.0 + math.sqrt(1.0 - 4.0 * q * q))
+        w = math.ceil((_WINDOW_BITS + 2) / -math.log2(r)) if r > 0.0 else 1
+    if 2 * w >= n:
+        w = k = n
+    else:   # the two end windows as one system, joined by a zero multiplier
+        k = 2 * w
+        d = np.concatenate((d[:w], d[n - w:]))
+        e = np.concatenate((e[:w - 1], (0.0,), e[n - w:]))
+    z = np.zeros(k)
+    z[0] = alpha
+    z[k - 1] = off
+    z, info = dpttrs(d, e, z, overwrite_b=1)
 
-    *_, x, info = dgtsv(lower[1:], d, upper[:-1], b.T,
-                        overwrite_d=1, overwrite_b=1)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    y, z = x.T
-    z = np.ldexp(z, -s)   # a fresh array: the result does not hold b
     v_y = y[0] + v_last * y[n - 1]
-    v_z = z[0] + v_last * z[n - 1]
+    v_z = z[0] + v_last * z[k - 1]
     z *= v_y
     z /= 1.0 + v_z
-    return np.subtract(y, z, out=z)   # y - z v_y / (1 + v_z)
+    y[:w] -= z[:w]   # y - z v_y / (1 + v_z) on the windows
+    if k > w:
+        y[n - w:] -= z[w:]
+    return y
 
 
 def sobolev_norm(grid: PeriodicGrid, f: np.ndarray, order: int):

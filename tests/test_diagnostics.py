@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from phasekit.bn import BNState
-from phasekit.diagnostics import (RECORD_COLUMNS, balance_check, bd_entropy,
-                                  compute_record, effective_viscous_flux,
-                                  energy)
+from phasekit.diagnostics import (RECORD_COLUMNS, DiagnosticsRecord,
+                                  balance_check, bd_entropy, compute_record,
+                                  effective_viscous_flux, energy)
 from phasekit.eos import PolytropicEOS, VanDerWaalsEOS
 from phasekit.nsk import FluidState, PhysicalParams, SolverConfig, nsk_run
 from phasekit.torus import (TWO_PI, PeriodicGrid, derivative, l2_norm, mean,
@@ -192,6 +192,52 @@ def test_gronwall_envelope_via_balance_check():
     report = balance_check(traj.records, gronwall_rate=rate)
     assert report["gronwall_ok"]
     assert report["gronwall_margin"] > 0.0
+
+
+def long_table(eta, t, mass=1.2):
+    """A synthetic diagnostics table of the given BD entropy series, with
+    conserved mass and energy and no dissipation."""
+    ones = np.ones_like(t)
+    return DiagnosticsRecord(t, mass * ones, 0.0 * ones, -0.2 * ones,
+                             0.0 * ones, eta, 0.5 * ones, 1.5 * ones,
+                             ones, ones, ones)
+
+
+def gronwall_by_exp(records, rate):
+    """The Gronwall verdict and margin with the envelope formed by exp on
+    every row, its overflow to inf allowed."""
+    t, eta = records.t, records.bd_entropy
+    with np.errstate(over="ignore"):
+        envelope = (eta[0] + 0.5 * records.mass[0]) * np.exp(rate * (t - t[0]))
+    return bool(np.all(eta <= envelope + 1e-12)), float(np.min(envelope - eta))
+
+
+def test_gronwall_check_on_a_long_table_does_not_overflow():
+    # an N = 512 run to t = 25 has rate 35.1, so rate t reaches 877, past
+    # exp's overflow at 709.78: the rows beyond 700 are decided in log
+    # space, with no RuntimeWarning (an error under this suite), and the
+    # verdict and the margin are those the overflowing envelope gives
+    t = np.linspace(0.0, 25.0, 2001)
+    rate = 35.1
+    cases = [0.77 * np.exp(0.2 * t), 0.77 + 3.0 * t]
+    bad = 0.77 * np.exp(0.2 * t)
+    bad[1] = 10.0   # above the envelope, 2.1 at t = 0.0125
+    cases.append(bad)
+    for eta in cases:
+        records = long_table(eta, t)
+        report = balance_check(records, gronwall_rate=rate)
+        ok, margin = gronwall_by_exp(records, rate)
+        assert report["gronwall_ok"] is ok
+        assert report["gronwall_margin"] == margin
+    assert not report["gronwall_ok"] and not report["ok"]
+    # a scale so small that the envelope stays finite past rate t = 700:
+    # log space sees eta cross it there, where the overflow to inf did not
+    eta = np.zeros_like(t)
+    eta[-1] = 1e90
+    report = balance_check(long_table(eta, t, mass=2e-300), gronwall_rate=rate)
+    assert not report["gronwall_ok"]
+    assert report["gronwall_margin"] == gronwall_by_exp(
+        long_table(eta[:-1], t[:-1], mass=2e-300), rate)[1]
 
 
 def record_states(n):

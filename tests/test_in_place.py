@@ -53,10 +53,11 @@ STATES = {
 
 
 def cyclic_system(grid, rng):
-    """lower, diag, upper, rhs of a random diagonally dominant system."""
-    lower, upper, rhs = rng.uniform(-1.0, 1.0, (3, grid.n))
-    diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, grid.n)
-    return lower, diag, upper, rhs
+    """diag, off, rhs of a random strictly diagonally dominant symmetric
+    system."""
+    off = rng.uniform(-1.0, 1.0)
+    diag = 2.0 * abs(off) + rng.uniform(0.1, 2.0, grid.n)
+    return diag, off, rng.uniform(-1.0, 1.0, grid.n)
 
 
 def momentum_args(grid, rng):

@@ -46,7 +46,7 @@ snapshot_every = 50
 [init]
 u0_mode = 1
 u0_amp = 0.2
-""", "c049402e97a193fcff6acad2c12df9d71a08f03f5fd476c349f5f4884e07be2b"),
+""", "88faa691656c5e01c841415af2b03aa4bf9181f5282fe7e1998cf836d7f4f259"),
     # dt far above the CFL bound: every step is CFL-limited
     "simulate-bn": (COMMON + """
 [grid]
@@ -60,7 +60,7 @@ snapshot_every = 20
 [init]
 u0_mode = 1
 u0_amp = 0.2
-""", "114aa7d268738f3088318c12633f00f68caccd5788d64f1f53ff43b11c27acd4"),
+""", "d64d859a15b57002d8f53d72c37288858278c08c9fe3e501a6594653f4e44558"),
     # the criterion-12 family: a BN reference and two NSK members
     "homogenize": (COMMON + """
 [grid]
@@ -77,7 +77,7 @@ v_plus = 1.6
 
 [harness]
 n_list = 2, 4
-""", "94e227a0c833abaf9d652965d43a9fe92fba623ec4a1cdc84eb6b19fec48ff88"),
+""", "74b64a4d718860288301868add05d40ac457c95bdfa8e443afa7a49726e5552b"),
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
-from scipy.linalg import solve_banded  # noqa: E402
+from scipy.linalg import solveh_banded as solve_banded_h  # noqa: E402
 
 from phasekit.bn import (BNState, _relaxation_flow,  # noqa: E402
                          _relaxation_substep, bn_step, cubic_interp_periodic,
@@ -21,58 +21,74 @@ from phasekit.eos import PolytropicEOS, VanDerWaalsEOS  # noqa: E402
 from phasekit.nsk import (FluidState, PhysicalParams,  # noqa: E402
                           SolverConfig, continuity_update, momentum_update,
                           nsk_step, sound_speed_max)
-from phasekit.torus import (PeriodicGrid, derivative,  # noqa: E402
-                            helmholtz_solve, l2_norm, max_norm, mean,
-                            sobolev_norm, solve_cyclic_tridiagonal)
+from phasekit.torus import (_WINDOW_BITS, PeriodicGrid,  # noqa: E402
+                            derivative, helmholtz_solve, l2_norm, max_norm,
+                            mean, sobolev_norm, solve_cyclic_tridiagonal)
 
 FAST = settings(max_examples=30, deadline=None)
 
 
-def banded_cyclic_oracle(lower, diag, upper, rhs):
-    """The cyclic solve written on scipy's solve_banded, which builds the
-    band matrix and checks the arguments that the direct gtsv call skips,
-    with u scaled by 2^s, s = 900 - e clamped to [0, 900], and v @ y and
-    v @ z read in closed form, as the docstring of the solve states them.
-    The scaling moves no bit unless the unscaled sweep of u goes subnormal;
-    these draws, with their subnormal and zero entries, make that happen
-    in about 1 draw in 180, where the unscaled solve differs in signed
-    zeros and subnormal results.  test_torus checks the scaled solve
-    against the unscaled one on systems whose bits it must keep."""
+def windowed_cyclic_oracle(diag, off, rhs):
+    """The cyclic solve as its docstring states it, written out: y on
+    scipy's solveh_banded (which calls the same ptsv), B's LDL^T factors
+    and the column's substitutions on the two end windows as plain Python
+    scalar loops in LAPACK's dpttrf and dptts2 order, W from the decay
+    bound, and v.y and v.z read in closed form."""
     n = diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
     alpha = -diag[0]
-    v_last = lower[0] / alpha
-    ab[1, 0] = diag[0] - alpha
-    ab[1, n - 1] = diag[n - 1] - upper[n - 1] * v_last
-    e = np.frexp(max(abs(alpha), abs(upper[n - 1])))[1] - 1
-    s = min(900, max(0, 900 - int(e)))
-    u = np.zeros(n)
-    u[0] = np.ldexp(alpha, s)
-    u[n - 1] = np.ldexp(upper[n - 1], s)
-    y, z = solve_banded((1, 1), ab, np.column_stack([rhs, u]),
-                        check_finite=False).T
-    z = np.ldexp(z, -s)
-    return y - z * (y[0] + v_last * y[n - 1]) / (1.0 + (z[0] + v_last * z[n - 1]))
+    v_last = off / alpha
+    d = np.array(diag, dtype=float)
+    d[0] = diag[0] - alpha
+    d[n - 1] = diag[n - 1] - off * v_last
+    ab = np.zeros((2, n))
+    ab[0, 1:] = off
+    ab[1] = d
+    y = solve_banded_h(ab, rhs, check_finite=False)
+    big_d, big_e = list(d), [off] * (n - 1)
+    for i in range(n - 1):   # dpttrf
+        ei = big_e[i]
+        big_e[i] = ei / big_d[i]
+        big_d[i + 1] = big_d[i + 1] - big_e[i] * ei
+    q = abs(off) / min(diag)
+    w = n
+    if q < 0.5:
+        r = 2.0 * q / (1.0 + np.sqrt(1.0 - 4.0 * q * q))
+        w = int(np.ceil((_WINDOW_BITS + 2) / -np.log2(r))) if r > 0.0 else 1
+    rows = list(range(n)) if 2 * w >= n else (
+        list(range(w)) + list(range(n - w, n)))
+    k = len(rows)
+    zd = [big_d[i] for i in rows]
+    ze = [big_e[i] if i + 1 in rows else 0.0 for i in rows[:-1]]
+    z = [0.0] * k
+    z[0], z[k - 1] = alpha, off
+    for i in range(1, k):   # dptts2
+        z[i] = z[i] - z[i - 1] * ze[i - 1]
+    z[k - 1] = z[k - 1] / zd[k - 1]
+    for i in range(k - 2, -1, -1):
+        z[i] = z[i] / zd[i] - z[i + 1] * ze[i]
+    v_y = y[0] + v_last * y[n - 1]
+    v_z = z[0] + v_last * z[k - 1]
+    x = y.copy()
+    for j, i in enumerate(rows):
+        x[i] = y[i] - z[j] * v_y / (1.0 + v_z)
+    return x
 
 
 @FAST
 @given(data=st.data(), n=st.integers(3, 64))
 def test_cyclic_tridiagonal_matches_dense_solve(data, n):
-    entries = hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0))
-    lower, upper, rhs = (data.draw(entries) for _ in range(3))
+    off = data.draw(st.floats(-1.0, 1.0))
+    rhs = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
     margin = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.1, 2.0)))
-    diag = np.abs(lower) + np.abs(upper) + margin
+    diag = 2.0 * abs(off) + margin
     rows = np.arange(n)
     dense = np.diag(diag)
-    dense[rows, (rows - 1) % n] += lower
-    dense[rows, (rows + 1) % n] += upper
+    dense[rows, (rows - 1) % n] += off
+    dense[rows, (rows + 1) % n] += off
     expected = np.linalg.solve(dense, rhs)
-    x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+    x = solve_cyclic_tridiagonal(diag, off, rhs)
     assert np.max(np.abs(x - expected)) <= 1e-12 * (1.0 + np.max(np.abs(expected)))
-    assert same_bits(x, banded_cyclic_oracle(lower, diag, upper, rhs))
+    assert same_bits(x, windowed_cyclic_oracle(diag, off, rhs))
 
 
 def smooth_field(modes, grid, base):
@@ -311,7 +327,7 @@ def continuity_oracle(grid, rho, u, dt, upwind):
 
 def momentum_oracle(grid, rho_new, rho, u, c, params, dt, p):
     """momentum_update with its neighbours from np.roll and each row's
-    off-diagonals built for its own solve."""
+    diagonal built for its own solve."""
     m = rho * u
     g = m * u + p
     g_half = 0.5 * (g + np.roll(g, -1, axis=-1))
@@ -320,9 +336,8 @@ def momentum_oracle(grid, rho_new, rho, u, c, params, dt, p):
     a = 0.5 * params.mu * dt / grid.h ** 2
     rhs = m_star + a * (np.roll(u, -1, axis=-1) - 2.0 * u
                         + np.roll(u, 1, axis=-1))
-    rows = [solve_cyclic_tridiagonal(np.full(grid.n, -a), d,
-                                     np.full(grid.n, -a), r)
-            for d, r in zip(np.atleast_2d(rho_new + 2.0 * a), np.atleast_2d(rhs))]
+    rows = [solve_cyclic_tridiagonal(r_new + 2.0 * a, -a, r)
+            for r_new, r in zip(np.atleast_2d(rho_new), np.atleast_2d(rhs))]
     return np.reshape(rows, rhs.shape)
 
 

@@ -1,8 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 
 from phasekit import torus
 from phasekit.config import (build_nsk_initial, build_params, build_solver,
@@ -175,66 +176,104 @@ def test_helmholtz_elliptic_estimate():
     assert max(ratios) <= bound + 1e-9
 
 
+def cyclic_dense(diag, off):
+    """The dense n x n matrix of the cyclic system (diag, off)."""
+    n = diag.size
+    rows = np.arange(n)
+    dense = np.diag(np.asarray(diag, dtype=float))
+    dense[rows, (rows - 1) % n] += off
+    dense[rows, (rows + 1) % n] += off
+    return dense
+
+
 def test_cyclic_tridiagonal_against_dense():
     rng = np.random.default_rng(23)
     n = 64
-    lower = -1.0 + 0.1 * rng.standard_normal(n)
-    upper = -1.0 + 0.1 * rng.standard_normal(n)
-    diag = 4.0 + 0.1 * rng.standard_normal(n)
+    off = -1.0
+    diag = 2.0 + rng.uniform(0.1, 2.0, n)
     rhs = rng.standard_normal(n)
-    dense = np.zeros((n, n))
-    for i in range(n):
-        dense[i, i] = diag[i]
-        dense[i, (i - 1) % n] = lower[i]
-        dense[i, (i + 1) % n] = upper[i]
-    x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
-    assert np.max(np.abs(dense @ x - rhs)) < 1e-11
+    x = solve_cyclic_tridiagonal(diag, off, rhs)
+    assert np.max(np.abs(cyclic_dense(diag, off) @ x - rhs)) < 1e-12
 
 
 def test_cyclic_tridiagonal_singular_raises():
-    # decoupled rows with one zero diagonal entry: gtsv reports a zero
-    # pivot, which must surface as LinAlgError
+    # a matrix that is not positive definite: a zero or negative diagonal
+    # entry inside or at the corner, or a diagonal too weak for its
+    # off-diagonal everywhere.  LDL^T meets a pivot <= 0, which surfaces as
+    # LinAlgError; the corner entry is refused before any division by it
     n = 16
-    diag = np.ones(n)
-    diag[5] = 0.0
-    with pytest.raises(np.linalg.LinAlgError):
-        solve_cyclic_tridiagonal(np.zeros(n), diag, np.zeros(n), np.ones(n))
+    for bad in (0.0, -1.0):
+        for row in (0, 5, n - 1):
+            diag = np.full(n, 3.0)
+            diag[row] = bad
+            with np.errstate(all="raise"):
+                with pytest.raises(np.linalg.LinAlgError,
+                                   match="not positive definite"):
+                    solve_cyclic_tridiagonal(diag, -1.0, np.ones(n))
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        solve_cyclic_tridiagonal(np.full(n, 0.5), -1.0, np.ones(n))
 
 
 def dominant_cyclic_system(rng, n):
-    """lower, diag, upper, rhs of a random diagonally dominant system."""
-    lower, upper, rhs = rng.uniform(-1.0, 1.0, (3, n))
-    diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, n)
-    return lower, diag, upper, rhs
+    """diag, off, rhs of a random strictly diagonally dominant symmetric
+    system."""
+    off = rng.uniform(-1.0, 1.0)
+    diag = 2.0 * abs(off) + rng.uniform(0.1, 2.0, n)
+    return diag, off, rng.uniform(-1.0, 1.0, n)
 
 
-def dot_form_cyclic_solve(lower, diag, upper, rhs):
-    """The cyclic solve as first written: u solved unscaled, and the corner
-    correction taken by BLAS dots (v @ y, v @ z) on a dense v; the corner
-    term of d is formed in the solve's order, upper[n-1] * v[n-1]."""
+def full_column_parts(diag, off, rhs):
+    """y, z and v[n-1] of the cyclic solve with its Sherman-Morrison column
+    solved over all n nodes, both right-hand sides in one dptsv call."""
     n = diag.size
     alpha = -diag[0]
+    v_last = off / alpha
     d = np.array(diag, dtype=float)
     d[0] = diag[0] - alpha
-    d[n - 1] = diag[n - 1] - upper[n - 1] * (lower[0] / alpha)
+    d[n - 1] = diag[n - 1] - off * v_last
     u = np.zeros(n)
     u[0] = alpha
-    u[n - 1] = upper[n - 1]
-    v = np.zeros(n)
-    v[0] = 1.0
-    v[n - 1] = lower[0] / alpha
-    *_, x, info = dgtsv(lower[1:], d, upper[:-1], np.column_stack([rhs, u]),
-                        overwrite_d=1, overwrite_b=1)
+    u[n - 1] = off
+    *_, x, info = dptsv(d, np.full(n - 1, off), np.column_stack([rhs, u]))
     assert info == 0
     y, z = x.T
+    return y, z, v_last
+
+
+def full_column_solve(diag, off, rhs):
+    """The cyclic solve with the full column, its corner correction read in
+    closed form as the solve does."""
+    y, z, v_last = full_column_parts(diag, off, rhs)
+    n = y.size
+    v_y = y[0] + v_last * y[n - 1]
+    v_z = z[0] + v_last * z[n - 1]
+    return y - z * v_y / (1.0 + v_z)
+
+
+def dot_form_cyclic_solve(diag, off, rhs):
+    """The full-column solve with the corner correction taken by BLAS dots
+    (v @ y, v @ z) on a dense v."""
+    y, z, v_last = full_column_parts(diag, off, rhs)
+    v = np.zeros(y.size)
+    v[0] = 1.0
+    v[-1] = v_last
     return y - z * (v @ y) / (1.0 + v @ z)
+
+
+def window_of(diag, off):
+    """The solve's end window W, from the docstring's formula."""
+    q = abs(off) / np.min(diag)
+    r = 2.0 * q / (1.0 + np.sqrt(1.0 - 4.0 * q * q))
+    return int(np.ceil((torus._WINDOW_BITS + 2) / -np.log2(r)))
 
 
 @pytest.mark.parametrize("n", [16, 64, 128, 256, 512, 2048, 16384])
 def test_cyclic_tridiagonal_closed_form_matches_dot_form(n):
     # the closed-form corner correction equals numpy's dot bitwise when
     # n % 16 == 0 (numpy and scipy as pinned in constraints.txt), which
-    # covers every pinned and benchmark grid
+    # covers every pinned and benchmark grid; on these O(1) right-hand
+    # sides the end windows move no bit either, so the solve is the
+    # full-column dot form bitwise
     rng = np.random.default_rng(n)
     for _ in range(20):
         system = dominant_cyclic_system(rng, n)
@@ -242,37 +281,15 @@ def test_cyclic_tridiagonal_closed_form_matches_dot_form(n):
         assert x.tobytes() == dot_form_cyclic_solve(*system).tobytes()
 
 
-def unscaled_cyclic_solve(lower, diag, upper, rhs):
-    """The cyclic solve with u solved unscaled, its corner correction read
-    in closed form as the solve does."""
-    n = diag.size
-    alpha = -diag[0]
-    v_last = lower[0] / alpha
-    d = np.array(diag, dtype=float)
-    d[0] = diag[0] - alpha
-    d[n - 1] = diag[n - 1] - upper[n - 1] * v_last
-    u = np.zeros(n)
-    u[0] = alpha
-    u[n - 1] = upper[n - 1]
-    *_, x, info = dgtsv(lower[1:], d, upper[:-1], np.column_stack([rhs, u]),
-                        overwrite_d=1, overwrite_b=1)
-    assert info == 0
-    y, z = x.T
-    return y - z * (y[0] + v_last * y[n - 1]) / (1.0 + (z[0] + v_last * z[n - 1]))
-
-
-def unscaled_sweep_is_subnormal(lower, diag, upper):
-    """Whether the unscaled forward sweep of u, the column the solve scales,
-    goes subnormal: read off the solve of (alpha, 0, ..., 0), whose sweep is
-    u's up to the last node, and whose back substitution keeps the sweep's
+def full_column_is_subnormal(diag, off):
+    """Whether the forward sweep of the full column goes subnormal: read
+    off the solve of (alpha, 0, ..., 0), whose sweep is the column's up to
+    the last node, and whose back substitution keeps the sweep's
     magnitudes."""
     n = diag.size
-    d = np.array(diag, dtype=float)
-    d[0] = 2.0 * diag[0]
-    d[n - 1] = diag[n - 1] + upper[n - 1] * lower[0] / diag[0]
-    e0 = np.zeros(n)
-    e0[0] = -diag[0]
-    z = dgtsv(lower[1:], d, upper[:-1], e0)[3]
+    first = np.zeros(n)
+    first[0] = 1.0
+    z = full_column_parts(diag, off, first)[0] * -diag[0]
     return bool(np.any((z != 0.0) & (np.abs(z) < np.finfo(float).tiny)))
 
 
@@ -312,10 +329,9 @@ u0_amp = 0.042022
 """
 
 
-def test_cyclic_tridiagonal_scaling_is_exact_on_nsk_16384(monkeypatch):
-    # the momentum systems of the first steps of the benchmark's nsk-16384
-    # run (seed 101): the unscaled sweep of u runs into subnormals there,
-    # and the scaled solve still gives its result bitwise
+def nsk_16384_momentum_systems(monkeypatch, steps):
+    """(diag, off, rhs) of the momentum solves of the first steps of the
+    benchmark's nsk-16384 run (seed 101)."""
     systems = []
 
     def solve(*system):
@@ -327,92 +343,171 @@ def test_cyclic_tridiagonal_scaling_is_exact_on_nsk_16384(monkeypatch):
     params = build_params(config)
     solver = build_solver(config)
     nsk_run(build_nsk_initial(config, params), params,
-            dataclasses.replace(solver, t_end=3 * solver.dt))
-    assert len(systems) == 3
-    for system in systems:
-        assert unscaled_sweep_is_subnormal(*system[:3])
-        x = solve_cyclic_tridiagonal(*system)
-        assert x.tobytes() == unscaled_cyclic_solve(*system).tobytes()
+            dataclasses.replace(solver, t_end=steps * solver.dt))
+    monkeypatch.undo()
+    assert len(systems) == steps
+    return systems
+
+
+def test_cyclic_tridiagonal_scaling_is_exact_on_nsk_16384(monkeypatch):
+    # the end windows, which replaced the column's power-of-two scaling,
+    # are exact on the momentum systems of the benchmark's nsk-16384 run:
+    # the full column runs into subnormals there, and the windowed solve
+    # still gives its result bitwise
+    for diag, off, rhs in nsk_16384_momentum_systems(monkeypatch, 3):
+        assert 2 * window_of(diag, off) < diag.size
+        assert full_column_is_subnormal(diag, off)
+        x = solve_cyclic_tridiagonal(diag, off, rhs)
+        assert x.tobytes() == full_column_solve(diag, off, rhs).tobytes()
 
 
 @pytest.mark.parametrize("n", [64, 512, 2048, 16384])
 @pytest.mark.parametrize("kappa", [1e-6, 1e-3, 0.1])
 def test_cyclic_tridiagonal_scaling_is_exact_on_helmholtz(n, kappa):
+    # the fd Helmholtz solve, windowed or not, is the full-column solve
     grid = PeriodicGrid(n)
     gamma = 2.0
     rho = 1.2 + 0.4 * np.cos(TWO_PI * 3 * grid.x)
     a = kappa / grid.h ** 2
-    system = (np.full(n, -a), np.full(n, 2.0 * a + gamma), np.full(n, -a),
-              gamma * rho)
     c = helmholtz_solve(grid, rho, kappa, gamma, "fd")
-    assert c.tobytes() == unscaled_cyclic_solve(*system).tobytes()
+    expected = full_column_solve(np.full(n, 2.0 * a + gamma), -a, gamma * rho)
+    assert c.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e300])
 def test_cyclic_tridiagonal_scaling_is_exact_at_extreme_columns(scale):
-    # column 0 of A times scale puts u = (alpha, 0, ..., 0, upper[n-1])
-    # near scale, which the solve scales by 2^900 (1e-300) or not at all
-    # (1e300); on n = 8 the unscaled sweep of u stays normal, so the
-    # results agree bitwise, and x[0] * scale is the unscaled system's x[0]
+    # A times 1e-300 or 1e300, the rhs unscaled: the column (alpha, 0, ...,
+    # 0, off) sits near the scale of A, and x * scale is the unscaled
+    # system's x; the result is the full-column solve's bitwise
     rng = np.random.default_rng(31)
-    for _ in range(20):
-        lower, diag, upper, rhs = dominant_cyclic_system(rng, 8)
-        x0 = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
-        lower[1] *= scale
-        diag[0] *= scale
-        upper[-1] *= scale
-        assert not unscaled_sweep_is_subnormal(lower, diag, upper)
-        x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
-        assert np.allclose(x[1:], x0[1:], rtol=1e-13, atol=0.0)
-        assert x[0] * scale == pytest.approx(x0[0], rel=1e-13)
-        assert x.tobytes() == unscaled_cyclic_solve(
-            lower, diag, upper, rhs).tobytes()
+    for n in (8, 64, 512):
+        for _ in range(20):
+            diag, off, rhs = dominant_cyclic_system(rng, n)
+            x0 = solve_cyclic_tridiagonal(diag, off, rhs)
+            x = solve_cyclic_tridiagonal(diag * scale, off * scale, rhs)
+            assert np.max(np.abs(x * scale - x0)) <= 1e-13 * np.max(np.abs(x0))
+            assert x.tobytes() == full_column_solve(
+                diag * scale, off * scale, rhs).tobytes()
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
 def test_cyclic_tridiagonal_corner_term_at_extreme_scales(scale):
     # A x = rhs scaled by 1e-200 or 1e200: the corner term is formed as
-    # upper[n-1] * (lower[0] / alpha), so its product of two entries of
-    # size scale neither underflows nor overflows
+    # off * (off / alpha), so its product of two entries of size scale
+    # neither underflows nor overflows
     rng = np.random.default_rng(41)
     for _ in range(20):
-        system = dominant_cyclic_system(rng, 16)
-        x0 = solve_cyclic_tridiagonal(*system)
+        diag, off, rhs = dominant_cyclic_system(rng, 16)
+        x0 = solve_cyclic_tridiagonal(diag, off, rhs)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            x = solve_cyclic_tridiagonal(*(a * scale for a in system))
+            x = solve_cyclic_tridiagonal(diag * scale, off * scale,
+                                         rhs * scale)
         assert np.max(np.abs(x - x0)) <= 1e-14 * np.max(np.abs(x0))
 
 
 @pytest.mark.parametrize("power", [-400, -130, 130, 400])
 def test_cyclic_tridiagonal_invariant_under_power_of_two_scaling(power):
-    # 2^power A x = 2^power rhs has the same solution bitwise: u's scale
-    # is clamped at 2^900, so z, about -1/2 at node 0 whatever the scale
-    # of A, does not overflow on a system scaled by 2^-130 or 2^-400
+    # 2^power A x = 2^power rhs has the same solution bitwise: the
+    # factorization's multipliers, the window and z do not change, and the
+    # windowed column stays far from underflow and overflow
     rng = np.random.default_rng(37)
-    for _ in range(20):
-        system = dominant_cyclic_system(rng, 64)
-        x = solve_cyclic_tridiagonal(*system)
-        scaled = [np.ldexp(a, power) for a in system]
-        assert solve_cyclic_tridiagonal(*scaled).tobytes() == x.tobytes()
+    for n in (64, 2048):
+        for _ in range(20):
+            diag, off, rhs = dominant_cyclic_system(rng, n)
+            x = solve_cyclic_tridiagonal(diag, off, rhs)
+            scaled = solve_cyclic_tridiagonal(
+                np.ldexp(diag, power), math.ldexp(off, power),
+                np.ldexp(rhs, power))
+            assert scaled.tobytes() == x.tobytes()
 
 
 def test_cyclic_tridiagonal_zero_corner_diagonal():
-    # diag[0] = 0 in a nonsingular system (condition number 8.2): the
-    # correction takes a nonzero alpha instead of dividing by zero
+    # diag[0] = 0 leaves the system without a positive diagonal, which the
+    # solve refuses with LinAlgError before dividing by it; a system that
+    # is positive definite but not strictly dominant (min(diag) = 2|off|
+    # at one node) takes the whole grid as its window and is solved to
+    # round-off
     n = 16
-    lower, upper = np.full(n, -1.0), np.full(n, -1.0)
     diag = np.full(n, 3.0)
     diag[0] = 0.0
     rhs = np.random.default_rng(3).standard_normal(n)
-    dense = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
-    dense[0, n - 1] = lower[0]
-    dense[n - 1, 0] = upper[n - 1]
-    assert np.linalg.cond(dense) < 10.0
     with np.errstate(all="raise"):
-        x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_cyclic_tridiagonal(diag, -1.0, rhs)
+        diag[0] = 2.0
+        dense = cyclic_dense(diag, -1.0)
+        assert np.linalg.cond(dense) < 10.0
+        x = solve_cyclic_tridiagonal(diag, -1.0, rhs)
     assert np.max(np.abs(x - np.linalg.solve(dense, rhs))) < 1e-14
-    with pytest.raises(np.linalg.LinAlgError, match="row 0 is zero"):
-        solve_cyclic_tridiagonal(np.zeros(n), diag, np.zeros(n), rhs)
+
+
+def adversarial_rhs(rng, n):
+    """Right-hand sides the end windows must survive: most entries 2^-60
+    of the largest, exact zeros, support only at the two ends, and one
+    whose solution crosses zero."""
+    x = np.arange(n) / n
+    tiny = np.ldexp(rng.standard_normal(n), -60)
+    tiny[rng.integers(0, n, 4)] = rng.standard_normal(4)
+    zeros = rng.standard_normal(n)
+    zeros[rng.uniform(size=n) < 0.5] = 0.0
+    zeros[n // 4:3 * n // 4] = 0.0
+    ends = np.zeros(n)
+    ends[:3] = rng.standard_normal(3)
+    ends[-3:] = rng.standard_normal(3)
+    corner = np.zeros(n)
+    corner[0] = 1.0
+    crossing = np.sin(TWO_PI * x + 0.1) + 1e-3 * rng.standard_normal(n)
+    return {"tiny": tiny, "zeros": zeros, "ends": ends, "corner": corner,
+            "crossing": crossing}
+
+
+@pytest.mark.parametrize("n, a", [(512, 5.5), (2048, 22.5), (16384, 180.0),
+                                  (16384, 13.4)])
+def test_cyclic_tridiagonal_windows_on_adversarial_rhs(n, a):
+    # each stays within 2^-b ||x||_inf of the full-column solve, b = 64,
+    # on momentum matrices rho + 2a with rho constant (where the decay
+    # bound is tight), smooth, a step and random
+    rng = np.random.default_rng(n)
+    x = np.arange(n) / n
+    bound = 2.0 ** -torus._WINDOW_BITS
+    for rho in (np.ones(n), 1.0 + 0.3 * np.sin(TWO_PI * x),
+                0.36 + 2.4 * (x > 0.5), rng.uniform(0.36, 2.8, n)):
+        diag = rho + 2.0 * a
+        assert 2 * window_of(diag, -a) < n
+        for name, rhs in adversarial_rhs(rng, n).items():
+            full = full_column_solve(diag, -a, rhs)
+            windowed = solve_cyclic_tridiagonal(diag, -a, rhs)
+            err = np.max(np.abs(windowed - full))
+            assert err <= bound * np.max(np.abs(full)), name
+
+
+@pytest.mark.parametrize("a", ["nsk-16384", 40.0, 13.4])
+def test_cyclic_tridiagonal_column_holds_no_subnormal(monkeypatch, a):
+    # the windowed column of each solve holds no subnormal (so its sweeps
+    # ran in normal arithmetic), where the full column does: on the first
+    # nsk-16384 momentum systems and at a = 40 and 13.4 on N = 16384
+    if a == "nsk-16384":
+        systems = nsk_16384_momentum_systems(monkeypatch, 3)
+    else:
+        x = np.arange(16384) / 16384
+        rho = 1.0 + 0.3 * np.sin(TWO_PI * x)
+        systems = [(rho + 2.0 * a, -a, np.sin(TWO_PI * x))]
+    columns = []
+    lapack_dpttrs = torus.dpttrs
+
+    def dpttrs(*args, **kwargs):
+        z, info = lapack_dpttrs(*args, **kwargs)
+        columns.append(z.copy())
+        return z, info
+
+    monkeypatch.setattr(torus, "dpttrs", dpttrs)
+    for diag, off, rhs in systems:
+        assert full_column_is_subnormal(diag, off)
+        solve_cyclic_tridiagonal(diag, off, rhs)
+    assert len(columns) == len(systems)
+    for z in columns:
+        assert z.size < 16384
+        assert np.all(np.abs(z) >= np.finfo(float).tiny)
 
 
 def test_sobolev_norm_single_mode(grid):
