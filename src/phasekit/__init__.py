@@ -7,8 +7,7 @@ diagnostics that connect the two through oscillating initial data.
 
 __version__ = "0.1.0"
 
-from .bn import (BNState, bn_run, bn_step, mixture_fields, picard_bn,
-                 relaxation_rhs, transport_with_source)
+from .bn import BNState, bn_run, bn_step, picard_bn, transport_with_source
 from .diagnostics import (DiagnosticsRecord, balance_check, bd_entropy,
                           compute_record, effective_viscous_flux, energy)
 from .eos import (AdmissibilityError, AdmissibilityReport, EquationOfState,
@@ -23,7 +22,7 @@ from .measures import (ParamMeasure, SeparableTest, TestDictionary, distance,
                        wasserstein_avg)
 from .nsk import (FluidState, PhysicalParams, SolverConfig,
                   make_oscillating_initial, nsk_run, nsk_step)
-from .torus import (PeriodicGrid, dealias, derivative, helmholtz_solve,
-                    l2_norm, max_norm, mean, primitive, sobolev_norm)
+from .torus import (PeriodicGrid, derivative, helmholtz_solve, l2_norm,
+                    max_norm, mean, primitive, sobolev_norm)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -20,9 +20,8 @@ import numpy as np
 
 from . import __version__, io
 from .bn import bn_run
-from .config import (build_bn_initial, build_eos, build_family,
-                     build_nsk_initial, build_params, build_solver,
-                     guard_rails, load_config)
+from .config import (build_bn_initial, build_family, build_nsk_initial,
+                     build_params, build_solver, guard_rails, load_config)
 from .diagnostics import balance_check
 from .eos import AdmissibilityError, check_admissibility
 from .errors import BoundsError, ConfigError
@@ -40,7 +39,7 @@ def _meta_payload(config, extra):
 
 def cmd_check_eos(args) -> int:
     config = load_config(args.config)
-    eos = build_eos(config)
+    eos = build_params(config).eos
     _, hi = guard_rails(config)
     try:
         report = check_admissibility(eos, 0.0, hi)

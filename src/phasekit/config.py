@@ -16,7 +16,7 @@ from .bn import BNState
 from .eos import make_eos
 from .errors import ConfigError
 from .harness import FamilyConfig, check_n_list, limit_initial_data
-from .nsk import (FluidState, PhysicalParams, SolverConfig,
+from .nsk import (FluidState, PhysicalParams, SolverConfig, check_profile,
                   make_oscillating_initial)
 from .torus import PeriodicGrid
 
@@ -151,11 +151,15 @@ def parse_config(text: str, path: str = "<string>") -> RunConfig:
 
 
 def _validate(config: RunConfig, path: str):
-    """Reject a bad file at load.  The grid, the pressure law and the solver
-    settings check their own values when built; the checks below cover the
-    values whose owners a subcommand may never build."""
+    """Reject a bad file at load, each rule through its owner: the grid,
+    the physical parameters (law included) and the solver settings are
+    built, and nsk.check_profile and harness.check_n_list are called.
+    Stated here: the profile name and the output directory, which no
+    object owns, and a typed [bn].alpha_p in [0, 1] (BNState.make allows
+    computed fractions a 1e-12 slack).  FamilyConfig's 64 nodes per
+    oscillation are checked when homogenize builds it."""
     for sections, build in (("[grid]", build_grid),
-                            ("[eos]/[physics]", build_eos),
+                            ("[eos]/[physics]", build_params),
                             ("[time]/[bounds]/[harness]", build_solver)):
         try:
             build(config)
@@ -165,45 +169,31 @@ def _validate(config: RunConfig, path: str):
     def err(msg):
         raise ConfigError(f"{path}: {msg}")
 
-    # PhysicalParams owns mu and kappa, but building it also needs the
-    # law's gamma > 0, and check-eos accepts gamma = 0
-    phys = config["physics"]
-    for key in ("mu", "kappa"):
-        if phys[key] <= 0.0:
-            err(f"[physics].{key} must be positive, got {phys[key]}")
+    def owned(section, check, *args):
+        try:
+            check(*args)
+        except ValueError as exc:
+            err(f"[{section}].{exc}")
+
     init = config["init"]
     if init["profile"] not in ("two_value", "constant"):
         err(f"[init].profile must be two_value or constant, got "
             f"{init['profile']!r}")
-    if not 0.0 < init["theta"] < 1.0:
-        err(f"[init].theta must lie in (0, 1), got {init['theta']}")
-    ramp_max = min(init["theta"], 1.0 - init["theta"])
-    if not 0.0 < init["delta"] <= ramp_max:
-        err(f"[init].delta must lie in (0, min(theta, 1 - theta)] = "
-            f"(0, {ramp_max}], got {init['delta']}")
-    if init["n_osc"] < 1:
-        err(f"[init].n_osc must be at least 1, got {init['n_osc']}")
+    owned("init", check_profile, init["theta"], init["delta"], init["n_osc"])
     bn = config["bn"]
     if not 0.0 <= bn["alpha_p"] <= 1.0:
         err(f"[bn].alpha_p must lie in [0, 1], got {bn['alpha_p']}")
-    try:
-        check_n_list(config["harness"]["n_list"])
-    except ValueError as exc:
-        err(f"[harness].{exc}")
+    owned("harness", check_n_list, config["harness"]["n_list"])
     if not config["output"]["directory"]:
         err("[output].directory must not be empty")
 
 
 # ------------------------------------------------------------------ builders
 
-def build_eos(config: RunConfig):
-    return make_eos(dict(config["eos"], gamma=config["physics"]["gamma"]))
-
-
 def build_params(config: RunConfig) -> PhysicalParams:
     phys = config["physics"]
-    return PhysicalParams(mu=phys["mu"], kappa=phys["kappa"],
-                          eos=build_eos(config))
+    eos = make_eos(dict(config["eos"], gamma=phys["gamma"]))
+    return PhysicalParams(mu=phys["mu"], kappa=phys["kappa"], eos=eos)
 
 
 def guard_rails(config: RunConfig) -> tuple:

@@ -46,9 +46,15 @@ class EquationOfState:
     d_pressure and _potential_inner, the antiderivative of P(s)/s^2 that
     the potential W is built from."""
 
-    gamma: float
     domain_max: float
     r_ref: float
+
+    def __init__(self, gamma: float):
+        # gamma = 0 exhibits the bare-pressure spinodal in admissibility
+        # scans; torus.helmholtz_solve, which every solver calls, refuses it
+        if gamma < 0.0:
+            raise ValueError(f"gamma must be nonnegative, got {gamma}")
+        self.gamma = float(gamma)
 
     def pressure(self, r):
         raise NotImplementedError
@@ -109,15 +115,11 @@ class VanDerWaalsEOS(EquationOfState):
         for name, val in (("A", A), ("B", B), ("R", R), ("T_star", T_star)):
             if val <= 0.0:
                 raise ValueError(f"{name} must be positive, got {val}")
-        # gamma = 0 is allowed at the law level so that admissibility scans
-        # can exhibit the bare-pressure spinodal; the solvers reject it
-        if gamma < 0.0:
-            raise ValueError(f"gamma must be nonnegative, got {gamma}")
+        super().__init__(gamma)
         self.A = float(A)
         self.B = float(B)
         self.R = float(R)
         self.T_star = float(T_star)
-        self.gamma = float(gamma)
         self.domain_max = self.B
         # W is gauged at 1 except when the pole at B sits at or below it
         self.r_ref = 1.0 if self.B > 1.0 + 1e-9 else 0.5 * self.B
@@ -155,11 +157,9 @@ class PolytropicEOS(EquationOfState):
             raise ValueError(f"a must be positive, got {a}")
         if beta < 2.0:
             raise ValueError(f"beta must be at least 2, got {beta}")
-        if gamma < 0.0:
-            raise ValueError(f"gamma must be nonnegative, got {gamma}")
+        super().__init__(gamma)
         self.a = float(a)
         self.beta = float(beta)
-        self.gamma = float(gamma)
         self.domain_max = np.inf
         self.r_ref = 1.0
 

@@ -68,10 +68,6 @@ class FamilyConfig:
     def grid(self) -> PeriodicGrid:
         return PeriodicGrid(self.grid_n)
 
-    def u0_field(self, grid: PeriodicGrid) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.u0, dtype=float),
-                               (grid.n,)).copy()
-
 
 MONOTONE_SLACK = 1.2   # allowed growth of the sup error from member to member
 
@@ -127,7 +123,6 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
     steps; a BoundsError of the two-phase run is raised again with a prefix
     that names the two-phase reference and the [init] profile."""
     grid = config.grid()
-    u0 = config.u0_field(grid)
 
     # every member's data first: an unresolvable member fails before any run
     member_rho0 = [make_oscillating_initial(
@@ -136,7 +131,7 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
     alpha_p0, alpha_m0, rho_p0, rho_m0 = limit_initial_data(
         config.v_minus, config.v_plus, config.theta, config.delta, grid)
     try:
-        bn_state = BNState.make(grid, alpha_p0, rho_p0, rho_m0, u0,
+        bn_state = BNState.make(grid, alpha_p0, rho_p0, rho_m0, config.u0,
                                 config.params)
         bn_traj = bn_run(bn_state, config.params, config.solver)
     except BoundsError as exc:
@@ -145,7 +140,8 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
         ) from exc
 
     batch = FluidState.make(grid, np.stack(member_rho0),
-                            np.tile(u0, (len(member_rho0), 1)), config.params)
+                            np.full((len(member_rho0), grid.n), config.u0),
+                            config.params)
     runs = nsk_run(batch, config.params, config.solver)
     _require_shared_time_grid(config.n_list, runs, bn_traj)
     members = [run for run in runs if not isinstance(run, BoundsError)]

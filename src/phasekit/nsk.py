@@ -39,14 +39,16 @@ from .torus import PeriodicGrid
 
 @dataclass
 class PhysicalParams:
+    """mu and kappa must be positive; gamma > 0 is left to
+    torus.helmholtz_solve, which every state construction and step calls."""
     mu: float
     kappa: float
     eos: EquationOfState
 
     def __post_init__(self):
-        for name in ("mu", "kappa", "gamma"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        for name, value in (("mu", self.mu), ("kappa", self.kappa)):
+            if value <= 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
     @property
     def gamma(self) -> float:
@@ -163,6 +165,22 @@ def smoothstep(s: np.ndarray) -> np.ndarray:
     return s ** 3 * (10.0 - 15.0 * s + 6.0 * s ** 2)
 
 
+def check_profile(theta: float, delta: float, n_osc: int) -> None:
+    """Raise ValueError unless theta lies in (0, 1), the ramp width delta
+    in (0, min(theta, 1 - theta)] and n_osc is a positive integer.  The
+    one rule for the profile; the config loader prefixes its section."""
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must lie in (0, 1), got {theta}")
+    ramp_max = min(theta, 1.0 - theta)
+    if not 0.0 < delta <= ramp_max:
+        raise ValueError(f"delta must lie in (0, min(theta, 1 - theta)] = "
+                         f"(0, {ramp_max}], got {delta}")
+    if int(n_osc) != n_osc:
+        raise ValueError(f"n_osc must be an integer, got {n_osc}")
+    if n_osc < 1:
+        raise ValueError(f"n_osc must be at least 1, got {n_osc}")
+
+
 def make_oscillating_initial(grid: PeriodicGrid, v_minus: float, v_plus: float,
                              theta: float, n_osc: int, delta: float
                              ) -> np.ndarray:
@@ -173,15 +191,10 @@ def make_oscillating_initial(grid: PeriodicGrid, v_minus: float, v_plus: float,
     ramps of width delta (in the base coordinate, so the compressed field
     has physical transition width delta / n).  The ramps are symmetric, so
     the profile mean is exactly theta v_minus + (1 - theta) v_plus.
+    theta, delta and n_osc must pass check_profile; the grid must resolve
+    each compressed ramp with at least four cells.
     """
-    if n_osc < 1 or int(n_osc) != n_osc:
-        raise ValueError(f"oscillation count must be a positive integer, got {n_osc}")
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    if delta <= 0.0 or delta > min(theta, 1.0 - theta):
-        raise ValueError(
-            f"ramp width {delta} must be positive and not overlap the plateaus "
-            f"(<= {min(theta, 1.0 - theta)})")
+    check_profile(theta, delta, n_osc)
     if delta * grid.n < 4.0 * n_osc:
         raise ValueError(
             f"unresolved transitions: compressed ramp width {delta / n_osc:.3e} "

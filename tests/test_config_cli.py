@@ -10,6 +10,7 @@ from phasekit.config import (build_bn_initial, build_family, build_nsk_initial,
 from phasekit.eos import PolytropicEOS
 from phasekit.errors import ConfigError
 from phasekit.io import read_diagnostics
+from phasekit.nsk import PhysicalParams, check_profile
 
 MINIMAL = """
 [grid]
@@ -70,6 +71,37 @@ def test_nonincreasing_n_list_rejected():
         parse_config("[harness]\nn_list = 8, 4\n")
     assert str(exc.value).endswith(
         ": [harness].n_list must be strictly increasing, got [8, 4]")
+
+
+# a value the loader refuses through the rule's owner: config text, the
+# loader's section prefix and the owner's call on the same value
+OWNED_RULES = {
+    "theta-zero": ("[init]\ntheta = 0\n", "[init].",
+                   lambda: check_profile(0.0, 0.1, 4)),
+    "theta-one": ("[init]\ntheta = 1\n", "[init].",
+                  lambda: check_profile(1.0, 0.1, 4)),
+    "delta-negative": ("[init]\ndelta = -0.1\n", "[init].",
+                       lambda: check_profile(0.5, -0.1, 4)),
+    "delta-over-theta": ("[init]\ntheta = 0.3\ndelta = 0.35\n", "[init].",
+                         lambda: check_profile(0.3, 0.35, 4)),
+    "n-osc-zero": ("[init]\nn_osc = 0\n", "[init].",
+                   lambda: check_profile(0.5, 0.1, 0)),
+    "mu-zero": ("[physics]\nmu = 0\n", "[eos]/[physics]: ",
+                lambda: PhysicalParams(0.0, 0.1, PolytropicEOS(1.0, 2.0, 1.0))),
+    "kappa-negative": ("[physics]\nkappa = -1\n", "[eos]/[physics]: ",
+                       lambda: PhysicalParams(0.1, -1.0,
+                                              PolytropicEOS(1.0, 2.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("case", OWNED_RULES)
+def test_loader_refuses_with_the_owners_message(case):
+    text, prefix, owner = OWNED_RULES[case]
+    with pytest.raises(ValueError) as owned:
+        owner()
+    with pytest.raises(ConfigError) as loaded:
+        parse_config(text, path="run.cfg")
+    assert str(loaded.value) == f"run.cfg: {prefix}{owned.value}"
 
 
 def test_bad_value_reports_line():
@@ -291,6 +323,11 @@ EXIT_CODES = {
     # the law takes gamma = 0 and check-eos accepts it; the solvers do not
     "gamma-zero": ("simulate-nsk", POLY_SMOOTH + "[physics]\ngamma = 0\n", 2,
                    "gamma must be positive"),
+    "gamma-zero-bn": ("simulate-bn", POLY_SMOOTH + "[physics]\ngamma = 0\n",
+                      2, "gamma must be positive"),
+    "gamma-zero-homogenize": ("homogenize", MINIMAL + "[harness]\nn_list = 1\n"
+                              "[physics]\ngamma = 0\n", 2,
+                              "gamma must be positive"),
     # upper rail 2 m0 = 2.8 lies beyond the Van der Waals pole at B = 1.7
     "admissibility": ("simulate-nsk", RAIL_PAST_POLE, 3,
                       "not inside the law's domain"),

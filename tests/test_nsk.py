@@ -24,9 +24,18 @@ def test_params_gamma_is_the_laws():
     # the coupling coefficient has one owner, the pressure law
     params = PhysicalParams(mu=1.0, kappa=1.0, eos=PolytropicEOS(1.0, 2.0, 1.5))
     assert params.gamma == params.eos.gamma == 1.5
-    # the law accepts gamma = 0 (admissibility scans), the solvers do not
+
+
+def test_gamma_zero_is_refused_by_the_helmholtz_solve():
+    # the law and the parameters accept gamma = 0 (admissibility scans);
+    # every state construction solves for c and refuses it there
+    grid = PeriodicGrid(32)
+    params = poly_params(gamma=0.0)
+    assert params.gamma == 0.0
     with pytest.raises(ValueError, match="gamma must be positive"):
-        PhysicalParams(mu=1.0, kappa=1.0, eos=PolytropicEOS(1.0, 2.0, 0.0))
+        FluidState.make(grid, grid.constant(1.0), grid.zeros(), params)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        BNState.make(grid, 0.5, 1.2, 0.8, 0.0, params)
 
 
 def test_state_validation():
@@ -71,6 +80,8 @@ def test_oscillating_initial_validation():
         make_oscillating_initial(grid, 0.8, 1.6, 0.5, n_osc=8, delta=0.05)
     with pytest.raises(ValueError):
         make_oscillating_initial(grid, 0.8, 1.6, 0.5, n_osc=1, delta=0.7)
+    with pytest.raises(ValueError, match="n_osc must be an integer, got 1.5"):
+        make_oscillating_initial(grid, 0.8, 1.6, 0.5, n_osc=1.5, delta=0.1)
     # the profile builder knows no rails: the run loop's check of the
     # initial state refuses a profile outside them
     params = poly_params()

@@ -10,8 +10,9 @@ seed 201, each run for ``--seconds``.  Then it runs the tier-1 tests once.
 The file holds, per workload, the median and quartiles over the seed-101
 runs of every end-to-end metric, the output digest at each seed and the
 attempted and failed invocation counts; the line count of each
-``src/phasekit`` module and their total; and the tier-1 wall time and test
-counts.  The exit status is 1 when a benchmark run failed an operation or
+``src/phasekit`` module and their total; and the tier-1 wall time, test
+counts and ten slowest tests (pytest ``--durations=10``: node id, phase and
+seconds).  The exit status is 1 when a benchmark run failed an operation or
 a tier-1 test failed; the file is written either way.  A run that measured
 nothing (perfbench/run.py exits non-zero) stops the script.
 """
@@ -82,13 +83,15 @@ def src_lines() -> dict:
 
 
 def tier1() -> dict:
-    """Wall time and outcome counts of one tier-1 run (ROADMAP.md)."""
+    """Wall time, outcome counts and the ten slowest tests of one tier-1
+    run (ROADMAP.md)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "--durations=10"],
         cwd=ROOT, env=env, capture_output=True, text=True)
     wall_s = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines() or [""]
@@ -98,8 +101,14 @@ def tier1() -> dict:
     # the short summary's FAILED and ERROR lines, one per failing test
     failures = [line.split(" - ")[0] for line in lines
                 if line.startswith(("FAILED ", "ERROR "))]
+    # the --durations table's lines: "2.40s setup    tests/x.py::test_y"
+    slowest = [{"test": test, "when": when, "s": float(seconds)}
+               for seconds, when, test in re.findall(
+                   r"^(\d+\.\d+)s (setup|call|teardown) +(.+)$",
+                   proc.stdout, re.MULTILINE)]
     return {"wall_s": round(wall_s, 2), "tests": sum(counts.values()),
-            **counts, "failures": failures, "exit_code": proc.returncode}
+            **counts, "failures": failures, "slowest": slowest,
+            "exit_code": proc.returncode}
 
 
 def main(argv=None) -> int:
