@@ -63,23 +63,21 @@ class BNState:
     @classmethod
     def make(cls, grid: PeriodicGrid, alpha_p, rho_p, rho_m, u,
              params: PhysicalParams, t: float = 0.0) -> "BNState":
+        """c solved from the mixture; the run loop's check at t = 0 judges
+        the densities.  No rail covers alpha_p: it must lie in [0, 1] up to
+        1e-12 here, and is clipped to it."""
         alpha_p, rho_p, rho_m, u = (
             np.broadcast_to(np.asarray(f, dtype=float), (grid.n,)).copy()
             for f in (alpha_p, rho_p, rho_m, u))
         if np.any(alpha_p < -1e-12) or np.any(alpha_p > 1.0 + 1e-12):
             raise BoundsError("volume fraction outside [0, 1]")
         alpha_p = np.clip(alpha_p, 0.0, 1.0)
-        if np.any(rho_p <= 0.0) or np.any(rho_m <= 0.0):
-            raise BoundsError("phase densities must be strictly positive")
         state = cls(grid, t, alpha_p, 1.0 - alpha_p, rho_p, rho_m, u, None)
         state.c = torus.helmholtz_solve(grid, state.mixture_density, params.kappa,
                                         params.gamma)
         return state
 
     stack = classmethod(stack_states)
-
-    def closure_drift(self) -> float:
-        return float(np.max(np.abs(self.alpha_p + self.alpha_m - 1.0)))
 
     @property
     def mixture_density(self) -> np.ndarray:
@@ -98,11 +96,10 @@ def mixture_fields(state: BNState, eos) -> tuple:
 
 
 def relaxation_rhs(state: BNState, params: PhysicalParams) -> tuple:
-    """Pointwise relaxation sources for (alpha_p, alpha_m, rho_p, rho_m).
-
-    Written in the pressure-difference form; with the closure substituted
-    this is the same as (alpha/mu)(P_art(rho) - p_bar) per phase.
-    """
+    """Pointwise relaxation sources for (alpha_p, alpha_m, rho_p, rho_m),
+    kept while perfbench/tracing.py requires it.  In the pressure-difference
+    form; with the closure substituted this is the same as (alpha/mu)
+    (P_art(rho) - p_bar) per phase."""
     dp = (params.eos.artificial_pressure(state.rho_p)
           - params.eos.artificial_pressure(state.rho_m))
     s_ap = state.alpha_p * state.alpha_m * dp / params.mu

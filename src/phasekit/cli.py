@@ -34,7 +34,7 @@ def provenance() -> str:
 
 
 def _meta_payload(config, extra):
-    return {"config": config.to_dict(), "provenance": provenance(), **extra}
+    return {"config": config, "provenance": provenance(), **extra}
 
 
 def cmd_check_eos(args) -> int:

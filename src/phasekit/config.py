@@ -8,8 +8,6 @@ back to a default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .bn import BNState
@@ -97,18 +95,7 @@ SCHEMA = {
 }
 
 
-@dataclass
-class RunConfig:
-    sections: dict = field(default_factory=dict)
-
-    def __getitem__(self, section):
-        return self.sections[section]
-
-    def to_dict(self) -> dict:
-        return {sec: dict(vals) for sec, vals in self.sections.items()}
-
-
-def load_config(path: str) -> RunConfig:
+def load_config(path: str) -> dict:
     try:
         with open(path) as f:
             text = f.read()
@@ -117,10 +104,11 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text, path)
 
 
-def parse_config(text: str, path: str = "<string>") -> RunConfig:
-    config = RunConfig({sec: {k: (list(d) if isinstance(d, list) else d)
-                              for k, (_, d) in keys.items()}
-                        for sec, keys in SCHEMA.items()})
+def parse_config(text: str, path: str = "<string>") -> dict:
+    """A plain dict: section -> key -> value, every SCHEMA key present."""
+    config = {sec: {k: (list(d) if isinstance(d, list) else d)
+                    for k, (_, d) in keys.items()}
+              for sec, keys in SCHEMA.items()}
     section = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -141,7 +129,7 @@ def parse_config(text: str, path: str = "<string>") -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: unknown key [{section}].{key}")
         parser, _ = SCHEMA[section][key]
         try:
-            config.sections[section][key] = parser(raw_value)
+            config[section][key] = parser(raw_value)
         except ValueError as exc:
             raise ConfigError(
                 f"{path}:{lineno}: bad value for [{section}].{key}: {exc}"
@@ -150,7 +138,7 @@ def parse_config(text: str, path: str = "<string>") -> RunConfig:
     return config
 
 
-def _validate(config: RunConfig, path: str):
+def _validate(config: dict, path: str):
     """Reject a bad file at load, each rule through its owner: the grid,
     the physical parameters (law included) and the solver settings are
     built, and nsk.check_profile and harness.check_n_list are called.
@@ -190,20 +178,20 @@ def _validate(config: RunConfig, path: str):
 
 # ------------------------------------------------------------------ builders
 
-def build_params(config: RunConfig) -> PhysicalParams:
+def build_params(config: dict) -> PhysicalParams:
     phys = config["physics"]
     eos = make_eos(dict(config["eos"], gamma=phys["gamma"]))
     return PhysicalParams(mu=phys["mu"], kappa=phys["kappa"], eos=eos)
 
 
-def guard_rails(config: RunConfig) -> tuple:
+def guard_rails(config: dict) -> tuple:
     m0 = config["bounds"]["m0"]
     if m0 <= 0.0:
         raise ValueError(f"m0 must be positive, got {m0}")
     return (1.0 / (2.0 * m0), 2.0 * m0)
 
 
-def build_solver(config: RunConfig) -> SolverConfig:
+def build_solver(config: dict) -> SolverConfig:
     t = config["time"]
     return SolverConfig(dt=t["dt"], t_end=t["t_end"], cfl=t["cfl"],
                         bounds=guard_rails(config),
@@ -211,17 +199,17 @@ def build_solver(config: RunConfig) -> SolverConfig:
                         upwind=config["harness"]["upwind"])
 
 
-def build_grid(config: RunConfig) -> PeriodicGrid:
+def build_grid(config: dict) -> PeriodicGrid:
     return PeriodicGrid(config["grid"]["n"])
 
 
-def u0_field(config: RunConfig, grid: PeriodicGrid) -> np.ndarray:
+def u0_field(config: dict, grid: PeriodicGrid) -> np.ndarray:
     init = config["init"]
     return init["u0"] + init["u0_amp"] * np.sin(
         2 * np.pi * init["u0_mode"] * grid.x)
 
 
-def rho0_field(config: RunConfig, grid: PeriodicGrid) -> np.ndarray:
+def rho0_field(config: dict, grid: PeriodicGrid) -> np.ndarray:
     init = config["init"]
     if init["profile"] == "constant":
         return np.full(grid.n, init["rho0"])
@@ -230,13 +218,13 @@ def rho0_field(config: RunConfig, grid: PeriodicGrid) -> np.ndarray:
                                     init["delta"])
 
 
-def build_nsk_initial(config: RunConfig, params: PhysicalParams) -> FluidState:
+def build_nsk_initial(config: dict, params: PhysicalParams) -> FluidState:
     grid = build_grid(config)
     return FluidState.make(grid, rho0_field(config, grid),
                            u0_field(config, grid), params)
 
 
-def build_bn_initial(config: RunConfig, params: PhysicalParams) -> BNState:
+def build_bn_initial(config: dict, params: PhysicalParams) -> BNState:
     grid = build_grid(config)
     bn = config["bn"]
     init = config["init"]
@@ -253,7 +241,7 @@ def build_bn_initial(config: RunConfig, params: PhysicalParams) -> BNState:
                         params)
 
 
-def build_family(config: RunConfig) -> FamilyConfig:
+def build_family(config: dict) -> FamilyConfig:
     """The homogenize family: members compressed from the [init] two-value
     profile, the two-phase reference from its limit data."""
     init = config["init"]

@@ -7,7 +7,8 @@ reference density (1 whenever 1 is an interior point of the domain).
 
 Negative pressures are allowed: a Van-der-Waals law dips below zero inside
 its spinodal interval and only the monotonicity of the artificial pressure
-matters for the solvers.
+matters for the solvers.  Each call guards the law's domain itself: it
+judges the values formed inside a step, which the run loop never sees.
 
 The formulas follow torus' in-place rule (see the torus module
 docstring), each updating an array it allocated with augmented

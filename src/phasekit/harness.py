@@ -65,9 +65,6 @@ class FamilyConfig:
                 f"grid too coarse: need at least {64 * max(self.n_list)} nodes "
                 f"to resolve {max(self.n_list)} oscillations, got {self.grid_n}")
 
-    def grid(self) -> PeriodicGrid:
-        return PeriodicGrid(self.grid_n)
-
 
 MONOTONE_SLACK = 1.2   # allowed growth of the sup error from member to member
 
@@ -122,7 +119,7 @@ def run_family(config: FamilyConfig) -> ConvergenceReport:
     densities at t = 0, so its check stops the family before any member
     steps; a BoundsError of the two-phase run is raised again with a prefix
     that names the two-phase reference and the [init] profile."""
-    grid = config.grid()
+    grid = PeriodicGrid(config.grid_n)
 
     # every member's data first: an unresolvable member fails before any run
     member_rho0 = [make_oscillating_initial(

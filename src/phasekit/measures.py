@@ -28,7 +28,7 @@ class ParamMeasure:
     weights: np.ndarray       # (n_atoms_per_node, n); per-node masses sum to 1
     support_box: tuple
 
-    def __post_init__(self):
+    def __post_init__(self):   # a public constructor: any field may feed it
         lo, hi = self.support_box
         if self.atoms.shape != self.weights.shape:
             raise ValueError("atoms and weights must have matching shapes")

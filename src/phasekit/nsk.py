@@ -117,10 +117,9 @@ class FluidState:
     @classmethod
     def make(cls, grid: PeriodicGrid, rho, u, params: PhysicalParams,
              t: float = 0.0) -> "FluidState":
+        """c solved from rho; the run loop's check at t = 0 judges rho."""
         rho = np.asarray(rho, dtype=float)
         u = np.asarray(u, dtype=float)
-        if np.any(rho <= 0.0):
-            raise BoundsError("initial density must be strictly positive")
         c = torus.helmholtz_solve(grid, rho, params.kappa, params.gamma)
         return cls(grid, t, rho, u, c)
 

@@ -76,6 +76,7 @@ class PeriodicGrid:
 
     n must be even and at least 8: the Fourier-diagonal solves assume a
     well-defined Nyquist mode and can't do anything useful on toy grids.
+    Grids compare and print by n: they are values.
     """
 
     def __init__(self, n: int):
@@ -105,11 +106,6 @@ class PeriodicGrid:
 
     def constant(self, value: float) -> np.ndarray:
         return np.full(self.n, float(value))
-
-    def wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers 2*pi*m for the rfft layout, m = 0..n/2
-        (read-only, shared by every call)."""
-        return self._k
 
     def _sobolev_weights(self, order) -> np.ndarray:
         """weights * (1 + k^2)^order, the H^order symbol of sobolev_norm,
@@ -325,8 +321,8 @@ def max_norm(f: np.ndarray):
 def dealias(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
     """2/3-rule filter: zero the top third of Fourier modes.
 
-    Not applied by default anywhere; exposed for aliasing stress tests of
-    the nodal pseudo-spectral products.
+    Not applied anywhere, and kept while perfbench/tracing.py requires it;
+    exposed for aliasing stress tests of the nodal pseudo-spectral products.
     """
     f = _check_field(grid, f, stack=False)
     fh = np.fft.rfft(f)

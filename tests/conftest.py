@@ -52,8 +52,8 @@ def homogeneous_relaxation():
 @pytest.fixture(scope="session")
 def config_text():
     """text(payload): the config file that spells out every value of a
-    RunConfig.to_dict() payload, such as the "config" entry of a run's
-    meta.json, so that parse_config(text(config.to_dict())) == config."""
+    parse_config dict, such as the "config" entry of a run's meta.json,
+    so that parse_config(text(config)) == config."""
     def text(payload):
         lines = []
         for section, values in payload.items():

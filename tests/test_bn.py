@@ -18,14 +18,19 @@ def poly_params(mu=0.1, kappa=0.02, gamma=1.0):
 
 
 def test_state_validation():
+    # the fractions are judged at construction, the phase densities by the
+    # run loop's check at t = 0
     grid = PeriodicGrid(32)
     params = poly_params()
-    with pytest.raises(BoundsError):
+    with pytest.raises(BoundsError, match="volume fraction outside"):
         BNState.make(grid, 1.5, 1.0, 1.0, 0.0, params)
-    with pytest.raises(BoundsError):
-        BNState.make(grid, 0.5, -1.0, 1.0, 0.0, params)
+    config = SolverConfig(dt=1e-3, t_end=1e-2, bounds=(0.5, 2.0))
+    for rho_p, rho_m in ((-1.0, 1.0), (1.0, 0.0)):
+        state = BNState.make(grid, 0.5, rho_p, rho_m, 0.0, params)
+        with pytest.raises(BoundsError, match="guard rail violated at t = 0"):
+            bn_run(state, params, config)
     state = BNState.make(grid, 0.5, 2.0, 1.0, 0.0, params)
-    assert state.closure_drift() == 0.0
+    assert np.max(np.abs(state.alpha_p + state.alpha_m - 1.0)) == 0.0
 
 
 def test_mixture_fields_pure_phase():

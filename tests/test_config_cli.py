@@ -112,7 +112,7 @@ def test_bad_value_reports_line():
 
 def test_round_trip_through_dict(config_text):
     config = parse_config(POLY_SMOOTH)
-    payload = json.loads(json.dumps(config.to_dict()))
+    payload = json.loads(json.dumps(config))
     assert parse_config(config_text(payload)) == config
 
 
@@ -343,6 +343,19 @@ EXIT_CODES = {
     "profile-rails-homogenize": ("homogenize", PROFILE_OFF_RAILS, 4,
                                  "two-phase reference from the [init] profile "
                                  "failed: density guard rail violated at t = 0"),
+    # a density at or below zero is outside the rails: the same check
+    "density-negative-nsk": ("simulate-nsk", MINIMAL + "[init]\nprofile = "
+                             "constant\nrho0 = -1\n", 4,
+                             "density guard rail violated at t = 0: range "
+                             "[-1, -1] outside"),
+    "density-negative-bn": ("simulate-bn", MINIMAL + "[init]\nprofile = "
+                            "constant\nrho0 = -1\n", 4,
+                            "guard rail violated at t = 0"),
+    "density-negative-homogenize": ("homogenize", MINIMAL + "[harness]\n"
+                                    "n_list = 1\n[init]\nv_minus = -0.5\n",
+                                    4, "two-phase reference from the [init] "
+                                    "profile failed: density guard rail "
+                                    "violated at t = 0"),
     # the family is built from the two-value profile and its limit data
     "homogenize-constant": ("homogenize", POLY_SMOOTH, 2,
                             "homogenize needs [init].profile = two_value, "

@@ -39,10 +39,23 @@ def test_gamma_zero_is_refused_by_the_helmholtz_solve():
 
 
 def test_state_validation():
+    # a density at or below zero is a state outside the rails: the run
+    # loop's check refuses it at t = 0, as it refuses any other
     grid = PeriodicGrid(32)
     params = poly_params()
-    with pytest.raises(BoundsError):
-        FluidState.make(grid, grid.constant(-1.0), grid.zeros(), params)
+    config = SolverConfig(dt=1e-3, t_end=1e-2, bounds=(0.5, 2.0))
+    for value in (-1.0, 0.0):
+        state = FluidState.make(grid, grid.constant(value), grid.zeros(),
+                                params)
+        with pytest.raises(BoundsError, match="guard rail violated at t = 0"):
+            nsk_run(state, params, config)
+    # in a batch, such a row fails alone
+    batch = FluidState.make(grid, [grid.constant(1.0), grid.constant(-1.0)],
+                            np.zeros((2, grid.n)), params)
+    runs = nsk_run(batch, params, config)
+    assert isinstance(runs[1], BoundsError)
+    assert "guard rail violated at t = 0" in str(runs[1])
+    assert runs[0].records.t[-1] == pytest.approx(1e-2)
     state = FluidState.make(grid, grid.constant(1.0), grid.zeros(), params)
     assert state.helmholtz_residual(params) < 1e-12
 

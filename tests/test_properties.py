@@ -429,7 +429,8 @@ def test_bn_step_keeps_the_closure(n, alpha_modes, rho_p_modes, rho_m_modes,
         speed = max(sound_speed_max(rho, state.u, eos)
                     for rho in (state.rho_p, state.rho_m))
         state = bn_step(state, params, config, dt=config.cfl * grid.h / speed)
-        assert state.closure_drift() <= 2.0 * np.finfo(float).eps
+        drift = np.max(np.abs(state.alpha_p + state.alpha_m - 1.0))
+        assert drift <= 2.0 * np.finfo(float).eps
 
 
 def record_table(record):
@@ -521,6 +522,6 @@ CONFIGS = st.fixed_dictionaries({
 @given(payload=CONFIGS)
 def test_config_round_trips(config_text, payload):
     config = parse_config(config_text(payload))
-    assert config.to_dict() == payload
-    meta = json.loads(json.dumps(config.to_dict()))
+    assert config == payload
+    meta = json.loads(json.dumps(config))
     assert parse_config(config_text(meta)) == config

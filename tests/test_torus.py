@@ -520,13 +520,17 @@ def test_sobolev_norm_single_mode(grid):
 
 
 def test_wavenumbers_are_read_only():
-    # and so are the node coordinates, which every state on the grid shares
+    # the grid's Fourier symbols, built once per grid and shared by every
+    # kernel call, and the node coordinates, which every state on the grid
+    # shares
     grid = PeriodicGrid(16)
-    k = grid.wavenumbers()
-    assert k is grid.wavenumbers()
-    assert k.tobytes() == (TWO_PI * np.arange(9)).tobytes()
-    with pytest.raises(ValueError, match="read-only"):
-        k[1] = 0.0
+    k = TWO_PI * np.arange(9)
+    assert grid._k.tobytes() == k.tobytes()
+    assert grid._sobolev_weights(2) is grid._sobolev_weights(2)
+    for symbol in (grid._k, grid._ik, grid._k2, grid._minus_k2,
+                   grid._sobolev_weights(2)):
+        with pytest.raises(ValueError, match="read-only"):
+            symbol[1] = 0.0
     assert grid.x.tobytes() == (np.arange(16) / 16).tobytes()
     with pytest.raises(ValueError, match="read-only"):
         grid.x[1] = 0.0

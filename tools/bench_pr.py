@@ -5,16 +5,20 @@
 Run from the root of a checkout.  For every workload of BENCHMARK.json it
 runs ``perfbench/run.py`` untraced, unchanged, three times at seed 101
 (workloads interleaved, so host drift spreads over all of them) and once at
-seed 201, each run for ``--seconds``.  Then it runs the tier-1 tests once.
+seed 201, and traced (``--trace 1``) once at seed 101, each run for
+``--seconds``.  Then it runs the tier-1 tests once.
 
 The file holds, per workload, the median and quartiles over the seed-101
 runs of every end-to-end metric, the output digest at each seed and the
-attempted and failed invocation counts; the line count of each
-``src/phasekit`` module and their total; and the tier-1 wall time, test
-counts and ten slowest tests (pytest ``--durations=10``: node id, phase and
-seconds).  The exit status is 1 when a benchmark run failed an operation or
-a tier-1 test failed; the file is written either way.  A run that measured
-nothing (perfbench/run.py exits non-zero) stops the script.
+attempted and failed invocation counts; under ``traced``, per workload,
+the traced run's ``correct`` verdict, failed count and per-layer
+``metrics`` (value and unit, as perfbench/run.py prints them); the line
+count of each ``src/phasekit`` module and their total; and the tier-1 wall
+time, test counts and ten slowest tests (pytest ``--durations=10``: node
+id, phase and seconds).  The exit status is 1 when a benchmark run, traced
+or not, failed an operation or a tier-1 test failed; the file is written
+either way.  A run that measured nothing (perfbench/run.py exits non-zero)
+stops the script.
 """
 
 from __future__ import annotations
@@ -34,12 +38,13 @@ SEEDS = (101, 201)   # the timed seed first
 REPEATS = 3          # seed-101 runs per workload
 
 
-def bench_run(workload: str, seed: int, seconds: float) -> dict:
-    """The info and result lines of one untraced perfbench/run.py run."""
+def bench_run(workload: str, seed: int, seconds: float,
+              trace: int = 0) -> dict:
+    """The info and result lines of one perfbench/run.py run."""
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -127,17 +132,23 @@ def main(argv=None) -> int:
     workloads = {name: workload_summary(runs[name],
                                         bench_run(name, SEEDS[1], args.seconds))
                  for name in names}
+    traced = {}
+    for name in names:
+        run = bench_run(name, SEEDS[0], args.seconds, trace=1)
+        traced[name] = {key: run[key] for key in ("correct", "failed",
+                                                  "metrics")}
     report = {
         "command": ["tools/bench_pr.py", "--seconds", str(args.seconds)],
         "env": runs[names[0]][0]["env"],
         "workloads": workloads,
+        "traced": traced,
         "src_lines": src_lines(),
         "tier1": tier1(),
     }
     with open(args.out, "w") as f:
         json.dump(report, f, indent=1, sort_keys=True)
         f.write("\n")
-    failed = sum(w["failed"] for w in workloads.values())
+    failed = sum(w["failed"] for w in (*workloads.values(), *traced.values()))
     if failed or report["tier1"]["exit_code"] != 0:
         print(f"{failed} failed benchmark operations, tier-1 exit code "
               f"{report['tier1']['exit_code']}", file=sys.stderr)
