@@ -2,8 +2,9 @@
 
 The file format is INI-shaped: ``[section]`` headers, ``key = value`` lines
 and ``#`` comments.  Unknown sections or keys are errors with the offending
-line number, as are malformed values, so a typo can never silently fall
-back to a default.
+line number, as are malformed values and a key set twice (also under a
+repeated header), so a typo can never silently fall back to a default or
+override an earlier line.
 """
 
 from __future__ import annotations
@@ -110,6 +111,7 @@ def parse_config(text: str, path: str = "<string>") -> dict:
                     for k, (_, d) in keys.items()}
               for sec, keys in SCHEMA.items()}
     section = None
+    set_on = {}   # (section, key) -> the line that set it
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -127,6 +129,10 @@ def parse_config(text: str, path: str = "<string>") -> dict:
         key, raw_value = (part.strip() for part in line.split("=", 1))
         if key not in SCHEMA[section]:
             raise ConfigError(f"{path}:{lineno}: unknown key [{section}].{key}")
+        first = set_on.setdefault((section, key), lineno)
+        if first != lineno:
+            raise ConfigError(f"{path}:{lineno}: [{section}].{key} is set "
+                              f"twice, on lines {first} and {lineno}")
         parser, _ = SCHEMA[section][key]
         try:
             config[section][key] = parser(raw_value)

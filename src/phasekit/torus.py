@@ -51,14 +51,44 @@ rule, stated here once; the kernels of ``nsk``, ``eos`` and
 
 The kernels check shapes, not values: NaN and inf propagate to the result,
 and the run loop (``nsk._integrate``) decides whether a state is valid.
+
+dptsv and dpttrs come from scipy's f2py LAPACK extension
+(``scipy/linalg/_flapack``, the module ``scipy.linalg.lapack``
+re-exports), loaded on its own.  Importing ``scipy.linalg`` would run its
+package init, whose array-API layer reads every public numpy attribute and
+so loads numpy.f2py, numpy.testing, numpy.ma, numpy.random and
+numpy.polynomial: with it ``import phasekit.cli`` loaded 556 modules in
+0.27-0.42 s to 57 MB of RSS, without it 256 modules in 0.15-0.18 s to
+33 MB (py3.11.7, numpy 2.4.6, scipy 1.17.1, a shared 2-core x86-64 host).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+from importlib.machinery import PathFinder
 
 import numpy as np
-from scipy.linalg.lapack import dptsv, dpttrs
+import scipy
+
+
+def _load_flapack():
+    """scipy's LAPACK extension, loaded under the private name
+    phasekit._flapack: under its own name, a later ``import scipy.linalg``
+    would find the module registered but lack the attribute."""
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = PathFinder.find_spec("phasekit._flapack", [directory])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack is not in "
+                          f"{directory}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dptsv, dpttrs = _flapack.dptsv, _flapack.dpttrs
 
 TWO_PI = 2.0 * np.pi
 # b of solve_cyclic_tridiagonal: its end windows hold the correction column

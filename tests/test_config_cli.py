@@ -132,7 +132,8 @@ def test_builders(tmp_path):
     assert np.allclose(bn_state.alpha_p, 1.0)
     # the family is built from the two-value profile, not from rho0
     family = build_family(parse_config(
-        POLY_SMOOTH + "[grid]\nn = 256\n[init]\nprofile = two_value\n"))
+        POLY_SMOOTH.replace("n = 64", "n = 256").replace(
+            "profile = constant", "profile = two_value")))
     assert family.n_list == (2, 4)
     with pytest.raises(ConfigError, match=r"\[init\]\.profile"):
         build_family(config)
@@ -151,8 +152,8 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 # values refused at load, naming the file and the section: the first four
 # only the grid, the pressure law or the solver settings check, no float
-# may be nan or infinite, and m0 = 0 is refused before the rails divide
-# by it
+# may be nan or infinite, m0 = 0 is refused before the rails divide by it,
+# and no key may be set twice
 REFUSED_AT_LOAD = [
     ("[bounds]", "[bounds]\nm0 = 0.5\n"),    # rails (1, 1)
     ("[eos]", "[eos]\nA = -1\n"),
@@ -162,6 +163,7 @@ REFUSED_AT_LOAD = [
     ("[time]", "[time]\ndt = nan\n"),
     ("[init]", "[init]\nu0 = nan\n"),
     ("[bounds]", "[bounds]\nm0 = 0\n"),
+    ("[physics]", "[physics]\nmu = 0.1\nmu = 0.2\n"),
 ]
 
 
@@ -313,6 +315,11 @@ n_osc = 1
 n_list = 1, 2
 """
 
+POLY_GAMMA_ZERO = POLY_SMOOTH.replace("gamma = 1.0", "gamma = 0")
+
+# [time] dt set on line 2 and again under a repeated header on line 8
+KEY_TWICE = "[time]\ndt = 1e-4\n\n[grid]\nn = 64\n\n[time]\ndt = 5e-2\n"
+
 # one config per cause: command, config, exit code, text on stderr
 EXIT_CODES = {
     "ok": ("simulate-nsk", POLY_SMOOTH, 0, ""),
@@ -321,10 +328,10 @@ EXIT_CODES = {
                   "not inside the law's domain"),
     "config": ("simulate-nsk", "[physics]\ngamma = -1\n", 2, "config error"),
     # the law takes gamma = 0 and check-eos accepts it; the solvers do not
-    "gamma-zero": ("simulate-nsk", POLY_SMOOTH + "[physics]\ngamma = 0\n", 2,
+    "gamma-zero": ("simulate-nsk", POLY_GAMMA_ZERO, 2,
                    "gamma must be positive"),
-    "gamma-zero-bn": ("simulate-bn", POLY_SMOOTH + "[physics]\ngamma = 0\n",
-                      2, "gamma must be positive"),
+    "gamma-zero-bn": ("simulate-bn", POLY_GAMMA_ZERO, 2,
+                      "gamma must be positive"),
     "gamma-zero-homogenize": ("homogenize", MINIMAL + "[harness]\nn_list = 1\n"
                               "[physics]\ngamma = 0\n", 2,
                               "gamma must be positive"),
@@ -376,6 +383,15 @@ EXIT_CODES = {
     "delta-over-theta": ("check-eos", "[init]\ntheta = 0.05\ndelta = 0.1\n",
                          2, "[init].delta must lie in (0, min(theta, 1 - "
                          "theta)] = (0, 0.05], got 0.1"),
+    # a key set twice is refused under every command, naming both lines
+    "key-twice": ("check-eos", KEY_TWICE, 2,
+                  ":8: [time].dt is set twice, on lines 2 and 8"),
+    "key-twice-nsk": ("simulate-nsk", KEY_TWICE, 2,
+                      ":8: [time].dt is set twice, on lines 2 and 8"),
+    "key-twice-bn": ("simulate-bn", KEY_TWICE, 2,
+                     ":8: [time].dt is set twice, on lines 2 and 8"),
+    "key-twice-homogenize": ("homogenize", KEY_TWICE, 2,
+                             ":8: [time].dt is set twice, on lines 2 and 8"),
     # refused even where --out would override it
     "output-empty": ("check-eos", "[output]\ndirectory =\n", 2,
                      "[output].directory must not be empty"),

@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dptsv
+from scipy.linalg import lapack
 
 from phasekit import torus
 from phasekit.config import (build_nsk_initial, build_params, build_solver,
@@ -222,6 +225,38 @@ def dominant_cyclic_system(rng, n):
     return diag, off, rng.uniform(-1.0, 1.0, n)
 
 
+def test_import_leaves_scipy_linalg_unloaded():
+    # torus loads scipy's LAPACK extension alone; scipy.linalg's package
+    # init would load numpy.f2py, numpy.testing and numpy.ma, unused here
+    src = os.path.dirname(os.path.dirname(torus.__file__))
+    unused = ("scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma")
+    code = ("import sys, phasekit.cli; "
+            f"print(*[m for m in {unused!r} if m in sys.modules])")
+    loaded = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert loaded.split() == []
+
+
+@pytest.mark.parametrize("n", [8, 512, 2048, 16384])
+def test_lapack_routines_equal_scipy_linalgs(n):
+    # torus's own load of the extension gives scipy.linalg.lapack's results
+    # bit for bit: dptsv's factors and solution, and dpttrs on the factors
+    assert torus.dptsv is not lapack.dptsv
+    rng = np.random.default_rng(n)
+    diag, off, rhs = dominant_cyclic_system(rng, n)
+    e = np.full(n - 1, off)
+    ours, theirs = torus.dptsv(diag, e, rhs), lapack.dptsv(diag, e, rhs)
+    assert ours[3] == theirs[3] == 0
+    for x, y in zip(ours[:3], theirs[:3]):
+        assert x.tobytes() == y.tobytes()
+    b = rng.uniform(-1.0, 1.0, n)
+    z, info = torus.dpttrs(*ours[:2], b)
+    z_ref, info_ref = lapack.dpttrs(*theirs[:2], b)
+    assert info == info_ref == 0
+    assert z.tobytes() == z_ref.tobytes()
+
+
 def full_column_parts(diag, off, rhs):
     """y, z and v[n-1] of the cyclic solve with its Sherman-Morrison column
     solved over all n nodes, both right-hand sides in one dptsv call."""
@@ -234,7 +269,8 @@ def full_column_parts(diag, off, rhs):
     u = np.zeros(n)
     u[0] = alpha
     u[n - 1] = off
-    *_, x, info = dptsv(d, np.full(n - 1, off), np.column_stack([rhs, u]))
+    *_, x, info = lapack.dptsv(d, np.full(n - 1, off),
+                              np.column_stack([rhs, u]))
     assert info == 0
     y, z = x.T
     return y, z, v_last
