@@ -44,8 +44,9 @@ import numpy as np
 from . import torus
 from .errors import BoundsError, FixedPointError
 # sound_speed_max is bound here for perfbench/tracing.py, which requires it
-from .nsk import (PhysicalParams, SolverConfig, Trajectory, continuity_update,
-                  momentum_update, sound_speed_max, stack_states, _integrate)
+from .nsk import (PhysicalParams, SolverConfig, Trajectory, central_c_x,
+                  continuity_update, momentum_update, sound_speed_max,
+                  _integrate)
 from .torus import PeriodicGrid
 
 
@@ -77,8 +78,6 @@ class BNState:
                                         params.gamma)
         return state
 
-    stack = classmethod(stack_states)
-
     @property
     def mixture_density(self) -> np.ndarray:
         return self.alpha_p * self.rho_p + self.alpha_m * self.rho_m
@@ -88,6 +87,12 @@ class BNState:
         on the phase stack (rho_p, rho_m)."""
         p_p, p_m = eos.artificial_pressure(np.array((self.rho_p, self.rho_m)))
         return self.alpha_p * p_p + self.alpha_m * p_m
+
+    def step_fields(self, eos) -> tuple:
+        """What a step from this state and its record both read: the
+        mixture density and pressure, from mixture_fields, and the central
+        c_x.  The run loop forms them once per state; see nsk.nsk_run."""
+        return (*mixture_fields(self, eos), central_c_x(self.grid, self.c))
 
 
 def mixture_fields(state: BNState, eos) -> tuple:
@@ -214,10 +219,12 @@ def _relaxation_substep(alpha_p, alpha_m, rho_p, rho_m, params, dt):
 
 
 def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
-            dt: float, monitor: dict | None = None) -> BNState:
+            dt: float, monitor: dict | None = None,
+            fields: tuple | None = None) -> BNState:
     """One step: semi-Lagrangian advection of the fractions, conservative
     transport of the phase densities, pointwise relaxation, shared mixture
-    momentum update, Helmholtz re-solve, closure renormalization.
+    momentum update, Helmholtz re-solve, closure renormalization.  fields
+    is state.step_fields(eos), as for nsk.nsk_step.
 
     The phase densities are transported through the mixture density and the
     phase difference (both with the conservative continuity kernel) and
@@ -226,7 +233,7 @@ def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
     mass is conserved to round-off, equal phase densities stay equal
     exactly, and an alpha_p = 1 run reduces to the single-phase update."""
     grid = state.grid
-    rho_mix_old, p_bar_old = mixture_fields(state, params.eos)
+    rho_mix_old, p_bar_old, c_x = fields or state.step_fields(params.eos)
 
     feet = trace_feet(grid, state.u, state.u, dt)
     ap_t, am_t = cubic_interp_periodic(
@@ -257,7 +264,7 @@ def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
     ap, am, rp, rm = _relaxation_substep(ap_t, am_t, rp_t, rm_t, params, dt)
 
     rho_mix_new = ap * rp + am * rm
-    u_new = momentum_update(grid, rho_mix_new, rho_mix_old, state.u, state.c,
+    u_new = momentum_update(grid, rho_mix_new, rho_mix_old, state.u, c_x,
                             params, dt, p_bar_old)
     c_new = torus.helmholtz_solve(grid, rho_mix_new, params.kappa, params.gamma)
     return BNState(grid, state.t + dt, ap, am, rp, rm, u_new, c_new)

@@ -12,15 +12,17 @@ share one evaluation of the potential W(rho), the coupling density and the
 gradient density 1/2 kappa c_x^2, and each sums its terms in the order it
 does when called alone, so both stay bitwise; the gradient of Sigma is read
 in Fourier space from the spectra of u and P_art, without forming Sigma.
-The run loop forms each record chunk's central c_x once, for the record's
-gradient density and for the run's sup |c_x|, and hands it to
-``compute_record``; called without it, the record forms the same c_x
-itself.
+The run loop forms each state's mixture pressure and central c_x once, for
+the state's step and its record, and hands them to ``compute_record``
+(c_x also gives the run's sup |c_x|); called without them, the record
+forms the same arrays itself.  It records a two-phase state as its
+mixture, the single-phase state of its mixture density, u and c, with the
+alpha-weighted mixture pressure.
 
-The state functionals also take a stacked state (``FluidState.stack`` or
-``BNState.stack``, fields of shape (K, n)) and then return one value per
-state, bitwise equal to K separate calls.  A record of such values is the
-diagnostics table of K states: the run loop, the CSV writer and reader and
+The state functionals also take a stacked state (``FluidState.stack``,
+fields of shape (K, n)) and then return one value per state, bitwise
+equal to K separate calls.  A record of such values is the diagnostics
+table of K states: the run loop, the CSV writer and reader and
 balance_check all hold a series in that one form.
 
 The functionals follow torus' in-place rule (see the torus module
@@ -123,33 +125,38 @@ def effective_viscous_flux(state, params) -> np.ndarray:
     return params.mu * du - state.mixture_pressure(params.eos)
 
 
-def _sigma_grad_l2(state, params):
-    """||Sigma_x||_L2 read in Fourier space: Sigma_x has the transform
-    -mu k^2 u_hat - i k P_hat without its Nyquist mode, as two spectral
-    derivatives of effective_viscous_flux give it, and its norm follows by
-    Parseval.  u and P_art take one rfft each: numpy's rfft of their
-    (2, n) stack is slower than the two calls at n = 16384."""
+def _sigma_grad_l2(state, params, p: np.ndarray):
+    """||Sigma_x||_L2 read in Fourier space, p the mixture pressure P_art:
+    Sigma_x has the transform -mu k^2 u_hat - i k P_hat without its
+    Nyquist mode, as two spectral derivatives of effective_viscous_flux
+    give it, and its norm follows by Parseval.  u and P_art take one rfft
+    each: numpy's rfft of their (2, n) stack is slower than the two calls
+    at n = 16384."""
     grid = state.grid
     dsigma = np.fft.rfft(state.u)
     dsigma *= grid._minus_k2
     dsigma *= params.mu
-    p_x = np.fft.rfft(state.mixture_pressure(params.eos))
+    p_x = np.fft.rfft(p)
     p_x *= grid._ik
     dsigma -= p_x
     dsigma[..., -1] = 0.0
     return torus.spectral_norm(grid, dsigma)
 
 
-def compute_record(state, params, *, _c_x=None) -> DiagnosticsRecord:
+def compute_record(state, params, *, _p=None,
+                   _c_x=None) -> DiagnosticsRecord:
     """One diagnostics.csv row, or K rows for a stacked state.  Energy,
     dissipation and BD entropy use the solver's central differences, and
     energy and BD entropy share one evaluation of their potential, coupling
     and gradient densities.  The Sigma gradient is read in Fourier space
     from the spectra of u and P_art; the 1/sqrt(rho) gradient is
-    spectral.  _c_x carries the central c_x of state.c when the caller has
-    it already (the run loop, which also takes sup |c_x| from it); it is
-    not written."""
+    spectral.  _p and _c_x carry the mixture pressure and the central c_x
+    of state.c when the caller has them already (the run loop, which forms
+    them once per state for its step and its record); neither is
+    written."""
     grid = state.grid
+    if _p is None:
+        _p = state.mixture_pressure(params.eos)
     if _c_x is None:
         _c_x = torus.derivative(grid, state.c, 1, "central")
     terms = _shared_terms(state, params, _c_x)
@@ -165,7 +172,7 @@ def compute_record(state, params, *, _c_x=None) -> DiagnosticsRecord:
         bd_entropy=bd_entropy(state, params, _terms=terms),
         rho_min=torus.row_values(np.min(rho, axis=-1)),
         rho_max=torus.row_values(np.max(rho, axis=-1)),
-        sigma_grad_l2=_sigma_grad_l2(state, params),
+        sigma_grad_l2=_sigma_grad_l2(state, params, _p),
         c_h2=torus.sobolev_norm(grid, state.c, 2),
         inv_sqrt_rho_grad=torus.l2_norm(grid, torus.derivative(
             grid, inv_sqrt_rho, 1, "spectral")),

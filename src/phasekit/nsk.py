@@ -14,8 +14,8 @@ and vanishes at second order in h.
 
 The two flux kernels, continuity_update and momentum_update, which the
 two-phase step shares, form each periodic neighbour by a slice copy
-(_next, _prev) rather than np.roll, the coupling force's central c_x
-included: the values are the same copies, and on small grids np.roll's
+(_next, _prev) rather than np.roll, and so does central_c_x, the coupling
+force's c_x: the values are the same copies, and on small grids np.roll's
 per-call overhead costs several times the copy.  For the same reason the
 checks that run on every step (_check_state, _step_length) reduce each
 field once, with ndarray methods rather than the np.* wrappers.
@@ -85,17 +85,6 @@ def _field_names(cls) -> list:
     return names
 
 
-def stack_states(cls, states):
-    """The classmethod stack(states) of the state classes: states on one
-    grid, single or batches, as one state with a row per state or batch
-    row, for the record functionals: fields of shape (rows, n), t of shape
-    (rows,)."""
-    rows = [len(np.atleast_2d(s.u)) for s in states]
-    return cls(states[0].grid, np.repeat([s.t for s in states], rows),
-               *(np.vstack([getattr(s, name) for s in states])
-                 for name in _field_names(cls)))
-
-
 def _rows(state) -> list:
     """The rows of a batch state as states whose fields are views, or
     [state] for a state of single fields."""
@@ -123,7 +112,15 @@ class FluidState:
         c = torus.helmholtz_solve(grid, rho, params.kappa, params.gamma)
         return cls(grid, t, rho, u, c)
 
-    stack = classmethod(stack_states)
+    @classmethod
+    def stack(cls, states) -> "FluidState":
+        """States on one grid, single or batches, as one state with a row
+        per state or batch row, for the record functionals: fields of shape
+        (rows, n), t of shape (rows,)."""
+        rows = [len(np.atleast_2d(s.u)) for s in states]
+        return cls(states[0].grid, np.repeat([s.t for s in states], rows),
+                   *(np.vstack([getattr(s, name) for s in states])
+                     for name in ("rho", "u", "c")))
 
     @property
     def mixture_density(self) -> np.ndarray:
@@ -131,6 +128,13 @@ class FluidState:
 
     def mixture_pressure(self, eos: EquationOfState) -> np.ndarray:
         return eos.artificial_pressure(self.rho)
+
+    def step_fields(self, eos: EquationOfState) -> tuple:
+        """What a step from this state and its record both read: the
+        density, its artificial pressure and the central c_x.  The run loop
+        forms them once per state; see nsk_run."""
+        return (self.rho, self.mixture_pressure(eos),
+                central_c_x(self.grid, self.c))
 
     def helmholtz_residual(self, params: PhysicalParams) -> float:
         res = (-params.kappa * torus.derivative(self.grid, self.c, 2, "spectral")
@@ -244,6 +248,16 @@ def _prev(f: np.ndarray) -> np.ndarray:
     return np.concatenate((f[..., -1:], f[..., :-1]), axis=-1)
 
 
+def central_c_x(grid: PeriodicGrid, c: np.ndarray) -> np.ndarray:
+    """(c_{i+1} - c_{i-1}) / 2h of each row from slice shifts, bitwise
+    torus.derivative(grid, c, 1, "central"): the c_x of the coupling force,
+    of the record's gradient density and of Trajectory.dxc_sup."""
+    c_x = _next(c)
+    c_x -= _prev(c)
+    c_x /= 2.0 * grid.h
+    return c_x
+
+
 def continuity_update(grid: PeriodicGrid, rho: np.ndarray, u: np.ndarray,
                       dt: float, upwind: float) -> np.ndarray:
     """One conservative step of rho_t + (rho u)_x = 0 with central flux and
@@ -267,16 +281,15 @@ def continuity_update(grid: PeriodicGrid, rho: np.ndarray, u: np.ndarray,
 
 
 def momentum_update(grid: PeriodicGrid, rho_new: np.ndarray, rho: np.ndarray,
-                    u: np.ndarray, c: np.ndarray, params: PhysicalParams,
+                    u: np.ndarray, c_x: np.ndarray, params: PhysicalParams,
                     dt: float, p: np.ndarray) -> np.ndarray:
     """Conservative momentum step: explicit convection and flux of the
     nodal pressure p, explicit coupling force gamma rho c_x, Crank-Nicolson
-    viscosity.  Returns u at the new time level.  c_x is the central
-    difference (c_{i+1} - c_{i-1}) / 2h from slice shifts, bitwise
-    torus.derivative(grid, c, 1, "central").  The solvers pass the
-    artificial pressure of their (mixture) density; the original form, the
-    bare pressure P with the force gamma rho (c - rho)_x, is the call with
-    c - rho for c and eos.pressure(rho) for p.
+    viscosity.  Returns u at the new time level.  The solvers pass the
+    artificial pressure of their (mixture) density and central_c_x of c;
+    the original form, the bare pressure P with the force gamma rho (c -
+    rho)_x, is the call with central_c_x(grid, c - rho) for c_x and
+    eos.pressure(rho) for p.
 
     The viscous system is (rho_new + 2a) u - a (u_{i-1} + u_{i+1}) = rhs,
     a = mu dt / 2h^2: symmetric, with the scalar off-diagonal -a, and
@@ -294,10 +307,8 @@ def momentum_update(grid: PeriodicGrid, rho_new: np.ndarray, rho: np.ndarray,
     dg = _prev(g)
     np.subtract(g, dg, out=dg)
     dg *= dt / h
-    force = _next(c)
-    force -= _prev(c)
-    force /= 2.0 * h                      # c_x
-    force *= params.gamma * rho
+    force = params.gamma * rho
+    force *= c_x
     force *= dt
     rhs = m                               # m_star, then the rhs
     rhs -= dg
@@ -332,13 +343,16 @@ def _step_length(state, fields, params: PhysicalParams, config: SolverConfig,
 
 
 def nsk_step(state: FluidState, params: PhysicalParams, config: SolverConfig,
-             dt: float) -> FluidState:
-    """Advance one step of length dt.  The result is not checked here; the
-    run loop chooses dt and checks every state."""
+             dt: float, fields: tuple | None = None) -> FluidState:
+    """Advance one step of length dt.  fields is state.step_fields(eos),
+    which the run loop hands over and which is formed here when not given;
+    it is not written.  The result is not checked here; the run loop
+    chooses dt and checks every state."""
     grid = state.grid
+    _, p, c_x = fields or state.step_fields(params.eos)
     rho_new = continuity_update(grid, state.rho, state.u, dt, config.upwind)
-    u_new = momentum_update(grid, rho_new, state.rho, state.u, state.c,
-                            params, dt, state.mixture_pressure(params.eos))
+    u_new = momentum_update(grid, rho_new, state.rho, state.u, c_x, params,
+                            dt, p)
     c_new = torus.helmholtz_solve(grid, rho_new, params.kappa, params.gamma)
     return FluidState(grid, state.t + dt, rho_new, u_new, c_new)
 
@@ -370,11 +384,28 @@ def _drop_failed_rows(state, members: list, rails, bounds, results: list,
 _CHUNK_ELEMENTS = 8192
 
 
+def _chunk_record(pending: list, params: PhysicalParams) -> tuple:
+    """The record of the held (state, step_fields) pairs, one row per state
+    or batch row, and their c_x: the record of the states' mixtures
+    FluidState(t, mixture density, u, c) with the mixture pressure, read
+    from a lone state's arrays uncopied or from the stack of all rows."""
+    if len(pending) == 1:
+        state, (rho, p, c_x) = pending[0]
+        mixture = FluidState(state.grid, state.t, rho, state.u, state.c)
+    else:
+        mixture = FluidState.stack([FluidState(s.grid, s.t, rho, s.u, s.c)
+                                    for s, (rho, _, _) in pending])
+        p, c_x = (np.vstack([fields[k] for _, fields in pending])
+                  for k in (1, 2))
+    return diagnostics.compute_record(mixture, params, _p=p, _c_x=c_x), c_x
+
+
 def _integrate(initial, params: PhysicalParams, config: SolverConfig, step,
                rails):
-    """The run loop of nsk_run and bn_run: step(state, params, config, dt=dt)
-    advances one step, rails(state) gives the railed density fields.  Each
-    run's records are None until the run finishes, then its table."""
+    """The run loop of nsk_run and bn_run: step(state, params, config, dt=dt,
+    fields=fields) advances one step from a state and its step_fields,
+    rails(state) gives the railed density fields.  Each run's records are
+    None until the run finishes, then its table."""
     require_admissible(params.eos, 0.0, config.bounds[1])
     batch = initial.u.ndim == 2
     runs = [Trajectory([row], None, params, config)
@@ -386,7 +417,8 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig, step,
     t_final = initial.t + config.t_end
     t_stop = t_final - 1e-12 * config.t_end
     chunk_rows = max(1, _CHUNK_ELEMENTS // initial.grid.n)
-    pending, pending_rows = [], 0
+    # the held states with their step_fields, and the run of each row
+    pending, pending_runs = [], []
     chunks, owners = [], []   # (11, rows) record columns, the run of each row
     while True:
         try:
@@ -399,29 +431,24 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig, step,
                                                cfl_limited)
             if not members:
                 return results
-        pending.append((state, members))
-        pending_rows += len(members)
+        fields = state.step_fields(params.eos)
+        pending.append((state, fields))
+        pending_runs += members
         done = state.t >= t_stop
         # the next state has at most as many rows as this one
-        if done or pending_rows + len(members) > chunk_rows:
-            # a chunk of one state is recorded from that state, uncopied
-            stacked = (pending[0][0] if len(pending) == 1
-                       else type(state).stack([s for s, _ in pending]))
-            row_runs = [j for _, rows in pending for j in rows]
-            # the central c_x of the coupling force, for the record's
-            # gradient density and each row's sup |c_x|
-            c_x = torus.derivative(state.grid, stacked.c, 1, "central")
-            record = diagnostics.compute_record(stacked, params, _c_x=c_x)
+        if done or len(pending_runs) + len(members) > chunk_rows:
+            record, c_x = _chunk_record(pending, params)
             # a column of one value (t of a batch state) fills its row
-            chunk = np.empty((len(diagnostics.RECORD_COLUMNS), len(row_runs)))
+            chunk = np.empty((len(diagnostics.RECORD_COLUMNS),
+                              len(pending_runs)))
             for row, name in zip(chunk, diagnostics.RECORD_COLUMNS):
                 row[...] = getattr(record, name)
             chunks.append(chunk)
-            owners += row_runs
+            owners += pending_runs
             dxc = np.atleast_1d(torus.max_norm(c_x))
-            for j, value in zip(row_runs, dxc):
+            for j, value in zip(pending_runs, dxc):
                 runs[j].dxc_sup = max(runs[j].dxc_sup, float(value))
-            pending, pending_rows = [], 0
+            pending, pending_runs = [], []
         if done:
             table, owners = np.hstack(chunks), np.array(owners)
             for j in members:
@@ -434,7 +461,7 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig, step,
                                    t_final - state.t)
         cfl_limited[members] |= limited
         try:
-            state = step(state, params, config, dt=dt)
+            state = step(state, params, config, dt=dt, fields=fields)
         except ValueError as exc:   # e.g. a density outside the law's domain
             raise BoundsError(f"step from t = {state.t:.6g} failed: {exc}")
         n_steps += 1
@@ -463,13 +490,17 @@ def nsk_run(initial: FluidState, params: PhysicalParams,
     below config.dt on some step; dxc_sup: sup |c_x| over all states, for
     the central c_x, the one the coupling force applies.
 
-    Records are computed in chunks: checked states are held while their
-    rows, one per state or per batch row, fit in K = max(1, 8192 // n), or
-    until the final state, and their records and |c_x| come from one pass
-    over the stack of their rows: the chunk's central c_x is formed once,
-    and the record's gradient density and each row's sup |c_x| read it.
-    A state with more than K rows is a chunk of its own, and a chunk of one
-    state is read from that state itself, without the copy a stack makes.
+    Each checked state's step_fields (its mixture density and pressure
+    and its central c_x) are formed once, for the step from the state and
+    for its record.  Records are computed in chunks: checked states are
+    held while their rows, one per state or per batch row, fit in K =
+    max(1, 8192 // n), or until the final state, and their records and
+    |c_x| come from one pass over the stack of their rows.  A state is
+    recorded as its mixture (for BN the mixture density with u and c, and
+    the mixture pressure), so a chunk stacks five arrays: rho, u, c, the
+    pressure and c_x.  A state with more than K rows is a chunk of its
+    own, and a chunk of one state is read from that state's arrays,
+    without the copy a stack makes.
     Each run's table is built once, when the run finishes, from the rows
     its chunks computed; row k equals compute_record of its k-th state
     bitwise.  A checked state's densities lie inside the rails, so its

@@ -22,11 +22,11 @@ bit.  Two derivative backends are
 provided everywhere: ``"central"`` (second-order finite differences,
 exactly conservative in the telescoping sense) and ``"spectral"``
 (discrete-Fourier differentiation, exact on resolved trigonometric
-polynomials).  The central backend serves the diagnostics, the run
-loop's c_x (one per record chunk, for the record's gradient density and
-``Trajectory.dxc_sup``) and ``bn.picard_bn``; ``nsk.momentum_update``
-forms the same central c_x, the one the coupling force applies, bitwise
-from slice shifts, without np.roll's per-call overhead.  The
+polynomials).  The central backend serves the diagnostics and
+``bn.picard_bn``; ``nsk.central_c_x`` forms its first derivative bitwise
+from slice shifts, without np.roll's per-call overhead, for the run
+loop's c_x (one per state, for the coupling force, the record's gradient
+density and ``Trajectory.dxc_sup``).  The
 backend is always an explicit argument, never module state.  The Fourier
 symbols (the wavenumbers, i k, -k^2, k^2 and the Sobolev weights of each
 order) are built once per grid and are read-only, and so are the node

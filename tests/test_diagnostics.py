@@ -1,4 +1,4 @@
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from phasekit.diagnostics import (RECORD_COLUMNS, DiagnosticsRecord,
                                   balance_check, bd_entropy, compute_record,
                                   effective_viscous_flux, energy)
 from phasekit.eos import PolytropicEOS, VanDerWaalsEOS
+from phasekit import nsk
 from phasekit.nsk import FluidState, PhysicalParams, SolverConfig, nsk_run
 from phasekit.torus import (TWO_PI, PeriodicGrid, derivative, l2_norm, mean,
                             sobolev_norm)
@@ -154,9 +155,9 @@ def test_balance_check_fails_on_mass_or_energy_only():
 
 
 def test_record_from_a_given_central_c_x_is_the_record():
-    # the run loop hands each chunk's central c_x to compute_record, which
-    # reads it without writing it: the record is the one compute_record
-    # forms alone, bitwise, for a state and a stack
+    # the run loop hands each chunk's pressure and central c_x to
+    # compute_record, which reads them without writing them: the record is
+    # the one compute_record forms alone, bitwise, for a state and a stack
     grid = PeriodicGrid(64)
     params = poly_params()
     rng = np.random.default_rng(5)
@@ -164,11 +165,52 @@ def test_record_from_a_given_central_c_x_is_the_record():
                               rng.uniform(-1.0, 1.0, grid.n), params)
               for _ in range(3)]
     for state in (states[0], FluidState.stack(states)):
+        p = params.eos.artificial_pressure(state.rho)
         c_x = derivative(grid, state.c, 1, "central")
-        c_x.flags.writeable = False
-        given = compute_record(state, params, _c_x=c_x)
-        assert (np.array(astuple(given)).tobytes()
-                == np.array(astuple(compute_record(state, params))).tobytes())
+        p.flags.writeable = c_x.flags.writeable = False
+        alone = np.array(astuple(compute_record(state, params))).tobytes()
+        for given in ({"_c_x": c_x}, {"_p": p}, {"_p": p, "_c_x": c_x}):
+            record = compute_record(state, params, **given)
+            assert np.array(astuple(record)).tobytes() == alone
+
+
+def table(record):
+    """A record as its table of one row per column, a column of one value
+    (t of a batch state) filling its row, as the run loop fills it."""
+    columns = astuple(record)
+    rows = max(np.size(v) for v in columns)
+    return np.array([np.broadcast_to(v, (rows,)) for v in columns])
+
+
+@pytest.mark.parametrize("n", [64, 2048])
+def test_chunk_record_is_the_stacked_states_record(n):
+    # the run loop records a chunk from its states' mixtures and the
+    # pressure and c_x their steps read: bitwise the record of the stacked
+    # states that it formed before, BNState.stack's for two-phase states
+    # (written out in two_phase_stack), for a chunk of one state (read
+    # uncopied) and of several, and for a batch state's rows
+    for params, stacked in record_states(n)[1::2]:
+        grid = stacked.grid
+        batch = replace(stacked, t=0.5)   # one t, as a batch run's states
+        rng = np.random.default_rng(n)
+        alpha = 0.5 + 0.3 * np.sin(2 * np.pi * grid.x)
+        two_phase = [BNState.make(grid, alpha, 0.6 + 0.1 * rng.uniform(size=n),
+                                  1.2 + 0.5 * rng.uniform(size=n),
+                                  0.1 * rng.standard_normal(n), params,
+                                  t=0.25 * k)
+                     for k in range(3)]
+        rows = nsk._rows(batch)
+        for states, oracle in (
+                (two_phase, two_phase_stack(two_phase)),
+                (two_phase[:1], two_phase[0]),
+                (rows, batch),
+                ([batch], batch),
+                ([batch, rows[0]], FluidState.stack([batch, rows[0]]))):
+            pending = [(s, s.step_fields(params.eos)) for s in states]
+            record, c_x = nsk._chunk_record(pending, params)
+            assert same_bits(table(record),
+                             table(compute_record(oracle, params)))
+            assert same_bits(c_x, derivative(grid, oracle.c, 1, "central"))
 
 
 def test_balance_check_needs_two_records():
@@ -240,10 +282,26 @@ def test_gronwall_check_on_a_long_table_does_not_overflow():
         long_table(eta[:-1], t[:-1], mass=2e-300), rate)[1]
 
 
+def mixture(state):
+    """The single-phase state the run loop records a state as: its
+    mixture density with its u and c."""
+    return FluidState(state.grid, state.t, state.mixture_density, state.u,
+                      state.c)
+
+
+def two_phase_stack(states):
+    """BNState.stack, which the run loop used before it recorded a chunk
+    from its mixtures: each field stacked, t one value per state."""
+    return BNState(states[0].grid, np.array([s.t for s in states]),
+                   *(np.vstack([getattr(s, f.name) for s in states])
+                     for f in fields(BNState)[2:]))
+
+
 def record_states(n):
     """(params, state) pairs at n nodes: a single NSK state, a (4, n) stack
-    of NSK states and a single and a (3, n) stack of BN states, with rough
-    fields so that every Fourier mode is excited."""
+    of NSK states, a single BN state and the (3, n) stack of the mixtures
+    of BN states, with rough fields so that every Fourier mode is
+    excited."""
     rng = np.random.default_rng(n)
     grid = PeriodicGrid(n)
     x = grid.x
@@ -269,7 +327,8 @@ def record_states(n):
         cases += [(params, nsk_state()),
                   (params, FluidState.stack([nsk_state() for _ in range(4)])),
                   (params, bn_state()),
-                  (params, BNState.stack([bn_state() for _ in range(3)]))]
+                  (params, FluidState.stack([mixture(bn_state())
+                                             for _ in range(3)]))]
     return cases
 
 

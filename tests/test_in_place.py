@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from phasekit import diagnostics, nsk, torus
+from phasekit import bn, diagnostics, nsk, torus
 from phasekit.bn import BNState
 from phasekit.eos import PolytropicEOS, VanDerWaalsEOS
 from phasekit.nsk import FluidState, PhysicalParams, SolverConfig
@@ -42,13 +42,21 @@ def two_phase(grid, rng):
                         velocity(grid, rng), PARAMS)
 
 
+def mixture(state):
+    """The single-phase state the run loop records a state as: its
+    mixture density with its u and c."""
+    return FluidState(state.grid, state.t, state.mixture_density, state.u,
+                      state.c)
+
+
 STATES = {
     "fluid": fluid,
     "fluid_stack": lambda g, r: FluidState.stack([fluid(g, r)
                                                   for _ in range(3)]),
     "two_phase": two_phase,
-    "two_phase_stack": lambda g, r: BNState.stack([two_phase(g, r)
-                                                   for _ in range(3)]),
+    # a chunk of two-phase states as the run loop stacks it: their mixtures
+    "two_phase_stack": lambda g, r: FluidState.stack(
+        [mixture(two_phase(g, r)) for _ in range(3)]),
 }
 
 
@@ -61,9 +69,35 @@ def cyclic_system(grid, rng):
 
 
 def momentum_args(grid, rng):
-    rho, u, c = density(grid, rng), velocity(grid, rng), density(grid, rng)
-    return (grid, density(grid, rng), rho, u, c, PARAMS, 1e-2 * grid.h,
+    rho, u, c_x = density(grid, rng), velocity(grid, rng), velocity(grid, rng)
+    return (grid, density(grid, rng), rho, u, c_x, PARAMS, 1e-2 * grid.h,
             VDW.artificial_pressure(rho))
+
+
+def given_fields(step):
+    """step with its fields handed over by keyword, as the run loop hands
+    them."""
+    return lambda state, params, config, dt, fields: step(
+        state, params, config, dt, fields=fields)
+
+
+def step_args(make, grid, rng):
+    state = make(grid, rng)
+    return state, PARAMS, CONFIG, 1e-2 * grid.h, state.step_fields(VDW)
+
+
+def chunk_record(states, params, p, c_x):
+    return diagnostics.compute_record(states, params, _p=p, _c_x=c_x)
+
+
+def two_phase_chunk(grid, rng):
+    """compute_record's arguments for a chunk of three two-phase states as
+    the run loop records it: their mixtures' stack, the stacked mixture
+    pressure and the stacked central c_x."""
+    states = [two_phase(grid, rng) for _ in range(3)]
+    fields = [s.step_fields(VDW) for s in states]
+    return (FluidState.stack([mixture(s) for s in states]), PARAMS,
+            *(np.vstack([f[k] for f in fields]) for k in (1, 2)))
 
 
 # kernel name -> a function of (grid, rng) giving (kernel, arguments)
@@ -86,6 +120,18 @@ KERNELS = {
         nsk.sound_speed_max, (density(g, r, (2,)), velocity(g, r), VDW)),
     "nsk_step": lambda g, r: (
         nsk.nsk_step, (fluid(g, r), PARAMS, CONFIG, 1e-2 * g.h)),
+    "bn_step": lambda g, r: (
+        bn.bn_step, (two_phase(g, r), PARAMS, CONFIG, 1e-2 * g.h)),
+    # the step and the record never write the pressure and c_x handed to
+    # them
+    "nsk_step-given_fields": lambda g, r: (
+        given_fields(nsk.nsk_step), step_args(fluid, g, r)),
+    "bn_step-given_fields": lambda g, r: (
+        given_fields(bn.bn_step), step_args(two_phase, g, r)),
+    "compute_record-given_fields": lambda g, r: (
+        chunk_record, two_phase_chunk(g, r)),
+    "central_c_x": lambda g, r: (
+        nsk.central_c_x, (g, velocity(g, r, (2,)))),
 }
 for backend in ("central", "spectral"):
     for order in (1, 2):
@@ -107,7 +153,10 @@ for functional in (diagnostics.compute_record, diagnostics.energy,
 
 def copied(value, writeable: bool):
     """value with each array copied, read-only unless writeable: an array,
-    or a state, whose field arrays are copied; anything else as it is."""
+    a tuple of arrays, or a state, whose field arrays are copied; anything
+    else as it is."""
+    if isinstance(value, tuple):
+        return tuple(copied(v, writeable) for v in value)
     if isinstance(value, np.ndarray):
         value = value.copy()
         value.flags.writeable = writeable

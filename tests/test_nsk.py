@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from phasekit import nsk
+from phasekit import bn, nsk
 from phasekit.bn import BNState, bn_run, bn_step
 from phasekit.diagnostics import RECORD_COLUMNS, balance_check, compute_record
 from phasekit.eos import AdmissibilityError, PolytropicEOS, VanDerWaalsEOS
@@ -259,7 +259,8 @@ def test_original_form_agrees_to_second_order():
             art = nsk_step(art, params, config, dt)
             rho = nsk.continuity_update(grid, orig.rho, orig.u, dt, 0.0)
             u = nsk.momentum_update(grid, rho, orig.rho, orig.u,
-                                    orig.c - orig.rho, params, dt,
+                                    nsk.central_c_x(grid, orig.c - orig.rho),
+                                    params, dt,
                                     params.eos.pressure(orig.rho))
             orig = FluidState.make(grid, rho, u, params, orig.t + dt)
         diffs.append(np.max(np.abs(art.rho - orig.rho)))
@@ -443,6 +444,43 @@ def test_fft_calls_per_step_and_record_chunk(solver, monkeypatch):
     assert calls.count("irfft") == 1 + traj.n_steps + chunks
 
 
+@pytest.mark.parametrize("solver", ["nsk", "batch", "bn"])
+def test_one_pressure_per_checked_state(solver, monkeypatch):
+    # the run loop forms each checked state's mixture pressure once, for
+    # its step and its record: one law call per state for NSK (a batch
+    # state's rows in one call), and for BN one mixture_fields call per
+    # state on top of the relaxation's two law calls per step
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    law = type(poly_params().eos)
+    monkeypatch.setattr(law, "artificial_pressure",
+                        counted(law.artificial_pressure))
+    monkeypatch.setattr(bn, "mixture_fields", counted(bn.mixture_fields))
+    if solver == "batch":
+        grid = PeriodicGrid(64)
+        params = poly_params()
+        rho0 = np.stack([1.0 + a * np.cos(2 * np.pi * grid.x)
+                         for a in (0.05, 0.1, 0.15)])
+        config = SolverConfig(dt=1e-3, t_end=2e-2, bounds=(0.05, 20.0))
+        state = FluidState.make(grid, rho0, np.zeros_like(rho0), params)
+        n_steps = {run.n_steps for run in nsk_run(state, params, config)}.pop()
+    else:
+        n_steps = chunk_run(solver)[1].n_steps
+    states = n_steps + 1
+    if solver == "bn":
+        assert calls.count("mixture_fields") == states
+        assert calls.count("artificial_pressure") == states + 2 * n_steps
+    else:
+        assert calls.count("mixture_fields") == 0
+        assert calls.count("artificial_pressure") == states
+
+
 def test_batch_shares_one_step_length():
     # the second row's velocity puts its CFL bound below dt: every row
     # takes the shortened steps, and only that row is flagged
@@ -590,10 +628,11 @@ def test_batch_row_checks_fail_as_their_written_out_form():
 
 
 def test_step_kernels_make_no_roll_call(monkeypatch):
-    # the flux kernels and the coupling force shift by slicing; the
-    # records still reach np.roll through torus.derivative's central
-    # backend, which keeps it until ROADMAP 1b drops numpy.roll from the
-    # benchmark tracer's REACHES
+    # the flux kernels and the run loop's central c_x shift by slicing;
+    # the records still reach np.roll through torus.derivative's central
+    # backend, two calls each for the dissipation and the BD drift per
+    # record chunk, which keep it until ROADMAP 1b drops numpy.roll from
+    # the benchmark tracer's REACHES
     calls = []
     roll = np.roll
 
@@ -609,11 +648,45 @@ def test_step_kernels_make_no_roll_call(monkeypatch):
     fluid = FluidState.make(grid, 1.0 + 0.2 * wave, 0.3 * wave, params)
     two_phase = BNState.make(grid, 0.5 + 0.2 * wave, 1.0 + 0.2 * wave,
                              1.2 - 0.1 * wave, 0.3 * wave, params)
+    for state in (fluid, two_phase):
+        state.step_fields(params.eos)
     nsk_step(fluid, params, config, 1e-3)
     bn_step(two_phase, params, config, 1e-3)
     assert calls == []
+    for solver in ("nsk", "bn"):
+        chunk, traj, _ = chunk_run(solver)
+        chunks = -(-(traj.n_steps + 1) // chunk)
+        assert len(calls) == 4 * chunks
+        calls.clear()
     compute_record(fluid, params)
     assert len(calls) > 0
+
+
+@pytest.mark.parametrize("solver", ["nsk", "bn"])
+def test_step_given_its_fields_is_the_standalone_step(solver):
+    # the run loop hands a step the fields it formed for the state's
+    # record; the step is bitwise the one that forms them itself, and the
+    # one handed the pressure and c_x formed as before, P_art through
+    # mixture_pressure and c_x through torus.derivative's np.roll form
+    grid = PeriodicGrid(64)
+    params = poly_params()
+    config = SolverConfig(dt=1e-3, t_end=1e-2)
+    wave = np.sin(2 * np.pi * grid.x)
+    if solver == "nsk":
+        state, step = FluidState.make(grid, 1.0 + 0.2 * wave, 0.3 * wave,
+                                      params), nsk_step
+    else:
+        state, step = BNState.make(grid, 0.5 + 0.2 * wave, 1.0 + 0.2 * wave,
+                                   1.2 - 0.1 * wave, 0.3 * wave,
+                                   params), bn_step
+    before = (state.mixture_density, state.mixture_pressure(params.eos),
+              derivative(grid, state.c, 1, "central"))
+    alone = step(state, params, config, 1e-3)
+    for fields in (state.step_fields(params.eos), before):
+        given = step(state, params, config, 1e-3, fields=fields)
+        for f in dataclasses.fields(alone)[1:]:
+            assert (np.asarray(getattr(given, f.name)).tobytes()
+                    == np.asarray(getattr(alone, f.name)).tobytes())
 
 
 def test_sound_speed_max_equals_its_written_out_form():

@@ -19,8 +19,9 @@ from phasekit.config import parse_config  # noqa: E402
 from phasekit.diagnostics import compute_record  # noqa: E402
 from phasekit.eos import PolytropicEOS, VanDerWaalsEOS  # noqa: E402
 from phasekit.nsk import (FluidState, PhysicalParams,  # noqa: E402
-                          SolverConfig, continuity_update, momentum_update,
-                          nsk_step, sound_speed_max)
+                          SolverConfig, _chunk_record, central_c_x,
+                          continuity_update, momentum_update, nsk_step,
+                          sound_speed_max)
 from phasekit.torus import (_WINDOW_BITS, PeriodicGrid,  # noqa: E402
                             derivative, helmholtz_solve, l2_norm, max_norm,
                             mean, sobolev_norm, solve_cyclic_tridiagonal)
@@ -197,9 +198,11 @@ def test_stacked_kernels_equal_row_by_row_calls(data, n, k, base, courant,
     for force_c, p in ((c, params.eos.artificial_pressure(rho)),
                        (c - rho, params.eos.pressure(rho))):
         assert same_bits(
-            momentum_update(grid, rho_new, rho, u, force_c, params, dt, p),
-            [momentum_update(grid, *rows, params, dt, p_row)
-             for *rows, p_row in zip(rho_new, rho, u, force_c, p)])
+            momentum_update(grid, rho_new, rho, u,
+                            central_c_x(grid, force_c), params, dt, p),
+            [momentum_update(grid, *rows, central_c_x(grid, c_row), params,
+                             dt, p_row)
+             for *rows, c_row, p_row in zip(rho_new, rho, u, force_c, p)])
     config = SolverConfig(dt=1.0, t_end=1.0, upwind=upwind)
     batch = nsk_step(FluidState(grid, 0.5, rho, u, c), params, config, dt=dt)
     rows = [nsk_step(FluidState(grid, 0.5, *fields), params, config, dt=dt)
@@ -388,8 +391,11 @@ def test_step_kernels_equal_their_written_out_forms(data, n, k, courant,
         dt = courant * grid.h / (1.0 + np.max(np.abs(u)))
         assert same_bits(continuity_update(grid, rho, u, dt, upwind),
                          continuity_oracle(grid, rho, u, dt, upwind))
+        assert same_bits(central_c_x(grid, c),
+                         derivative(grid, c, 1, "central"))
         assert same_bits(
-            momentum_update(grid, rho_new, rho, u, c, params, dt, p),
+            momentum_update(grid, rho_new, rho, u, central_c_x(grid, c),
+                            params, dt, p),
             momentum_oracle(grid, rho_new, rho, u, c, params, dt, p))
 
         alpha_p = draw(shape, 0.0, 1.0)
@@ -448,17 +454,19 @@ def test_stacked_record_equals_per_state_records(data, n, k, two_phase):
     rho = stack_of(data, grid, k, 0.6, 1.0)
     u = stack_of(data, grid, k, 2.0, 0.0)
     times = data.draw(st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k))
+    # a chunk of k states as the run loop records it, from the stack of
+    # their mixtures with the pressure and c_x formed for their steps
     if two_phase:
         alpha = stack_of(data, grid, k, 0.4, 0.5)
         ratio = stack_of(data, grid, k, 0.4, 1.0)
         states = [BNState.make(grid, a, r, r * q, v, params, t=t)
                   for a, r, q, v, t in zip(alpha, rho, ratio, u, times)]
-        stacked = BNState.stack(states)
     else:
         states = [FluidState.make(grid, r, v, params, t=t)
                   for r, v, t in zip(rho, u, times)]
-        stacked = FluidState.stack(states)
-    table = record_table(compute_record(stacked, params))
+    record, _ = _chunk_record([(s, s.step_fields(eos)) for s in states],
+                              params)
+    table = record_table(record).reshape(-1, k)   # (11,) for one state
     per_state = [record_table(compute_record(s, params)) for s in states]
     assert table.dtype == np.float64 and table.shape == (len(per_state[0]), k)
     assert table.T.tobytes() == np.array(per_state).tobytes()
