@@ -29,6 +29,15 @@ np.remainder's cost on small grids), and the relaxation's half step forms
 only the two densities its midpoint gap reads, so every value is bitwise
 what the written-out formulas give.
 
+The kernels follow the in-place rule stated in torus: the interpolation,
+the feet, the relaxation, the step's phase reconstruction and the mixture
+fields write each intermediate into an array they allocated, keeping
+every operation's operands and association (at most the two operands of
+one sum or product swap, which is exact).  The interpolation floors its
+scaled positions once, for the fraction s and the node index j, and
+gathers its four nodes from offset views of the padded stack, so it forms
+no index array but j.
+
 picard_bn builds one phase's relaxation subsystem against a frozen pressure
 by a fixed point, as the uniqueness argument does: each iteration carries
 (alpha, rho) along one set of characteristics in one transport call.
@@ -80,13 +89,19 @@ class BNState:
 
     @property
     def mixture_density(self) -> np.ndarray:
-        return self.alpha_p * self.rho_p + self.alpha_m * self.rho_m
+        """alpha_p rho_p + alpha_m rho_m."""
+        rho = self.alpha_p * self.rho_p
+        rho += self.alpha_m * self.rho_m
+        return rho
 
     def mixture_pressure(self, eos) -> np.ndarray:
-        """The alpha-weighted artificial mixture pressure, from one law call
-        on the phase stack (rho_p, rho_m)."""
+        """The alpha-weighted artificial mixture pressure alpha_p P_art(rho_p)
+        + alpha_m P_art(rho_m), from one law call on the phase stack
+        (rho_p, rho_m)."""
         p_p, p_m = eos.artificial_pressure(np.array((self.rho_p, self.rho_m)))
-        return self.alpha_p * p_p + self.alpha_m * p_m
+        p_p *= self.alpha_p
+        p_m *= self.alpha_m
+        return np.add(p_p, p_m)   # not a row of the law's (2, n) result
 
     def step_fields(self, eos) -> tuple:
         """What a step from this state and its record both read: the
@@ -118,24 +133,45 @@ def cubic_interp_periodic(f: np.ndarray, pos: np.ndarray, h: float) -> np.ndarra
     positions (in x units).  f may be a stack of fields along its last
     axis, all interpolated at the same positions: each row is bitwise its
     own call."""
-    g = (pos - np.floor(pos)) / h   # bitwise (pos % 1.0) / h
-    j = np.floor(g).astype(int)   # in [0, n]: a tiny negative pos wraps to 1.0
-    s = g - j
-    s_p1, s_m1, s_m2 = s + 1.0, s - 1.0, s - 2.0
+    g = np.floor(pos)
+    np.subtract(pos, g, out=g)   # bitwise pos % 1.0
+    g /= h
+    s = np.floor(g)
+    j = s.astype(int)   # in [0, n]: a tiny negative pos wraps to 1.0
+    np.subtract(g, s, out=s)
+    s_p1 = s + 1.0
+    s_m1 = s - 1.0
+    s_m2 = np.subtract(s, 2.0, out=g)
     sp = s_p1 * s
     # the weights of nodes j - 1 and j + 1 without their minus signs, which
     # the sum applies as subtractions: (-a) b = -(a b), x + (-y) = x - y
-    v_m1 = s * s_m1 * s_m2 / 6.0
-    w_0 = s_p1 * s_m1 * s_m2 / 2.0
-    v_p1 = sp * s_m2 / 2.0
-    w_p2 = sp * s_m1 / 6.0
+    v_m1 = s * s_m1
+    v_m1 *= s_m2
+    v_m1 /= 6.0
+    # w_0 and w_p2 take over the arrays of s_p1 and sp, which are not read
+    # again
+    w_0 = s_p1
+    w_0 *= s_m1
+    w_0 *= s_m2
+    w_0 /= 2.0
+    v_p1 = sp * s_m2
+    v_p1 /= 2.0
+    w_p2 = sp
+    w_p2 *= s_m1
+    w_p2 /= 6.0
     # periodic padding: node i - 1 (mod n) sits at index i of fp, i in [0, n + 3]
     fp = np.concatenate((f[..., -1:], f, f[..., :3]), axis=-1)
 
-    def node(k):   # the value at node j + k - 1 of each row
-        return fp.take(j + k, axis=-1)
+    def term(k, w):   # w times the value at node j + k - 1 of each row
+        value = fp[..., k:].take(j, axis=-1)
+        value *= w
+        return value
 
-    return w_0 * node(1) - v_m1 * node(0) - v_p1 * node(2) + w_p2 * node(3)
+    out = term(1, w_0)
+    out -= term(0, v_m1)
+    out -= term(2, v_p1)
+    out += term(3, w_p2)
+    return out
 
 
 def trace_feet(grid: PeriodicGrid, u_start: np.ndarray, u_mid: np.ndarray,
@@ -143,9 +179,13 @@ def trace_feet(grid: PeriodicGrid, u_start: np.ndarray, u_mid: np.ndarray,
     """Departure points of the characteristics dX/ds = u through each node,
     one RK2 (midpoint) step backwards, wrapped into [0, 1] (a tiny negative
     foot wraps to 1.0)."""
-    x_half = grid.x - 0.5 * dt * u_start
-    feet = grid.x - dt * cubic_interp_periodic(u_mid, x_half, grid.h)
-    return feet - np.floor(feet)   # bitwise feet % 1.0
+    x_half = u_start * (0.5 * dt)
+    np.subtract(grid.x, x_half, out=x_half)
+    feet = cubic_interp_periodic(u_mid, x_half, grid.h)
+    feet *= dt
+    np.subtract(grid.x, feet, out=feet)
+    feet -= np.floor(feet)   # bitwise feet % 1.0
+    return feet
 
 
 def transport_with_source(grid: PeriodicGrid, a0: np.ndarray,
@@ -188,17 +228,27 @@ def _relaxation_flow(alpha_p, alpha_m, rho_p, rho_m, lam_int):
     The logit of alpha_p moves by lam_int and alpha_p rho_p, alpha_m rho_m
     are invariants of the flow, so the update below keeps the closure and
     the pointwise mixture mass exact to round-off; no division by alpha."""
-    g = np.exp(0.5 * lam_int)
-    ap_g, am_g = alpha_p * g, alpha_m / g
-    denom = ap_g + am_g
-    return (ap_g / denom, am_g / denom,
-            *_relaxed_densities(alpha_p, alpha_m, rho_p, rho_m, g))
+    g = lam_int * 0.5
+    np.exp(g, out=g)
+    ap = alpha_p * g
+    am = alpha_m / g
+    denom = ap + am
+    ap /= denom
+    am /= denom
+    return (ap, am, *_relaxed_densities(alpha_p, alpha_m, rho_p, rho_m, g))
 
 
 def _relaxed_densities(alpha_p, alpha_m, rho_p, rho_m, g):
-    """The phase densities of _relaxation_flow, for g = exp(lam_int / 2)."""
+    """The phase densities of _relaxation_flow, for g = exp(lam_int / 2):
+    rho_p (alpha_p + alpha_m / g^2) and rho_m (alpha_m + alpha_p g^2)."""
     g2 = g ** 2
-    return rho_p * (alpha_p + alpha_m / g2), rho_m * (alpha_m + alpha_p * g2)
+    rp = alpha_m / g2
+    rp += alpha_p
+    rp *= rho_p
+    g2 *= alpha_p
+    g2 += alpha_m
+    g2 *= rho_m
+    return rp, g2
 
 
 def _relaxation_substep(alpha_p, alpha_m, rho_p, rho_m, params, dt):
@@ -209,13 +259,19 @@ def _relaxation_substep(alpha_p, alpha_m, rho_p, rho_m, params, dt):
 
     def gap(rp, rm):
         p_p, p_m = eos.artificial_pressure(np.array((rp, rm)))
-        return (p_p - p_m) / mu
+        d = p_p - p_m
+        d /= mu
+        return d
 
-    g_half = np.exp(0.5 * (0.5 * dt * gap(rho_p, rho_m)))
+    g_half = gap(rho_p, rho_m)   # exp(0.5 (0.5 dt gap))
+    g_half *= 0.5 * dt
+    g_half *= 0.5
+    np.exp(g_half, out=g_half)
     rp_half, rm_half = _relaxed_densities(alpha_p, alpha_m, rho_p, rho_m,
                                           g_half)
-    return _relaxation_flow(alpha_p, alpha_m, rho_p, rho_m,
-                            dt * gap(rp_half, rm_half))
+    lam_int = gap(rp_half, rm_half)
+    lam_int *= dt
+    return _relaxation_flow(alpha_p, alpha_m, rho_p, rho_m, lam_int)
 
 
 def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
@@ -236,11 +292,14 @@ def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
     rho_mix_old, p_bar_old, c_x = fields or state.step_fields(params.eos)
 
     feet = trace_feet(grid, state.u, state.u, dt)
-    ap_t, am_t = cubic_interp_periodic(
+    alpha_t = cubic_interp_periodic(
         np.array((state.alpha_p, state.alpha_m)), feet, grid.h)
+    ap_t, am_t = alpha_t
 
-    drift = float(np.abs(ap_t + am_t - 1.0).max())
-    clip = float(-min(ap_t.min(), am_t.min(), 0.0))
+    closure = ap_t + am_t
+    closure -= 1.0
+    drift = float(np.abs(closure, out=closure).max())
+    clip = float(-min(alpha_t.min(), 0.0))
     if monitor is not None:
         monitor["closure_drift"] = max(monitor.get("closure_drift", 0.0), drift)
         monitor["alpha_clip"] = max(monitor.get("alpha_clip", 0.0), clip)
@@ -252,18 +311,24 @@ def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
         raise BoundsError(
             f"volume fraction below -1e-12 (clip {clip:.3e}) at t = "
             f"{state.t + dt:.6g}")
-    ap_t = ap_t.clip(0.0, 1.0)
-    am_t = 1.0 - ap_t
+    np.clip(ap_t, 0.0, 1.0, out=ap_t)
+    np.subtract(1.0, ap_t, out=am_t)
 
     mix_t, diff_t = continuity_update(
         grid, np.array((rho_mix_old, state.rho_p - state.rho_m)), state.u, dt,
         config.upwind)
-    rp_t = mix_t + am_t * diff_t
-    rm_t = mix_t - ap_t * diff_t
+    # rho_p = mix + alpha_m diff and rho_m = mix - alpha_p diff, formed in
+    # the rows of the transported (mix, diff)
+    cross = am_t * diff_t
+    diff_t *= ap_t
+    rm_t = np.subtract(mix_t, diff_t, out=diff_t)
+    rp_t = mix_t
+    rp_t += cross
 
     ap, am, rp, rm = _relaxation_substep(ap_t, am_t, rp_t, rm_t, params, dt)
 
-    rho_mix_new = ap * rp + am * rm
+    rho_mix_new = ap * rp
+    rho_mix_new += am * rm
     u_new = momentum_update(grid, rho_mix_new, rho_mix_old, state.u, c_x,
                             params, dt, p_bar_old)
     c_new = torus.helmholtz_solve(grid, rho_mix_new, params.kappa, params.gamma)

@@ -459,7 +459,8 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig, step,
             return results if batch else runs[0]
         dt, limited = _step_length(state, rails(state), params, config,
                                    t_final - state.t)
-        cfl_limited[members] |= limited
+        if limited.any():
+            cfl_limited[members] |= limited
         try:
             state = step(state, params, config, dt=dt, fields=fields)
         except ValueError as exc:   # e.g. a density outside the law's domain

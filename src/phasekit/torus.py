@@ -46,20 +46,28 @@ of one sum or product, that swap is exact in IEEE arithmetic, so every
 value is bitwise the written-out formula's.  No kernel writes into an
 argument, a state's field, ``grid.x`` or a grid symbol, and none returns a
 view that keeps a larger buffer alive.  This is the library's in-place
-rule, stated here once; the kernels of ``nsk``, ``eos`` and
-``diagnostics`` follow it too.
+rule, stated here once; the kernels of ``nsk``, ``eos``, ``diagnostics``
+and ``bn`` follow it too.
 
 The kernels check shapes, not values: NaN and inf propagate to the result,
 and the run loop (``nsk._integrate``) decides whether a state is valid.
 
 dptsv and dpttrs come from scipy's f2py LAPACK extension
 (``scipy/linalg/_flapack``, the module ``scipy.linalg.lapack``
-re-exports), loaded on its own.  Importing ``scipy.linalg`` would run its
-package init, whose array-API layer reads every public numpy attribute and
-so loads numpy.f2py, numpy.testing, numpy.ma, numpy.random and
-numpy.polynomial: with it ``import phasekit.cli`` loaded 556 modules in
-0.27-0.42 s to 57 MB of RSS, without it 256 modules in 0.15-0.18 s to
-33 MB (py3.11.7, numpy 2.4.6, scipy 1.17.1, a shared 2-core x86-64 host).
+re-exports), loaded on its own from the directory that scipy's import
+spec names, so neither scipy's package init nor that of ``scipy.linalg``
+runs.  ``scipy.linalg``'s init would run its array-API layer, which reads
+every public numpy attribute and so loads numpy.f2py, numpy.testing,
+numpy.ma, numpy.random and numpy.polynomial; scipy's own init loads
+subprocess, sysconfig and its test and version helpers.  With both,
+``import phasekit.cli`` loaded 556 modules in 0.27-0.42 s to 57 MB of
+RSS; with scipy's init alone, 256 in 0.15-0.18 s to 33 MB; with neither,
+23 fewer, and about 1 MB less RSS (py3.11.7, numpy 2.4.6, scipy 1.17.1,
+a shared 2-core x86-64 host).
+The extension finds the OpenBLAS it links through its RPATH, which holds
+on the Linux x86-64 wheels this was checked on; Windows wheels add their
+DLL directory in scipy's package init, so this load is not known to work
+there.
 """
 
 from __future__ import annotations
@@ -70,14 +78,20 @@ import os
 from importlib.machinery import PathFinder
 
 import numpy as np
-import scipy
 
 
 def _load_flapack():
     """scipy's LAPACK extension, loaded under the private name
     phasekit._flapack: under its own name, a later ``import scipy.linalg``
-    would find the module registered but lack the attribute."""
-    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    would find the module registered but lack the attribute.  scipy's
+    directory comes from its import spec, which locates the installed
+    package without running scipy/__init__.py."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("scipy is not installed: no directory holds its "
+                          "LAPACK extension _flapack")
+    directory = os.path.join(scipy_spec.submodule_search_locations[0],
+                             "linalg")
     spec = PathFinder.find_spec("phasekit._flapack", [directory])
     if spec is None:
         raise ImportError(f"scipy's LAPACK extension _flapack is not in "

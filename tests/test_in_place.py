@@ -60,6 +60,12 @@ STATES = {
 }
 
 
+def relaxation_args(grid, rng):
+    alpha_p = rng.uniform(0.2, 0.8, grid.n)
+    return (alpha_p, 1.0 - alpha_p, density(grid, rng), density(grid, rng),
+            PARAMS, 1e-2)
+
+
 def cyclic_system(grid, rng):
     """diag, off, rhs of a random strictly diagonally dominant symmetric
     system."""
@@ -132,6 +138,15 @@ KERNELS = {
         chunk_record, two_phase_chunk(g, r)),
     "central_c_x": lambda g, r: (
         nsk.central_c_x, (g, velocity(g, r, (2,)))),
+    "cubic_interp_periodic": lambda g, r: (
+        bn.cubic_interp_periodic,
+        (velocity(g, r, (2,)), r.uniform(-1.0, 2.0, g.n), g.h)),
+    "trace_feet": lambda g, r: (
+        bn.trace_feet, (g, velocity(g, r), velocity(g, r), 1e-2 * g.h)),
+    "_relaxation_substep": lambda g, r: (
+        bn._relaxation_substep, relaxation_args(g, r)),
+    "BNState.step_fields": lambda g, r: (
+        BNState.step_fields, (two_phase(g, r), VDW)),
 }
 for backend in ("central", "spectral"):
     for order in (1, 2):

@@ -366,6 +366,30 @@ def relaxation_substep_oracle(alpha_p, alpha_m, rho_p, rho_m, params, dt):
                              dt * gap(rp_half, rm_half))
 
 
+def interp_written_out(f, pos, h):
+    """cubic_interp_periodic with one operator per numpy call and the four
+    nodes gathered by j + k index arrays."""
+    g = (pos - np.floor(pos)) / h
+    j = np.floor(g).astype(int)
+    s = g - j
+    s_p1, s_m1, s_m2 = s + 1.0, s - 1.0, s - 2.0
+    sp = s_p1 * s
+    v_m1 = s * s_m1 * s_m2 / 6.0
+    w_0 = s_p1 * s_m1 * s_m2 / 2.0
+    v_p1 = sp * s_m2 / 2.0
+    w_p2 = sp * s_m1 / 6.0
+    fp = np.concatenate((f[..., -1:], f, f[..., :3]), axis=-1)
+    return (w_0 * fp.take(j + 1, axis=-1) - v_m1 * fp.take(j, axis=-1)
+            - v_p1 * fp.take(j + 2, axis=-1) + w_p2 * fp.take(j + 3, axis=-1))
+
+
+def trace_feet_written_out(grid, u_start, u_mid, dt):
+    """trace_feet with one operator per numpy call."""
+    x_half = grid.x - 0.5 * dt * u_start
+    feet = grid.x - dt * interp_written_out(u_mid, x_half, grid.h)
+    return feet - np.floor(feet)
+
+
 @FAST
 @given(data=st.data(), n=st.integers(4, 128).map(lambda k: 2 * k),
        k=st.integers(1, 5), courant=st.floats(0.01, 1.0),
@@ -374,6 +398,7 @@ def relaxation_substep_oracle(alpha_p, alpha_m, rho_p, rho_m, params, dt):
 def test_step_kernels_equal_their_written_out_forms(data, n, k, courant,
                                                     upwind, mu):
     # bitwise, on arbitrary values: the flux kernels against their np.roll
+    # forms, the interpolation and the feet against their written-out
     # forms, the relaxation flow against its formula and the relaxation
     # substep against its two-flow form, on one field, a phase pair and a
     # batch of k rows; a change in the order of operations fails here
@@ -383,6 +408,17 @@ def test_step_kernels_equal_their_written_out_forms(data, n, k, courant,
 
     def draw(shape, lo, hi):
         return data.draw(hnp.arrays(np.float64, shape, elements=finite(lo, hi)))
+
+    # interpolation positions: arbitrary reals and periodic images of nodes
+    # and mid-cells, among them a node, a mid-cell, exactly 1.0 and a tiny
+    # negative, which wraps to 1.0
+    pos = data.draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        positions(n), st.integers(-n, 3 * n).map(lambda i: (i + 0.5) / n))))
+    pos[:4] = 3.0 / n, 3.5 / n, 1.0, -2.0 ** -60
+    u_start, u_mid = draw((n,), -4.0, 4.0), draw((n,), -4.0, 4.0)
+    dt_feet = data.draw(st.floats(-2.0, 2.0))
+    assert same_bits(trace_feet(grid, u_start, u_mid, dt_feet),
+                     trace_feet_written_out(grid, u_start, u_mid, dt_feet))
 
     for shape in ((n,), (2, n), (k, n)):
         rho_new, rho = draw(shape, 0.1, 2.5), draw(shape, 0.1, 2.5)
@@ -397,6 +433,10 @@ def test_step_kernels_equal_their_written_out_forms(data, n, k, courant,
             momentum_update(grid, rho_new, rho, u, central_c_x(grid, c),
                             params, dt, p),
             momentum_oracle(grid, rho_new, rho, u, c, params, dt, p))
+
+        f = draw(shape, -3.0, 3.0)
+        assert same_bits(cubic_interp_periodic(f, pos, grid.h),
+                         interp_written_out(f, pos, grid.h))
 
         alpha_p = draw(shape, 0.0, 1.0)
         fields = (alpha_p, 1.0 - alpha_p, rho, rho_new,

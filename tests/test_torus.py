@@ -1,8 +1,10 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -226,16 +228,30 @@ def dominant_cyclic_system(rng, n):
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # torus loads scipy's LAPACK extension alone; scipy.linalg's package
-    # init would load numpy.f2py, numpy.testing and numpy.ma, unused here
+    # torus loads scipy's LAPACK extension alone; scipy's package init would
+    # load subprocess and its test helpers, and scipy.linalg's would load
+    # numpy.f2py, numpy.testing and numpy.ma, unused here
     src = os.path.dirname(os.path.dirname(torus.__file__))
-    unused = ("scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma")
+    unused = ("scipy", "scipy.linalg", "numpy.f2py", "numpy.testing",
+              "numpy.ma")
     code = ("import sys, phasekit.cli; "
             f"print(*[m for m in {unused!r} if m in sys.modules])")
     loaded = subprocess.run([sys.executable, "-c", code], check=True,
                             capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=src)).stdout
     assert loaded.split() == []
+
+
+def test_missing_lapack_extension_names_the_directory(monkeypatch, tmp_path):
+    # the extension is looked up in scipy's package directory, which the
+    # import spec gives without running scipy's package init
+    spec = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(torus.importlib.util, "find_spec", lambda name: spec)
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        torus._load_flapack()
+    monkeypatch.setattr(torus.importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="scipy is not installed"):
+        torus._load_flapack()
 
 
 @pytest.mark.parametrize("n", [8, 512, 2048, 16384])

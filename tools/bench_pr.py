@@ -13,7 +13,10 @@ runs of every end-to-end metric, the output digest at each seed and the
 attempted and failed invocation counts; under ``traced``, per workload,
 the traced run's ``correct`` verdict, failed count and per-layer
 ``metrics`` (value and unit, as perfbench/run.py prints them); the line
-count of each ``src/phasekit`` module and their total; and the tier-1 wall
+count of each ``src/phasekit`` module and their total; under
+``cli_imports``, how many modules a fresh interpreter holds after ``import
+phasekit.cli`` and the top-level packages outside the standard library
+that the import loads; and the tier-1 wall
 time, test counts and ten slowest tests (pytest ``--durations=10``: node
 id, phase and seconds).  The exit status is 1 when a benchmark run, traced
 or not, failed an operation or a tier-1 test failed; the file is written
@@ -87,17 +90,36 @@ def src_lines() -> dict:
     return {**counts, "total": sum(counts.values())}
 
 
-def tier1() -> dict:
-    """Wall time, outcome counts and the ten slowest tests of one tier-1
-    run (ROADMAP.md)."""
+def src_env() -> dict:
+    """The environment with the checkout's src first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def cli_imports() -> dict:
+    """The module count of a fresh interpreter after ``import phasekit.cli``
+    and the non-stdlib top-level packages the import loads."""
+    code = ("import sys; before = set(sys.modules); import phasekit.cli; "
+            "added = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(len(sys.modules), "
+            "*sorted(added - set(sys.stdlib_module_names)))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          env=src_env(), capture_output=True, text=True,
+                          check=True)
+    modules, *packages = proc.stdout.split()
+    return {"modules": int(modules), "packages": packages}
+
+
+def tier1() -> dict:
+    """Wall time, outcome counts and the ten slowest tests of one tier-1
+    run (ROADMAP.md)."""
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "--durations=10"],
-        cwd=ROOT, env=env, capture_output=True, text=True)
+        cwd=ROOT, env=src_env(), capture_output=True, text=True)
     wall_s = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines() or [""]
     counts = {outcome.rstrip("s"): int(k) for k, outcome in
@@ -143,6 +165,7 @@ def main(argv=None) -> int:
         "workloads": workloads,
         "traced": traced,
         "src_lines": src_lines(),
+        "cli_imports": cli_imports(),
         "tier1": tier1(),
     }
     with open(args.out, "w") as f:
