@@ -94,15 +94,6 @@ class BNState:
         rho += self.alpha_m * self.rho_m
         return rho
 
-    def mixture_pressure(self, eos) -> np.ndarray:
-        """The alpha-weighted artificial mixture pressure alpha_p P_art(rho_p)
-        + alpha_m P_art(rho_m), from one law call on the phase stack
-        (rho_p, rho_m)."""
-        p_p, p_m = eos.artificial_pressure(np.array((self.rho_p, self.rho_m)))
-        p_p *= self.alpha_p
-        p_m *= self.alpha_m
-        return np.add(p_p, p_m)   # not a row of the law's (2, n) result
-
     def step_fields(self, eos) -> tuple:
         """What a step from this state and its record both read: the
         mixture density and pressure, from mixture_fields, and the central
@@ -111,8 +102,14 @@ class BNState:
 
 
 def mixture_fields(state: BNState, eos) -> tuple:
-    """Mixture density and the alpha-weighted artificial mixture pressure."""
-    return state.mixture_density, state.mixture_pressure(eos)
+    """Mixture density and the alpha-weighted artificial mixture pressure
+    alpha_p P_art(rho_p) + alpha_m P_art(rho_m), from one law call on the
+    phase stack (rho_p, rho_m), summed into a new array, not a row of the
+    law's (2, n) result."""
+    p_p, p_m = eos.artificial_pressure(np.array((state.rho_p, state.rho_m)))
+    p_p *= state.alpha_p
+    p_m *= state.alpha_m
+    return state.mixture_density, np.add(p_p, p_m)
 
 
 def relaxation_rhs(state: BNState, params: PhysicalParams) -> tuple:

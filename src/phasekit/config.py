@@ -36,8 +36,8 @@ def _parse_bool(raw):
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_int_list(raw):
-    return [int(part.strip()) for part in raw.split(",") if part.strip()]
+def _parse_int_list(raw):   # an empty entry is refused by int("")
+    return [int(part) for part in raw.split(",")] if raw.strip() else []
 
 
 # section -> key -> (parser, default)

@@ -12,18 +12,19 @@ share one evaluation of the potential W(rho), the coupling density and the
 gradient density 1/2 kappa c_x^2, and each sums its terms in the order it
 does when called alone, so both stay bitwise; the gradient of Sigma is read
 in Fourier space from the spectra of u and P_art, without forming Sigma.
-The run loop forms each state's mixture pressure and central c_x once, for
-the state's step and its record, and hands them to ``compute_record``
-(c_x also gives the run's sup |c_x|); called without them, the record
-forms the same arrays itself.  It records a two-phase state as its
-mixture, the single-phase state of its mixture density, u and c, with the
-alpha-weighted mixture pressure.
+A state's mixture enters the record only through its step fields,
+``state.step_fields(eos)``: the mixture density, the mixture pressure
+(alpha-weighted for a two-phase state) and the central c_x.  The run loop
+forms them once per state, for the state's step and its record, and hands
+them to ``compute_record``; called without them, the record forms them
+itself.  So a two-phase state is recorded directly, by its mixture
+density, u and c.
 
-The state functionals also take a stacked state (``FluidState.stack``,
-fields of shape (K, n)) and then return one value per state, bitwise
-equal to K separate calls.  A record of such values is the diagnostics
-table of K states: the run loop, the CSV writer and reader and
-balance_check all hold a series in that one form.
+The state functionals also take a stacked state (fields of shape (K, n))
+and then return one value per state, bitwise equal to K separate calls.  A
+record of such values is the diagnostics table of K states: the run loop,
+the CSV writer and reader and balance_check all hold a series in that one
+form.
 
 The functionals follow torus' in-place rule (see the torus module
 docstring): each sum of densities accumulates in an array the functional
@@ -66,12 +67,11 @@ class DiagnosticsRecord:
 RECORD_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
-def _shared_terms(state, params, c_x: np.ndarray) -> tuple:
+def _shared_terms(rho, c, params, c_x: np.ndarray) -> tuple:
     """The densities that energy and bd_entropy share: rho, the potential
     W(rho), the coupling 1/2 gamma (rho - c)^2 and the gradient term
     1/2 kappa c_x^2, from the given c_x, which is not written."""
-    rho = state.mixture_density
-    coupling = rho - state.c
+    coupling = rho - c
     coupling **= 2
     coupling *= 0.5 * params.gamma
     gradient = c_x ** 2
@@ -82,7 +82,8 @@ def _shared_terms(state, params, c_x: np.ndarray) -> tuple:
 def _energy(state, params, backend: str, bd_drift: bool, terms):
     grid = state.grid
     rho, potential, coupling, gradient = terms or _shared_terms(
-        state, params, torus.derivative(grid, state.c, 1, backend))
+        state.mixture_density, state.c, params,
+        torus.derivative(grid, state.c, 1, backend))
     v = state.u
     if bd_drift:
         v = torus.derivative(grid, rho, 1, backend)
@@ -99,8 +100,8 @@ def _energy(state, params, backend: str, bd_drift: bool, terms):
 
 def energy(state, params, backend: str = "central", *, _terms=None):
     """Total energy: kinetic + pressure potential + coupling + gradient.
-    _terms carries _shared_terms(state, params, c_x), c_x the derivative of
-    state.c in this backend, when the caller has them already."""
+    _terms carries _shared_terms(rho, c, params, c_x) of the state, c_x in
+    this backend, when the caller has them already."""
     return _energy(state, params, backend, bd_drift=False, terms=_terms)
 
 
@@ -119,10 +120,10 @@ def bd_entropy(state, params, *, _terms=None):
 
 
 def effective_viscous_flux(state, params) -> np.ndarray:
-    """Sigma = mu u_x - P_art(rho), u_x spectral, with the alpha-weighted
-    mixture pressure for two-phase states."""
+    """Sigma = mu u_x - P_art(rho), u_x spectral, with the mixture pressure
+    of step_fields (alpha-weighted for two-phase states)."""
     du = torus.derivative(state.grid, state.u, 1, "spectral")
-    return params.mu * du - state.mixture_pressure(params.eos)
+    return params.mu * du - state.step_fields(params.eos)[1]
 
 
 def _sigma_grad_l2(state, params, p: np.ndarray):
@@ -143,24 +144,19 @@ def _sigma_grad_l2(state, params, p: np.ndarray):
     return torus.spectral_norm(grid, dsigma)
 
 
-def compute_record(state, params, *, _p=None,
-                   _c_x=None) -> DiagnosticsRecord:
-    """One diagnostics.csv row, or K rows for a stacked state.  Energy,
-    dissipation and BD entropy use the solver's central differences, and
-    energy and BD entropy share one evaluation of their potential, coupling
-    and gradient densities.  The Sigma gradient is read in Fourier space
-    from the spectra of u and P_art; the 1/sqrt(rho) gradient is
-    spectral.  _p and _c_x carry the mixture pressure and the central c_x
-    of state.c when the caller has them already (the run loop, which forms
-    them once per state for its step and its record); neither is
-    written."""
+def compute_record(state, params, fields=None) -> DiagnosticsRecord:
+    """One diagnostics.csv row, or K rows for a stacked state, single-phase
+    or two-phase.  fields is state.step_fields(params.eos), the mixture
+    density, the mixture pressure and the central c_x, which the run loop
+    hands over and which is formed here when not given; it is not written.
+    Energy, dissipation and BD entropy use the solver's central
+    differences, and energy and BD entropy share one evaluation of their
+    potential, coupling and gradient densities.  The Sigma gradient is read
+    in Fourier space from the spectra of u and P_art; the 1/sqrt(rho)
+    gradient is spectral."""
     grid = state.grid
-    if _p is None:
-        _p = state.mixture_pressure(params.eos)
-    if _c_x is None:
-        _c_x = torus.derivative(grid, state.c, 1, "central")
-    terms = _shared_terms(state, params, _c_x)
-    rho = terms[0]
+    rho, p, c_x = fields or state.step_fields(params.eos)
+    terms = _shared_terms(rho, state.c, params, c_x)
     inv_sqrt_rho = np.sqrt(rho)
     np.divide(1.0, inv_sqrt_rho, out=inv_sqrt_rho)
     return DiagnosticsRecord(
@@ -172,7 +168,7 @@ def compute_record(state, params, *, _p=None,
         bd_entropy=bd_entropy(state, params, _terms=terms),
         rho_min=torus.row_values(np.min(rho, axis=-1)),
         rho_max=torus.row_values(np.max(rho, axis=-1)),
-        sigma_grad_l2=_sigma_grad_l2(state, params, _p),
+        sigma_grad_l2=_sigma_grad_l2(state, params, p),
         c_h2=torus.sobolev_norm(grid, state.c, 2),
         inv_sqrt_rho_grad=torus.l2_norm(grid, torus.derivative(
             grid, inv_sqrt_rho, 1, "spectral")),

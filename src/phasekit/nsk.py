@@ -112,28 +112,15 @@ class FluidState:
         c = torus.helmholtz_solve(grid, rho, params.kappa, params.gamma)
         return cls(grid, t, rho, u, c)
 
-    @classmethod
-    def stack(cls, states) -> "FluidState":
-        """States on one grid, single or batches, as one state with a row
-        per state or batch row, for the record functionals: fields of shape
-        (rows, n), t of shape (rows,)."""
-        rows = [len(np.atleast_2d(s.u)) for s in states]
-        return cls(states[0].grid, np.repeat([s.t for s in states], rows),
-                   *(np.vstack([getattr(s, name) for s in states])
-                     for name in ("rho", "u", "c")))
-
     @property
     def mixture_density(self) -> np.ndarray:
         return self.rho
-
-    def mixture_pressure(self, eos: EquationOfState) -> np.ndarray:
-        return eos.artificial_pressure(self.rho)
 
     def step_fields(self, eos: EquationOfState) -> tuple:
         """What a step from this state and its record both read: the
         density, its artificial pressure and the central c_x.  The run loop
         forms them once per state; see nsk_run."""
-        return (self.rho, self.mixture_pressure(eos),
+        return (self.rho, eos.artificial_pressure(self.rho),
                 central_c_x(self.grid, self.c))
 
     def helmholtz_residual(self, params: PhysicalParams) -> float:
@@ -384,20 +371,28 @@ def _drop_failed_rows(state, members: list, rails, bounds, results: list,
 _CHUNK_ELEMENTS = 8192
 
 
-def _chunk_record(pending: list, params: PhysicalParams) -> tuple:
-    """The record of the held (state, step_fields) pairs, one row per state
-    or batch row, and their c_x: the record of the states' mixtures
-    FluidState(t, mixture density, u, c) with the mixture pressure, read
-    from a lone state's arrays uncopied or from the stack of all rows."""
-    if len(pending) == 1:
-        state, (rho, p, c_x) = pending[0]
-        mixture = FluidState(state.grid, state.t, rho, state.u, state.c)
-    else:
-        mixture = FluidState.stack([FluidState(s.grid, s.t, rho, s.u, s.c)
-                                    for s, (rho, _, _) in pending])
-        p, c_x = (np.vstack([fields[k] for _, fields in pending])
-                  for k in (1, 2))
-    return diagnostics.compute_record(mixture, params, _p=p, _c_x=c_x), c_x
+def _chunk_record(pending: list, params: PhysicalParams) -> np.ndarray:
+    """The record of the held (state, step_fields) pairs as one (12, rows)
+    array, a column per state or batch row: the 11 RECORD_COLUMNS, then the
+    row's sup |c_x|.  A lone state is recorded from its own arrays; several
+    are stacked once into one carrier FluidState of their t, mixture
+    density, u and c, with their stacked step fields."""
+    state, fields = pending[0]
+    if len(pending) > 1:
+        u, c, *fields = (np.vstack(f) for f in zip(
+            *((s.u, s.c, *f) for s, f in pending)))
+        rows = [len(np.atleast_2d(s.u)) for s, _ in pending]
+        state = FluidState(state.grid, np.repeat([s.t for s, _ in pending],
+                                                 rows), fields[0], u, c)
+    record = diagnostics.compute_record(state, params, fields)
+    c_x = fields[2]
+    chunk = np.empty((len(diagnostics.RECORD_COLUMNS) + 1,
+                      len(np.atleast_2d(c_x))))
+    # a column of one value (t of a batch state) fills its row
+    for row, name in zip(chunk, diagnostics.RECORD_COLUMNS):
+        row[...] = getattr(record, name)
+    chunk[-1] = torus.max_norm(c_x)
+    return chunk
 
 
 def _integrate(initial, params: PhysicalParams, config: SolverConfig, step,
@@ -419,7 +414,7 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig, step,
     chunk_rows = max(1, _CHUNK_ELEMENTS // initial.grid.n)
     # the held states with their step_fields, and the run of each row
     pending, pending_runs = [], []
-    chunks, owners = [], []   # (11, rows) record columns, the run of each row
+    chunks, owners = [], []   # _chunk_record's arrays, the run of each row
     while True:
         try:
             _check_state(state, rails(state), config.bounds)
@@ -437,25 +432,17 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig, step,
         done = state.t >= t_stop
         # the next state has at most as many rows as this one
         if done or len(pending_runs) + len(members) > chunk_rows:
-            record, c_x = _chunk_record(pending, params)
-            # a column of one value (t of a batch state) fills its row
-            chunk = np.empty((len(diagnostics.RECORD_COLUMNS),
-                              len(pending_runs)))
-            for row, name in zip(chunk, diagnostics.RECORD_COLUMNS):
-                row[...] = getattr(record, name)
-            chunks.append(chunk)
+            chunks.append(_chunk_record(pending, params))
             owners += pending_runs
-            dxc = np.atleast_1d(torus.max_norm(c_x))
-            for j, value in zip(pending_runs, dxc):
-                runs[j].dxc_sup = max(runs[j].dxc_sup, float(value))
             pending, pending_runs = [], []
         if done:
             table, owners = np.hstack(chunks), np.array(owners)
             for j in members:
+                rows = table[:, owners == j]
                 runs[j].n_steps = n_steps
                 runs[j].cfl_limited = bool(cfl_limited[j])
-                runs[j].records = diagnostics.DiagnosticsRecord(
-                    *table[:, owners == j])
+                runs[j].records = diagnostics.DiagnosticsRecord(*rows[:-1])
+                runs[j].dxc_sup = float(rows[-1].max())
             return results if batch else runs[0]
         dt, limited = _step_length(state, rails(state), params, config,
                                    t_final - state.t)
@@ -496,12 +483,12 @@ def nsk_run(initial: FluidState, params: PhysicalParams,
     for its record.  Records are computed in chunks: checked states are
     held while their rows, one per state or per batch row, fit in K =
     max(1, 8192 // n), or until the final state, and their records and
-    |c_x| come from one pass over the stack of their rows.  A state is
-    recorded as its mixture (for BN the mixture density with u and c, and
-    the mixture pressure), so a chunk stacks five arrays: rho, u, c, the
-    pressure and c_x.  A state with more than K rows is a chunk of its
-    own, and a chunk of one state is read from that state's arrays,
-    without the copy a stack makes.
+    sup |c_x| come from one pass over the stack of their rows, one (12,
+    rows) array of the 11 record columns and the sup |c_x| row.  The record
+    reads a state's mixture only through its step fields, so a chunk
+    stacks t, u, c and the three fields.  A state with more than K rows is
+    a chunk of its own, and a chunk of one state is read from that state's
+    arrays, without the copy a stack makes.
     Each run's table is built once, when the run finishes, from the rows
     its chunks computed; row k equals compute_record of its k-th state
     bitwise.  A checked state's densities lie inside the rails, so its

@@ -164,6 +164,11 @@ REFUSED_AT_LOAD = [
     ("[init]", "[init]\nu0 = nan\n"),
     ("[bounds]", "[bounds]\nm0 = 0\n"),
     ("[physics]", "[physics]\nmu = 0.1\nmu = 0.2\n"),
+    # an empty list entry is refused, not skipped
+    ("[harness].n_list", "[harness]\nn_list = 4,, 8\n"),
+    ("[harness].n_list", "[harness]\nn_list = 4, 8,\n"),
+    ("[harness].n_list", "[harness]\nn_list = ,4\n"),
+    ("[harness].n_list must not be empty", "[harness]\nn_list =\n"),
 ]
 
 
@@ -378,6 +383,10 @@ EXIT_CODES = {
     # refused at load, not once a family is built
     "n-list": ("check-eos", POLY_SMOOTH + "[harness]\nn_list = 0, 4\n", 2,
                "[harness].n_list entries must be at least 1"),
+    # an empty list entry is refused, not skipped
+    "n-list-empty-entry": ("check-eos", "[harness]\nn_list = 4,, 8\n", 2,
+                           ":2: bad value for [harness].n_list: invalid "
+                           "literal for int() with base 10: ''"),
     "delta-negative": ("check-eos", "[init]\ndelta = -0.1\n", 2,
                        "[init].delta must lie in (0, min(theta, 1 - theta)]"),
     "delta-over-theta": ("check-eos", "[init]\ntheta = 0.05\ndelta = 0.1\n",

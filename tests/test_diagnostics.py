@@ -155,22 +155,31 @@ def test_balance_check_fails_on_mass_or_energy_only():
 
 
 def test_record_from_a_given_central_c_x_is_the_record():
-    # the run loop hands each chunk's pressure and central c_x to
-    # compute_record, which reads them without writing them: the record is
-    # the one compute_record forms alone, bitwise, for a state and a stack
+    # the run loop hands each chunk's step fields to compute_record, which
+    # reads them without writing them: the record is the one compute_record
+    # forms alone, bitwise, for a single-phase and a two-phase state and a
+    # stack of each, and for the fields formed with the pressure and c_x
+    # written out (c_x through torus.derivative's np.roll form)
     grid = PeriodicGrid(64)
     params = poly_params()
     rng = np.random.default_rng(5)
     states = [FluidState.make(grid, rng.uniform(0.5, 1.5, grid.n),
                               rng.uniform(-1.0, 1.0, grid.n), params)
               for _ in range(3)]
-    for state in (states[0], FluidState.stack(states)):
-        p = params.eos.artificial_pressure(state.rho)
-        c_x = derivative(grid, state.c, 1, "central")
-        p.flags.writeable = c_x.flags.writeable = False
+    two_phase = [BNState.make(grid, rng.uniform(0.2, 0.8, grid.n),
+                              rng.uniform(0.5, 1.5, grid.n),
+                              rng.uniform(0.5, 1.5, grid.n),
+                              rng.uniform(-1.0, 1.0, grid.n), params)
+                 for _ in range(3)]
+    for state in (states[0], stack(states), two_phase[0], stack(two_phase)):
         alone = np.array(astuple(compute_record(state, params))).tobytes()
-        for given in ({"_c_x": c_x}, {"_p": p}, {"_p": p, "_c_x": c_x}):
-            record = compute_record(state, params, **given)
+        for given in (state.step_fields(params.eos),
+                      (state.mixture_density,
+                       mixture_pressure(state, params.eos),
+                       derivative(grid, state.c, 1, "central"))):
+            for f in given:
+                f.flags.writeable = False
+            record = compute_record(state, params, given)
             assert np.array(astuple(record)).tobytes() == alone
 
 
@@ -184,11 +193,10 @@ def table(record):
 
 @pytest.mark.parametrize("n", [64, 2048])
 def test_chunk_record_is_the_stacked_states_record(n):
-    # the run loop records a chunk from its states' mixtures and the
-    # pressure and c_x their steps read: bitwise the record of the stacked
-    # states that it formed before, BNState.stack's for two-phase states
-    # (written out in two_phase_stack), for a chunk of one state (read
-    # uncopied) and of several, and for a batch state's rows
+    # the run loop records a chunk from its states' step fields: bitwise
+    # the record of the stacked states, for two-phase states, for a chunk
+    # of one state (read uncopied) and of several, and for a batch state's
+    # rows; the chunk's last row is each row's sup |c_x|
     for params, stacked in record_states(n)[1::2]:
         grid = stacked.grid
         batch = replace(stacked, t=0.5)   # one t, as a batch run's states
@@ -201,16 +209,19 @@ def test_chunk_record_is_the_stacked_states_record(n):
                      for k in range(3)]
         rows = nsk._rows(batch)
         for states, oracle in (
-                (two_phase, two_phase_stack(two_phase)),
+                (two_phase, stack(two_phase)),
                 (two_phase[:1], two_phase[0]),
                 (rows, batch),
                 ([batch], batch),
-                ([batch, rows[0]], FluidState.stack([batch, rows[0]]))):
+                ([batch, rows[0]], stack([batch, rows[0]]))):
             pending = [(s, s.step_fields(params.eos)) for s in states]
-            record, c_x = nsk._chunk_record(pending, params)
-            assert same_bits(table(record),
+            chunk = nsk._chunk_record(pending, params)
+            assert chunk.shape == (len(RECORD_COLUMNS) + 1,
+                                   len(np.atleast_2d(oracle.u)))
+            assert same_bits(chunk[:-1],
                              table(compute_record(oracle, params)))
-            assert same_bits(c_x, derivative(grid, oracle.c, 1, "central"))
+            assert same_bits(chunk[-1], np.max(np.abs(
+                derivative(grid, oracle.c, 1, "central")), axis=-1))
 
 
 def test_balance_check_needs_two_records():
@@ -218,7 +229,7 @@ def test_balance_check_needs_two_records():
     params = poly_params()
     state = FluidState.make(grid, grid.constant(1.0), grid.zeros(), params)
     for record in (compute_record(state, params),
-                   compute_record(FluidState.stack([state]), params)):
+                   compute_record(stack([state]), params)):
         with pytest.raises(ValueError):
             balance_check(record)
 
@@ -282,26 +293,29 @@ def test_gronwall_check_on_a_long_table_does_not_overflow():
         long_table(eta[:-1], t[:-1], mass=2e-300), rate)[1]
 
 
-def mixture(state):
-    """The single-phase state the run loop records a state as: its
-    mixture density with its u and c."""
-    return FluidState(state.grid, state.t, state.mixture_density, state.u,
-                      state.c)
+def stack(states):
+    """States of one class, single or batches, as one state with a row per
+    state or batch row: each field stacked, t one value per row."""
+    rows = [len(np.atleast_2d(s.u)) for s in states]
+    return type(states[0])(
+        states[0].grid, np.repeat([s.t for s in states], rows),
+        *(np.vstack([getattr(s, f.name) for s in states])
+          for f in fields(states[0])[2:]))
 
 
-def two_phase_stack(states):
-    """BNState.stack, which the run loop used before it recorded a chunk
-    from its mixtures: each field stacked, t one value per state."""
-    return BNState(states[0].grid, np.array([s.t for s in states]),
-                   *(np.vstack([getattr(s, f.name) for s in states])
-                     for f in fields(BNState)[2:]))
+def mixture_pressure(state, eos):
+    """The mixture pressure written out: P_art(rho), or alpha_p P_art(rho_p)
+    + alpha_m P_art(rho_m) for a two-phase state."""
+    if isinstance(state, BNState):
+        return (state.alpha_p * eos.artificial_pressure(state.rho_p)
+                + state.alpha_m * eos.artificial_pressure(state.rho_m))
+    return eos.artificial_pressure(state.rho)
 
 
 def record_states(n):
     """(params, state) pairs at n nodes: a single NSK state, a (4, n) stack
-    of NSK states, a single BN state and the (3, n) stack of the mixtures
-    of BN states, with rough fields so that every Fourier mode is
-    excited."""
+    of NSK states, a single BN state and a (3, n) stack of BN states, with
+    rough fields so that every Fourier mode is excited."""
     rng = np.random.default_rng(n)
     grid = PeriodicGrid(n)
     x = grid.x
@@ -325,10 +339,9 @@ def record_states(n):
                                 0.1 * rng.standard_normal(n), params)
 
         cases += [(params, nsk_state()),
-                  (params, FluidState.stack([nsk_state() for _ in range(4)])),
+                  (params, stack([nsk_state() for _ in range(4)])),
                   (params, bn_state()),
-                  (params, FluidState.stack([mixture(bn_state())
-                                             for _ in range(3)]))]
+                  (params, stack([bn_state() for _ in range(3)]))]
     return cases
 
 
@@ -374,7 +387,7 @@ def first_sigma_grad_l2(state, params):
     n = grid.n
     k = TWO_PI * np.arange(n // 2 + 1)
     dsigma = (params.mu * (-(k ** 2) * np.fft.rfft(state.u))
-              - (1j * k) * np.fft.rfft(state.mixture_pressure(params.eos)))
+              - (1j * k) * np.fft.rfft(mixture_pressure(state, params.eos)))
     dsigma[..., -1] = 0.0
     weights = np.full(k.size, 2.0)
     weights[0] = weights[-1] = 1.0

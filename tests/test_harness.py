@@ -6,7 +6,7 @@ import pytest
 from phasekit import harness
 from phasekit.eos import PolytropicEOS, VanDerWaalsEOS
 from phasekit.errors import BoundsError
-from phasekit.harness import (FamilyConfig, kinetic_consistency,
+from phasekit.harness import (FamilyConfig, check_n_list, kinetic_consistency,
                               limit_initial_data, run_family, suggest_dt)
 from phasekit.measures import smoke_test_set
 from phasekit.nsk import (FluidState, PhysicalParams, SolverConfig,
@@ -102,6 +102,15 @@ def test_family_validation(monkeypatch):
     with pytest.raises(ValueError, match=r"^n_list entries must be at "
                        r"least 1, got \[0, 2\]$"):
         family(n_list=(0, 2))
+    # a non-integer member is refused, not truncated, as n_osc is
+    for n_list, bad in (((2.5, 4), "2.5"), ((2, 4.0001), "4.0001"),
+                        ((1, float("inf")), "inf"), ((float("nan"),), "nan")):
+        with pytest.raises(ValueError, match=r"^n_list entry must be an "
+                           rf"integer, got {bad}$"):
+            check_n_list(n_list)
+        with pytest.raises(ValueError, match=rf"integer, got {bad}$"):
+            family(n_list=n_list)
+    assert family(n_list=(1.0, 2)).n_list == (1, 2)
     with pytest.raises(ValueError):
         family(grid_n=128, n_list=(1, 4))
     # profile values outside the rails are the two-phase run's densities at

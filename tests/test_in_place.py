@@ -42,21 +42,20 @@ def two_phase(grid, rng):
                         velocity(grid, rng), PARAMS)
 
 
-def mixture(state):
-    """The single-phase state the run loop records a state as: its
-    mixture density with its u and c."""
-    return FluidState(state.grid, state.t, state.mixture_density, state.u,
-                      state.c)
+def stack(make, grid, rng):
+    """Three states of one kind as one state with a row per state."""
+    states = [make(grid, rng) for _ in range(3)]
+    return type(states[0])(
+        grid, np.array([s.t for s in states]),
+        *(np.array([getattr(s, f.name) for s in states])
+          for f in dataclasses.fields(states[0])[2:]))
 
 
 STATES = {
     "fluid": fluid,
-    "fluid_stack": lambda g, r: FluidState.stack([fluid(g, r)
-                                                  for _ in range(3)]),
+    "fluid_stack": lambda g, r: stack(fluid, g, r),
     "two_phase": two_phase,
-    # a chunk of two-phase states as the run loop stacks it: their mixtures
-    "two_phase_stack": lambda g, r: FluidState.stack(
-        [mixture(two_phase(g, r)) for _ in range(3)]),
+    "two_phase_stack": lambda g, r: stack(two_phase, g, r),
 }
 
 
@@ -92,18 +91,15 @@ def step_args(make, grid, rng):
     return state, PARAMS, CONFIG, 1e-2 * grid.h, state.step_fields(VDW)
 
 
-def chunk_record(states, params, p, c_x):
-    return diagnostics.compute_record(states, params, _p=p, _c_x=c_x)
+def record_args(state):
+    return state, PARAMS, state.step_fields(VDW)
 
 
-def two_phase_chunk(grid, rng):
-    """compute_record's arguments for a chunk of three two-phase states as
-    the run loop records it: their mixtures' stack, the stacked mixture
-    pressure and the stacked central c_x."""
-    states = [two_phase(grid, rng) for _ in range(3)]
-    fields = [s.step_fields(VDW) for s in states]
-    return (FluidState.stack([mixture(s) for s in states]), PARAMS,
-            *(np.vstack([f[k] for f in fields]) for k in (1, 2)))
+def pending(make, grid, rng):
+    """_chunk_record's arguments for a chunk of three states as the run
+    loop holds them: each state with its step fields."""
+    states = [make(grid, rng) for _ in range(3)]
+    return tuple((s, s.step_fields(VDW)) for s in states), PARAMS
 
 
 # kernel name -> a function of (grid, rng) giving (kernel, arguments)
@@ -135,7 +131,11 @@ KERNELS = {
     "bn_step-given_fields": lambda g, r: (
         given_fields(bn.bn_step), step_args(two_phase, g, r)),
     "compute_record-given_fields": lambda g, r: (
-        chunk_record, two_phase_chunk(g, r)),
+        diagnostics.compute_record, record_args(two_phase(g, r))),
+    "_chunk_record-fluid": lambda g, r: (
+        nsk._chunk_record, pending(fluid, g, r)),
+    "_chunk_record-two_phase": lambda g, r: (
+        nsk._chunk_record, pending(two_phase, g, r)),
     "central_c_x": lambda g, r: (
         nsk.central_c_x, (g, velocity(g, r, (2,)))),
     "cubic_interp_periodic": lambda g, r: (

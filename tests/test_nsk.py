@@ -405,9 +405,9 @@ def test_record_chunks_are_bounded_by_rows(monkeypatch):
     # with one state, so no record stack holds more than 4 rows
     stacked_rows = []
 
-    def compute_record(state, params, **kwargs):
+    def compute_record(state, params, fields=None):
         stacked_rows.append(len(state.rho))
-        return real_compute_record(state, params, **kwargs)
+        return real_compute_record(state, params, fields)
 
     real_compute_record = nsk.diagnostics.compute_record
     monkeypatch.setattr(nsk.diagnostics, "compute_record", compute_record)
@@ -666,8 +666,9 @@ def test_step_kernels_make_no_roll_call(monkeypatch):
 def test_step_given_its_fields_is_the_standalone_step(solver):
     # the run loop hands a step the fields it formed for the state's
     # record; the step is bitwise the one that forms them itself, and the
-    # one handed the pressure and c_x formed as before, P_art through
-    # mixture_pressure and c_x through torus.derivative's np.roll form
+    # one handed the fields written out: the mixture pressure P_art(rho), or
+    # alpha_p P_art(rho_p) + alpha_m P_art(rho_m) for BN, and c_x through
+    # torus.derivative's np.roll form
     grid = PeriodicGrid(64)
     params = poly_params()
     config = SolverConfig(dt=1e-3, t_end=1e-2)
@@ -679,7 +680,11 @@ def test_step_given_its_fields_is_the_standalone_step(solver):
         state, step = BNState.make(grid, 0.5 + 0.2 * wave, 1.0 + 0.2 * wave,
                                    1.2 - 0.1 * wave, 0.3 * wave,
                                    params), bn_step
-    before = (state.mixture_density, state.mixture_pressure(params.eos),
+    law = params.eos.artificial_pressure
+    pressure = (law(state.rho) if solver == "nsk" else
+                state.alpha_p * law(state.rho_p)
+                + state.alpha_m * law(state.rho_m))
+    before = (state.mixture_density, pressure,
               derivative(grid, state.c, 1, "central"))
     alone = step(state, params, config, 1e-3)
     for fields in (state.step_fields(params.eos), before):

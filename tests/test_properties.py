@@ -495,7 +495,8 @@ def test_stacked_record_equals_per_state_records(data, n, k, two_phase):
     u = stack_of(data, grid, k, 2.0, 0.0)
     times = data.draw(st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k))
     # a chunk of k states as the run loop records it, from the stack of
-    # their mixtures with the pressure and c_x formed for their steps
+    # their t, u, c and step fields: each column is the state's record
+    # followed by its sup |c_x|
     if two_phase:
         alpha = stack_of(data, grid, k, 0.4, 0.5)
         ratio = stack_of(data, grid, k, 0.4, 1.0)
@@ -504,12 +505,11 @@ def test_stacked_record_equals_per_state_records(data, n, k, two_phase):
     else:
         states = [FluidState.make(grid, r, v, params, t=t)
                   for r, v, t in zip(rho, u, times)]
-    record, _ = _chunk_record([(s, s.step_fields(eos)) for s in states],
-                              params)
-    table = record_table(record).reshape(-1, k)   # (11,) for one state
-    per_state = [record_table(compute_record(s, params)) for s in states]
-    assert table.dtype == np.float64 and table.shape == (len(per_state[0]), k)
-    assert table.T.tobytes() == np.array(per_state).tobytes()
+    chunk = _chunk_record([(s, s.step_fields(eos)) for s in states], params)
+    per_state = [[*record_table(compute_record(s, params)),
+                  np.max(np.abs(central_c_x(grid, s.c)))] for s in states]
+    assert chunk.dtype == np.float64 and chunk.shape == (12, k)
+    assert chunk.T.tobytes() == np.array(per_state).tobytes()
 
 
 def positive(hi):
