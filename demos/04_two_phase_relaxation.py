@@ -3,7 +3,9 @@
 A spatially homogeneous mixture relaxes its artificial-pressure gap to zero
 monotonically; a pure alpha_p = 1 run reproduces the single-phase solver
 exactly; and the Picard construction of the frozen-velocity subsystem
-contracts on every slab.
+contracts on every slab.  A two-phase state holds its fractions and phase
+densities as (2, n) stacks, alpha = (alpha_p, alpha_m) and rho = (rho_p,
+rho_m), so one law call gives both phases' pressures.
 
 Run:  python demos/04_two_phase_relaxation.py
 """
@@ -23,10 +25,10 @@ state = BNState.make(grid, 0.4, 1.5, 0.5, 0.0, params)
 traj = bn_run(state, params, config)
 print(f"{'t':>6s} {'alpha_p':>9s} {'rho_p':>8s} {'rho_m':>8s} {'|gap|':>10s}")
 for s in traj.snapshots:
-    gap = abs(float(params.eos.artificial_pressure(s.rho_p[0])
-                    - params.eos.artificial_pressure(s.rho_m[0])))
-    print(f"{s.t:6.2f} {s.alpha_p[0]:9.5f} {s.rho_p[0]:8.5f} "
-          f"{s.rho_m[0]:8.5f} {gap:10.3e}")
+    rho_p, rho_m = s.rho[:, 0]   # node 0 of each phase
+    p_p, p_m = params.eos.artificial_pressure(s.rho[:, 0])
+    print(f"{s.t:6.2f} {s.alpha[0, 0]:9.5f} {rho_p:8.5f} "
+          f"{rho_m:8.5f} {abs(float(p_p - p_m)):10.3e}")
 
 print("\n== pure phase degenerates to the single-phase solver ==")
 rho0 = 1.0 + 0.2 * np.sin(2 * np.pi * grid.x)
@@ -37,7 +39,7 @@ single = nsk_run(FluidState.make(grid, rho0, u0, params), params,
                  short).snapshots[-1]
 two = bn_run(BNState.make(grid, 1.0, rho0, rho0, u0, params), params,
              short).snapshots[-1]
-print(f"  max |rho_p - rho| = {np.max(np.abs(two.rho_p - single.rho)):.2e}")
+print(f"  max |rho_p - rho| = {np.max(np.abs(two.rho[0] - single.rho)):.2e}")
 print(f"  max |u_bn - u|    = {np.max(np.abs(two.u - single.u)):.2e}")
 
 print("\n== Picard fixed point for the frozen-coefficient subsystem ==")

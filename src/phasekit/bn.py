@@ -14,13 +14,17 @@ shared with that solver verbatim, so a run with alpha_p = 1 and rho_p =
 rho_m reproduces it bitwise (with rho_p != rho_m the interpolated alpha_p
 = 1 is not exactly 1, and the phase reconstruction moves the last bits).
 
-The two phases share the grid and the velocity, so each elementwise kernel
-of a step runs once on a (2, n) phase stack instead of once per phase: the
-pressure law on (rho_p, rho_m), the interpolation on (alpha_p, alpha_m) and
-the continuity kernel on (mixture, rho_p - rho_m).  Every kernel acts
-pointwise or along the last axis, so each row of a stack is bitwise its own
-call; the stack only saves per-call overhead, which dominates on small grids
-(it is built with np.array((a, b)), which costs a quarter of np.stack).
+The two phases share the grid and the velocity, so a state holds them as
+(2, n) phase stacks, alpha = (alpha_p, alpha_m) and rho = (rho_p, rho_m),
+and each elementwise kernel of a step runs once on a stack instead of once
+per phase: the pressure law on rho, the interpolation on alpha, the
+relaxation on both and the continuity kernel on (mixture, rho_p - rho_m),
+whose rows the phase reconstruction turns into the new rho.  Every kernel
+acts pointwise or along the last axis, so each row of a stack is bitwise
+its own call; the stack only saves per-call overhead, which dominates on
+small grids, and the state's stacks enter the kernels as they are.  A
+stack's rows are taken by indexing (a[0], a[1]): unpacking an array
+(a, b = stack, or f(*stack)) costs about three times as much.
 For the same reason the interpolation weights and the relaxation flow form
 each shared factor once, keeping every product's left-to-right order, the
 two negative interpolation weights enter the sum as subtractions, the
@@ -61,14 +65,22 @@ from .torus import PeriodicGrid
 
 @dataclass
 class BNState:
+    """alpha and rho are (2, n) phase stacks, row 0 the + phase: (alpha_p,
+    alpha_m) and (rho_p, rho_m), whose rows the properties of those names
+    read."""
     grid: PeriodicGrid
     t: float
-    alpha_p: np.ndarray
-    alpha_m: np.ndarray
-    rho_p: np.ndarray
-    rho_m: np.ndarray
+    alpha: np.ndarray
+    rho: np.ndarray
     u: np.ndarray
     c: np.ndarray
+
+    # the snapshot CSV's columns after x
+    COLUMNS = ("alpha_p", "alpha_m", "rho_p", "rho_m", "u", "c")
+    alpha_p = property(lambda self: self.alpha[0])
+    alpha_m = property(lambda self: self.alpha[1])
+    rho_p = property(lambda self: self.rho[0])
+    rho_m = property(lambda self: self.rho[1])
 
     @classmethod
     def make(cls, grid: PeriodicGrid, alpha_p, rho_p, rho_m, u,
@@ -76,40 +88,48 @@ class BNState:
         """c solved from the mixture; the run loop's check at t = 0 judges
         the densities.  No rail covers alpha_p: it must lie in [0, 1] up to
         1e-12 here, and is clipped to it."""
-        alpha_p, rho_p, rho_m, u = (
-            np.broadcast_to(np.asarray(f, dtype=float), (grid.n,)).copy()
+        alpha, rho = np.empty((2, 2, grid.n))
+        alpha[0], rho[0], rho[1], u = (
+            np.broadcast_to(np.asarray(f, dtype=float), (grid.n,))
             for f in (alpha_p, rho_p, rho_m, u))
-        if np.any(alpha_p < -1e-12) or np.any(alpha_p > 1.0 + 1e-12):
+        if np.any(alpha[0] < -1e-12) or np.any(alpha[0] > 1.0 + 1e-12):
             raise BoundsError("volume fraction outside [0, 1]")
-        alpha_p = np.clip(alpha_p, 0.0, 1.0)
-        state = cls(grid, t, alpha_p, 1.0 - alpha_p, rho_p, rho_m, u, None)
+        np.clip(alpha[0], 0.0, 1.0, out=alpha[0])
+        np.subtract(1.0, alpha[0], out=alpha[1])
+        state = cls(grid, t, alpha, rho, u.copy(), None)
         state.c = torus.helmholtz_solve(grid, state.mixture_density, params.kappa,
                                         params.gamma)
         return state
 
     @property
     def mixture_density(self) -> np.ndarray:
-        """alpha_p rho_p + alpha_m rho_m."""
-        rho = self.alpha_p * self.rho_p
-        rho += self.alpha_m * self.rho_m
-        return rho
+        return _mixture_density(self.alpha, self.rho)
+
+    def mixture(self, eos) -> tuple:
+        """The mixture density and pressure, from mixture_fields."""
+        return mixture_fields(self, eos)
 
     def step_fields(self, eos) -> tuple:
         """What a step from this state and its record both read: the
-        mixture density and pressure, from mixture_fields, and the central
-        c_x.  The run loop forms them once per state; see nsk.nsk_run."""
-        return (*mixture_fields(self, eos), central_c_x(self.grid, self.c))
+        mixture pair of mixture(eos) and the central c_x.  The run loop
+        forms them once per state; see nsk.nsk_run."""
+        return (*self.mixture(eos), central_c_x(self.grid, self.c))
+
+
+def _mixture_density(alpha, rho) -> np.ndarray:
+    """alpha_p rho_p + alpha_m rho_m of the (alpha, rho) phase stacks."""
+    mix = alpha * rho
+    return np.add(mix[0], mix[1])
 
 
 def mixture_fields(state: BNState, eos) -> tuple:
     """Mixture density and the alpha-weighted artificial mixture pressure
     alpha_p P_art(rho_p) + alpha_m P_art(rho_m), from one law call on the
-    phase stack (rho_p, rho_m), summed into a new array, not a row of the
-    law's (2, n) result."""
-    p_p, p_m = eos.artificial_pressure(np.array((state.rho_p, state.rho_m)))
-    p_p *= state.alpha_p
-    p_m *= state.alpha_m
-    return state.mixture_density, np.add(p_p, p_m)
+    state's phase stack rho, weighted in its result and summed into a new
+    array."""
+    p = eos.artificial_pressure(state.rho)
+    p *= state.alpha
+    return state.mixture_density, np.add(p[0], p[1])
 
 
 def relaxation_rhs(state: BNState, params: PhysicalParams) -> tuple:
@@ -117,11 +137,11 @@ def relaxation_rhs(state: BNState, params: PhysicalParams) -> tuple:
     kept while perfbench/tracing.py requires it.  In the pressure-difference
     form; with the closure substituted this is the same as (alpha/mu)
     (P_art(rho) - p_bar) per phase."""
-    dp = (params.eos.artificial_pressure(state.rho_p)
-          - params.eos.artificial_pressure(state.rho_m))
-    s_ap = state.alpha_p * state.alpha_m * dp / params.mu
-    s_rp = -state.rho_p * state.alpha_m * dp / params.mu
-    s_rm = state.rho_m * state.alpha_p * dp / params.mu
+    (ap, am), (rp, rm) = state.alpha, state.rho
+    dp = np.subtract(*params.eos.artificial_pressure(state.rho))
+    s_ap = ap * am * dp / params.mu
+    s_rp = -rp * am * dp / params.mu
+    s_rm = rm * ap * dp / params.mu
     return s_ap, -s_ap, s_rp, s_rm
 
 
@@ -218,57 +238,62 @@ def transport_with_source(grid: PeriodicGrid, a0: np.ndarray,
     return out
 
 
-def _relaxation_flow(alpha_p, alpha_m, rho_p, rho_m, lam_int):
+def _relaxation_flow(alpha, rho, lam_int):
     """Exact solution of the pointwise relaxation pair for a frozen
-    integrated pressure gap lam_int = int (P_art(rho_p) - P_art(rho_m))/mu.
+    integrated pressure gap lam_int = int (P_art(rho_p) - P_art(rho_m))/mu,
+    as new (alpha, rho) phase stacks.
 
     The logit of alpha_p moves by lam_int and alpha_p rho_p, alpha_m rho_m
     are invariants of the flow, so the update below keeps the closure and
     the pointwise mixture mass exact to round-off; no division by alpha."""
     g = lam_int * 0.5
     np.exp(g, out=g)
-    ap = alpha_p * g
-    am = alpha_m / g
+    out = np.empty_like(alpha)
+    ap, am = out[0], out[1]
+    np.multiply(alpha[0], g, out=ap)
+    np.divide(alpha[1], g, out=am)
     denom = ap + am
     ap /= denom
     am /= denom
-    return (ap, am, *_relaxed_densities(alpha_p, alpha_m, rho_p, rho_m, g))
+    return out, _relaxed_densities(alpha, rho, g)
 
 
-def _relaxed_densities(alpha_p, alpha_m, rho_p, rho_m, g):
-    """The phase densities of _relaxation_flow, for g = exp(lam_int / 2):
-    rho_p (alpha_p + alpha_m / g^2) and rho_m (alpha_m + alpha_p g^2)."""
+def _relaxed_densities(alpha, rho, g):
+    """The phase densities of _relaxation_flow, for g = exp(lam_int / 2),
+    as a new stack: rho_p (alpha_p + alpha_m / g^2) and rho_m (alpha_m +
+    alpha_p g^2)."""
+    ap, am = alpha[0], alpha[1]
+    out = np.empty_like(rho)
+    rp, rm = out[0], out[1]
     g2 = g ** 2
-    rp = alpha_m / g2
-    rp += alpha_p
-    rp *= rho_p
-    g2 *= alpha_p
-    g2 += alpha_m
-    g2 *= rho_m
-    return rp, g2
+    np.divide(am, g2, out=rp)
+    rp += ap
+    np.multiply(g2, ap, out=rm)
+    rm += am
+    out *= rho
+    return out
 
 
-def _relaxation_substep(alpha_p, alpha_m, rho_p, rho_m, params, dt):
-    """Pointwise relaxation over dt: the exact frozen-gap flow driven by a
-    midpoint evaluation of the pressure gap (second order in dt).  The
-    half step forms only the densities that the midpoint gap reads."""
+def _relaxation_substep(alpha, rho, params, dt):
+    """Pointwise relaxation over dt of the (alpha, rho) phase stacks: the
+    exact frozen-gap flow driven by a midpoint evaluation of the pressure
+    gap (second order in dt).  The half step forms only the densities that
+    the midpoint gap reads."""
     eos, mu = params.eos, params.mu
 
-    def gap(rp, rm):
-        p_p, p_m = eos.artificial_pressure(np.array((rp, rm)))
-        d = p_p - p_m
+    def gap(rho):
+        p = eos.artificial_pressure(rho)
+        d = p[0] - p[1]
         d /= mu
         return d
 
-    g_half = gap(rho_p, rho_m)   # exp(0.5 (0.5 dt gap))
+    g_half = gap(rho)   # exp(0.5 (0.5 dt gap))
     g_half *= 0.5 * dt
     g_half *= 0.5
     np.exp(g_half, out=g_half)
-    rp_half, rm_half = _relaxed_densities(alpha_p, alpha_m, rho_p, rho_m,
-                                          g_half)
-    lam_int = gap(rp_half, rm_half)
+    lam_int = gap(_relaxed_densities(alpha, rho, g_half))
     lam_int *= dt
-    return _relaxation_flow(alpha_p, alpha_m, rho_p, rho_m, lam_int)
+    return _relaxation_flow(alpha, rho, lam_int)
 
 
 def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
@@ -289,9 +314,8 @@ def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
     rho_mix_old, p_bar_old, c_x = fields or state.step_fields(params.eos)
 
     feet = trace_feet(grid, state.u, state.u, dt)
-    alpha_t = cubic_interp_periodic(
-        np.array((state.alpha_p, state.alpha_m)), feet, grid.h)
-    ap_t, am_t = alpha_t
+    alpha_t = cubic_interp_periodic(state.alpha, feet, grid.h)
+    ap_t, am_t = alpha_t[0], alpha_t[1]
 
     closure = ap_t + am_t
     closure -= 1.0
@@ -311,25 +335,23 @@ def bn_step(state: BNState, params: PhysicalParams, config: SolverConfig,
     np.clip(ap_t, 0.0, 1.0, out=ap_t)
     np.subtract(1.0, ap_t, out=am_t)
 
-    mix_t, diff_t = continuity_update(
-        grid, np.array((rho_mix_old, state.rho_p - state.rho_m)), state.u, dt,
-        config.upwind)
+    rho_t = continuity_update(
+        grid, np.array((rho_mix_old, state.rho[0] - state.rho[1])), state.u,
+        dt, config.upwind)
     # rho_p = mix + alpha_m diff and rho_m = mix - alpha_p diff, formed in
-    # the rows of the transported (mix, diff)
+    # the rows of the transported (mix, diff), which then hold (rho_p, rho_m)
+    mix_t, diff_t = rho_t[0], rho_t[1]
     cross = am_t * diff_t
     diff_t *= ap_t
-    rm_t = np.subtract(mix_t, diff_t, out=diff_t)
-    rp_t = mix_t
-    rp_t += cross
+    np.subtract(mix_t, diff_t, out=diff_t)
+    mix_t += cross
 
-    ap, am, rp, rm = _relaxation_substep(ap_t, am_t, rp_t, rm_t, params, dt)
-
-    rho_mix_new = ap * rp
-    rho_mix_new += am * rm
+    alpha, rho = _relaxation_substep(alpha_t, rho_t, params, dt)
+    rho_mix_new = _mixture_density(alpha, rho)
     u_new = momentum_update(grid, rho_mix_new, rho_mix_old, state.u, c_x,
                             params, dt, p_bar_old)
     c_new = torus.helmholtz_solve(grid, rho_mix_new, params.kappa, params.gamma)
-    return BNState(grid, state.t + dt, ap, am, rp, rm, u_new, c_new)
+    return BNState(grid, state.t + dt, alpha, rho, u_new, c_new)
 
 
 def bn_run(initial: BNState, params: PhysicalParams,
@@ -339,8 +361,7 @@ def bn_run(initial: BNState, params: PhysicalParams,
     alpha clip."""
     monitor = {}
     traj = _integrate(initial, params, config,
-                      partial(bn_step, monitor=monitor),
-                      lambda s: (s.rho_p, s.rho_m))
+                      partial(bn_step, monitor=monitor), lambda s: s.rho)
     traj.extras["monitor"] = monitor
     return traj
 

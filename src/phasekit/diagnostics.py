@@ -121,9 +121,9 @@ def bd_entropy(state, params, *, _terms=None):
 
 def effective_viscous_flux(state, params) -> np.ndarray:
     """Sigma = mu u_x - P_art(rho), u_x spectral, with the mixture pressure
-    of step_fields (alpha-weighted for two-phase states)."""
+    of state.mixture(eos) (alpha-weighted for two-phase states)."""
     du = torus.derivative(state.grid, state.u, 1, "spectral")
-    return params.mu * du - state.step_fields(params.eos)[1]
+    return params.mu * du - state.mixture(params.eos)[1]
 
 
 def _sigma_grad_l2(state, params, p: np.ndarray):

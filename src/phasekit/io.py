@@ -29,7 +29,6 @@ import os
 import numpy as np
 
 from .diagnostics import RECORD_COLUMNS, DiagnosticsRecord
-from .nsk import _field_names
 
 # cells formatted at a time: bounds the writer's memory, and is the span
 # in which a repeated value is formatted once
@@ -131,11 +130,12 @@ def read_diagnostics(path) -> DiagnosticsRecord:
 
 def write_trajectory(out_dir, trajectory):
     """Snapshots (one CSV each: x, formatted once for the run, then the
-    state's fields) plus diagnostics.csv for a finished run."""
+    columns the state's type names in COLUMNS) plus diagnostics.csv for a
+    finished run."""
     os.makedirs(out_dir, exist_ok=True)
     snapshots = trajectory.snapshots
     if snapshots:
-        names = _field_names(type(snapshots[0]))
+        names = snapshots[0].COLUMNS
         x = FormattedColumn(snapshots[0].grid.x, 1 + len(names))
     for i, state in enumerate(snapshots):
         write_csv(os.path.join(out_dir, f"snapshot_{i:05d}.csv"),

@@ -60,9 +60,9 @@ def empirical_from_state(state, support_box: tuple) -> ParamMeasure:
 
 
 def two_dirac_from_bn(state, support_box: tuple) -> ParamMeasure:
-    atoms = np.stack([state.rho_p, state.rho_m])
-    weights = np.stack([state.alpha_p, state.alpha_m])
-    return ParamMeasure(state.grid, atoms, weights, tuple(support_box))
+    """The state's phase stacks as they are: rho the atoms, alpha their
+    weights (views, which a measure never writes)."""
+    return ParamMeasure(state.grid, state.rho, state.alpha, tuple(support_box))
 
 
 def _x_factors() -> dict:

@@ -80,9 +80,13 @@ class SolverConfig:
             raise ValueError(f"upwind must be nonnegative, got {self.upwind}")
 
 
-def _field_names(cls) -> list:
-    _, _, *names = (f.name for f in dataclasses.fields(cls))
-    return names
+def _select(state, rows):
+    """The rows of a batch state, an index (fields that are views) or a
+    list of them, along the axis next to the nodes, so that a phase
+    stack's phases stay leading."""
+    _, _, *names = (f.name for f in dataclasses.fields(state))
+    return type(state)(state.grid, state.t,
+                       *(getattr(state, name)[..., rows, :] for name in names))
 
 
 def _rows(state) -> list:
@@ -90,9 +94,7 @@ def _rows(state) -> list:
     [state] for a state of single fields."""
     if state.u.ndim == 1:
         return [state]
-    cls = type(state)
-    return [cls(state.grid, state.t, *row) for row in
-            zip(*(getattr(state, name) for name in _field_names(cls)))]
+    return [_select(state, i) for i in range(len(state.u))]
 
 
 @dataclass
@@ -102,6 +104,9 @@ class FluidState:
     rho: np.ndarray
     u: np.ndarray
     c: np.ndarray
+
+    # the snapshot CSV's columns after x
+    COLUMNS = ("rho", "u", "c")
 
     @classmethod
     def make(cls, grid: PeriodicGrid, rho, u, params: PhysicalParams,
@@ -116,12 +121,15 @@ class FluidState:
     def mixture_density(self) -> np.ndarray:
         return self.rho
 
+    def mixture(self, eos: EquationOfState) -> tuple:
+        """The density and its artificial pressure."""
+        return self.rho, eos.artificial_pressure(self.rho)
+
     def step_fields(self, eos: EquationOfState) -> tuple:
         """What a step from this state and its record both read: the
-        density, its artificial pressure and the central c_x.  The run loop
+        mixture pair of mixture(eos) and the central c_x.  The run loop
         forms them once per state; see nsk_run."""
-        return (self.rho, eos.artificial_pressure(self.rho),
-                central_c_x(self.grid, self.c))
+        return (*self.mixture(eos), central_c_x(self.grid, self.c))
 
     def helmholtz_residual(self, params: PhysicalParams) -> float:
         res = (-params.kappa * torus.derivative(self.grid, self.c, 2, "spectral")
@@ -165,7 +173,7 @@ def check_profile(theta: float, delta: float, n_osc: int) -> None:
     if not 0.0 < delta <= ramp_max:
         raise ValueError(f"delta must lie in (0, min(theta, 1 - theta)] = "
                          f"(0, {ramp_max}], got {delta}")
-    if int(n_osc) != n_osc:
+    if not float(n_osc).is_integer():
         raise ValueError(f"n_osc must be an integer, got {n_osc}")
     if n_osc < 1:
         raise ValueError(f"n_osc must be at least 1, got {n_osc}")
@@ -207,12 +215,13 @@ def sound_speed_max(rho: np.ndarray, u: np.ndarray, eos: EquationOfState):
     return torus.row_values(speed.max(axis=-1))
 
 
-def _check_state(state, fields: tuple, bounds: tuple):
-    """The one test of a failed run: the railed density fields, u and c
-    finite and the railed densities inside the rails, else BoundsError.
-    A railed field's min and max are NaN or infinite when the field holds
-    a NaN or an inf, so that one pair answers both tests."""
-    extremes = [(float(f.min()), float(f.max())) for f in fields]
+def _check_state(state, railed: np.ndarray, bounds: tuple):
+    """The one test of a failed run: the railed densities, each row of a
+    phase-leading stack, u and c finite and the railed densities inside
+    the rails, else BoundsError.  A railed row's min and max are NaN or
+    infinite when the row holds a NaN or an inf, so that one pair answers
+    both tests."""
+    extremes = [(float(f.min()), float(f.max())) for f in railed]
     if not (all(math.isfinite(rmin) and math.isfinite(rmax)
                 for rmin, rmax in extremes)
             and np.isfinite(state.u).all() and np.isfinite(state.c).all()):
@@ -314,16 +323,13 @@ def momentum_update(grid: PeriodicGrid, rho_new: np.ndarray, rho: np.ndarray,
                      for d, r in zip(diag, rhs)])
 
 
-def _step_length(state, fields, params: PhysicalParams, config: SolverConfig,
-                 remaining: float) -> tuple:
-    """min(config.dt, remaining, cfl h / max(|u| + c_s) over the density
-    fields and the rows of a batch), and whether the CFL bound lies below
-    config.dt, one flag per row of a batch."""
-    if len(fields) == 1:
-        smax = sound_speed_max(fields[0], state.u, params.eos)
-    else:   # the phases of a BN state: one law call on their stack
-        smax = sound_speed_max(np.array(fields), state.u,
-                               params.eos).max(axis=0)
+def _step_length(state, railed: np.ndarray, params: PhysicalParams,
+                 config: SolverConfig, remaining: float) -> tuple:
+    """min(config.dt, remaining, cfl h / max(|u| + c_s) over the rows of
+    the phase-leading stack of railed densities and the rows of a batch),
+    and whether the CFL bound lies below config.dt, one flag per row of a
+    batch."""
+    smax = sound_speed_max(railed, state.u, params.eos).max(axis=0)
     with np.errstate(divide="ignore"):
         cfl_dt = config.cfl * state.grid.h / np.asarray(smax)
     return min(config.dt, remaining, float(cfl_dt.min())), cfl_dt < config.dt
@@ -358,10 +364,7 @@ def _drop_failed_rows(state, members: list, rails, bounds, results: list,
         except BoundsError as exc:
             exc.cfl_limited = bool(cfl_limited[members[i]])
             results[members[i]] = exc
-    cls = type(state)
-    return (cls(state.grid, state.t, *(getattr(state, name)[keep]
-                                       for name in _field_names(cls))),
-            [members[i] for i in keep])
+    return _select(state, keep), [members[i] for i in keep]
 
 
 # rows per record chunk, one per state or batch row: at most
@@ -399,8 +402,8 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig, step,
                rails):
     """The run loop of nsk_run and bn_run: step(state, params, config, dt=dt,
     fields=fields) advances one step from a state and its step_fields,
-    rails(state) gives the railed density fields.  Each run's records are
-    None until the run finishes, then its table."""
+    rails(state) gives the railed densities as one phase-leading stack.
+    Each run's records are None until the run finishes, then its table."""
     require_admissible(params.eos, 0.0, config.bounds[1])
     batch = initial.u.ndim == 2
     runs = [Trajectory([row], None, params, config)
@@ -464,9 +467,11 @@ def nsk_run(initial: FluidState, params: PhysicalParams,
 
     The run loop, shared with bn_run: the law must be admissible on [0,
     upper rail].  Each state, the initial one and each step's result, is
-    checked once before it is recorded or stepped: the railed densities (rho;
-    rho_p and rho_m for BN), u and c finite and the railed densities inside
-    the rails, else BoundsError.  A step that raises ValueError (a density
+    checked once before it is recorded or stepped: the railed densities, u
+    and c finite and the railed densities inside the rails, else
+    BoundsError.  The railed densities are one phase-leading stack, each
+    row a phase: rho[None], a view, here, and the state's rho stack
+    (rho_p, rho_m) for BN.  A step that raises ValueError (a density
     the pressure law refuses, say) raises BoundsError, which names the
     step's start time.  Each step has length min(config.dt,
     t_final - t, cfl h / max(|u| + c_s)), the wave speed taken over the
@@ -508,4 +513,4 @@ def nsk_run(initial: FluidState, params: PhysicalParams,
     and dxc_sup) equals its own run's bitwise.
     bn_step does not take a batch.
     """
-    return _integrate(initial, params, config, nsk_step, lambda s: (s.rho,))
+    return _integrate(initial, params, config, nsk_step, lambda s: s.rho[None])

@@ -264,8 +264,8 @@ def test_criterion_08_picard():
         state = BNState.make(grid2, alpha0, rp0, rm0, u_field, params)
         for _ in range(tgrid.size - 1):
             new = bn_step(state, params, config, config.dt)
-            state = BNState(grid2, new.t, new.alpha_p, new.alpha_m, new.rho_p,
-                            new.rho_m, u_field.copy(), new.c)
+            state = BNState(grid2, new.t, new.alpha, new.rho, u_field.copy(),
+                            new.c)
         u_series = np.tile(u_field, (tgrid.size, 1))
         ap = np.tile(alpha0, (tgrid.size, 1))
         am, rp, rm = 1.0 - ap, np.tile(rp0, (tgrid.size, 1)), np.tile(

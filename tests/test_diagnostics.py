@@ -3,7 +3,8 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 import pytest
 
-from phasekit.bn import BNState
+from phasekit import bn, harness
+from phasekit.bn import BNState, bn_run
 from phasekit.diagnostics import (RECORD_COLUMNS, DiagnosticsRecord,
                                   balance_check, bd_entropy, compute_record,
                                   effective_viscous_flux, energy)
@@ -103,6 +104,37 @@ def test_effective_viscous_flux_examples():
     sigma2 = effective_viscous_flux(state2, params)
     expect2 = np.cos(2 * np.pi * grid.x) - 1.0
     assert np.max(np.abs(sigma2 - expect2)) < 1e-10
+
+
+def test_effective_viscous_flux_forms_no_c_x(monkeypatch):
+    # Sigma reads the state's (mixture density, mixture pressure) pair,
+    # bitwise the pressure of its step fields, and forms no central c_x:
+    # not per state, nor per snapshot of kinetic_consistency
+    grid = PeriodicGrid(32)
+    params = poly_params()
+    config = SolverConfig(dt=1e-3, t_end=4e-3, bounds=(0.05, 20.0))
+    wave = np.sin(2 * np.pi * grid.x)
+    runs = [nsk_run(FluidState.make(grid, 1.0 + 0.2 * wave, 0.3 * wave,
+                                    params), params, config),
+            bn_run(BNState.make(grid, 0.5 + 0.2 * wave, 1.0 + 0.2 * wave,
+                                1.2 - 0.1 * wave, 0.3 * wave, params),
+                   params, config)]
+    expected = [[params.mu * derivative(grid, s.u, 1, "spectral")
+                 - s.step_fields(params.eos)[1] for s in run.snapshots]
+                for run in runs]
+    calls, central_c_x = [], nsk.central_c_x
+
+    def counted(grid, c):
+        calls.append(c)
+        return central_c_x(grid, c)
+
+    monkeypatch.setattr(nsk, "central_c_x", counted)
+    monkeypatch.setattr(bn, "central_c_x", counted)
+    for run, sigmas in zip(runs, expected):
+        for state, sigma in zip(run.snapshots, sigmas):
+            assert same_bits(effective_viscous_flux(state, params), sigma)
+        harness.kinetic_consistency(run)
+    assert calls == []
 
 
 def test_record_column_order():
@@ -295,11 +327,17 @@ def test_gronwall_check_on_a_long_table_does_not_overflow():
 
 def stack(states):
     """States of one class, single or batches, as one state with a row per
-    state or batch row: each field stacked, t one value per row."""
+    state or batch row: each field stacked next to the nodes, so that a
+    phase stack's phases stay leading, t one value per row."""
     rows = [len(np.atleast_2d(s.u)) for s in states]
+
+    def rows_of(state, name):
+        field = getattr(state, name)
+        return field if state.u.ndim == 2 else field[..., None, :]
+
     return type(states[0])(
         states[0].grid, np.repeat([s.t for s in states], rows),
-        *(np.vstack([getattr(s, f.name) for s in states])
+        *(np.concatenate([rows_of(s, f.name) for s in states], axis=-2)
           for f in fields(states[0])[2:]))
 
 

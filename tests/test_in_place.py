@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from phasekit import bn, diagnostics, nsk, torus
+from phasekit import bn, diagnostics, measures, nsk, torus
 from phasekit.bn import BNState
 from phasekit.eos import PolytropicEOS, VanDerWaalsEOS
 from phasekit.nsk import FluidState, PhysicalParams, SolverConfig
@@ -43,11 +43,12 @@ def two_phase(grid, rng):
 
 
 def stack(make, grid, rng):
-    """Three states of one kind as one state with a row per state."""
+    """Three states of one kind as one state with a row per state, next to
+    the nodes: a phase stack's phases stay leading."""
     states = [make(grid, rng) for _ in range(3)]
     return type(states[0])(
         grid, np.array([s.t for s in states]),
-        *(np.array([getattr(s, f.name) for s in states])
+        *(np.stack([getattr(s, f.name) for s in states], axis=-2)
           for f in dataclasses.fields(states[0])[2:]))
 
 
@@ -59,10 +60,10 @@ STATES = {
 }
 
 
-def relaxation_args(grid, rng):
+def phase_stacks(grid, rng):
+    """(alpha, rho) phase stacks of shape (2, n), as a state holds them."""
     alpha_p = rng.uniform(0.2, 0.8, grid.n)
-    return (alpha_p, 1.0 - alpha_p, density(grid, rng), density(grid, rng),
-            PARAMS, 1e-2)
+    return np.array((alpha_p, 1.0 - alpha_p)), density(grid, rng, (2,))
 
 
 def cyclic_system(grid, rng):
@@ -144,7 +145,14 @@ KERNELS = {
     "trace_feet": lambda g, r: (
         bn.trace_feet, (g, velocity(g, r), velocity(g, r), 1e-2 * g.h)),
     "_relaxation_substep": lambda g, r: (
-        bn._relaxation_substep, relaxation_args(g, r)),
+        bn._relaxation_substep, (*phase_stacks(g, r), PARAMS, 1e-2)),
+    "_relaxation_flow": lambda g, r: (
+        bn._relaxation_flow, (*phase_stacks(g, r), velocity(g, r))),
+    "mixture_fields": lambda g, r: (
+        bn.mixture_fields, (two_phase(g, r), VDW)),
+    # the measure holds the state's own stacks, which it must not write
+    "two_dirac_from_bn": lambda g, r: (
+        measures.two_dirac_from_bn, (two_phase(g, r), (0.0, 3.0))),
     "BNState.step_fields": lambda g, r: (
         BNState.step_fields, (two_phase(g, r), VDW)),
 }
@@ -184,10 +192,11 @@ def copied(value, writeable: bool):
 
 
 def bits(value):
-    """The bytes of every number in value: an array, a float, a state or a
-    record, or a tuple of them; None for anything else (a grid, a law)."""
-    if isinstance(value, (FluidState, BNState,
-                          diagnostics.DiagnosticsRecord)):
+    """The bytes of every number in value: an array, a float, a state, a
+    record or a measure, or a tuple of them; None for anything else (a
+    grid, a law)."""
+    if isinstance(value, (FluidState, BNState, diagnostics.DiagnosticsRecord,
+                          measures.ParamMeasure)):
         value = [v for v in vars(value).values()
                  if not isinstance(v, PeriodicGrid)]
     if isinstance(value, (tuple, list)):

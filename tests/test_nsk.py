@@ -95,6 +95,12 @@ def test_oscillating_initial_validation():
         make_oscillating_initial(grid, 0.8, 1.6, 0.5, n_osc=1, delta=0.7)
     with pytest.raises(ValueError, match="n_osc must be an integer, got 1.5"):
         make_oscillating_initial(grid, 0.8, 1.6, 0.5, n_osc=1.5, delta=0.1)
+    # not an OverflowError for inf, nor numpy's own NaN message
+    for n_osc in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError,
+                           match=f"n_osc must be an integer, got {n_osc}"):
+            make_oscillating_initial(grid, 0.8, 1.6, 0.5, n_osc=n_osc,
+                                     delta=0.1)
     # the profile builder knows no rails: the run loop's check of the
     # initial state refuses a profile outside them
     params = poly_params()
@@ -295,9 +301,9 @@ def chunk_run(solver, bounds=(0.05, 20.0)):
     u0 = -0.5 * np.sin(2 * np.pi * grid.x)
     if solver == "nsk":
         state = FluidState.make(grid, rho0, u0, params)
-        return chunk, nsk_run(state, params, config), lambda s: (s.rho,)
+        return chunk, nsk_run(state, params, config), lambda s: s.rho[None]
     state = BNState.make(grid, 0.3, rho0, 1.1 * rho0, u0, params)
-    return chunk, bn_run(state, params, config), lambda s: (s.rho_p, s.rho_m)
+    return chunk, bn_run(state, params, config), lambda s: s.rho
 
 
 @pytest.mark.parametrize("solver", ["nsk", "bn"])
@@ -500,6 +506,94 @@ def test_batch_shares_one_step_length():
     assert_same_run(batch[1], own)
 
 
+def step_length_per_field(state, fields, params, config, remaining):
+    """_step_length as it was with the railed densities as a tuple of
+    fields: one field alone, and the phase pair of a BN state packed into
+    a new stack."""
+    if len(fields) == 1:
+        smax = sound_speed_max(fields[0], state.u, params.eos)
+    else:
+        smax = sound_speed_max(np.array(fields), state.u,
+                               params.eos).max(axis=0)
+    with np.errstate(divide="ignore"):
+        cfl_dt = config.cfl * state.grid.h / np.asarray(smax)
+    return min(config.dt, remaining, float(cfl_dt.min())), cfl_dt < config.dt
+
+
+def test_step_length_equals_its_per_field_form():
+    # bitwise, with the limited flags: a state, a batch whose third row's
+    # CFL bound lies below dt and a BN state, their railed densities
+    # stacked as the run loop stacks them
+    grid = PeriodicGrid(64)
+    params = PhysicalParams(mu=0.1, kappa=0.1,
+                            eos=VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0))
+    rng = np.random.default_rng(7)
+    rho = rng.uniform(0.5, 2.0, (3, grid.n))
+    u = rng.uniform(-1.0, 1.0, (3, grid.n)) * np.array([[0.1], [0.2], [40.0]])
+    fluid = FluidState(grid, 0.0, rho[0], u[0], rho[0])
+    batch = FluidState(grid, 0.0, rho, u, rho)
+    alpha_p = rng.uniform(0.2, 0.8, grid.n)
+    two_phase = BNState(grid, 0.0, np.array((alpha_p, 1.0 - alpha_p)),
+                        rho[1:], u[1], rho[0])
+    config = SolverConfig(dt=1e-3, t_end=1.0)
+    assert [bool(step_length_per_field(row, (row.rho,), params, config,
+                                       1.0)[1])
+            for row in nsk._rows(batch)] == [False, False, True]
+    cases = [(fluid, fluid.rho[None], (fluid.rho,)),
+             (batch, batch.rho[None], (batch.rho,)),
+             (two_phase, two_phase.rho,
+              (two_phase.rho_p, two_phase.rho_m))]
+    for state, railed, fields in cases:
+        for remaining in (1.0, 1e-5):
+            dt, limited = nsk._step_length(state, railed, params, config,
+                                           remaining)
+            dt_0, limited_0 = step_length_per_field(state, fields, params,
+                                                    config, remaining)
+            assert np.float64(dt).tobytes() == np.float64(dt_0).tobytes()
+            assert limited.shape == limited_0.shape
+            assert np.array_equal(limited, limited_0)
+
+
+def test_run_loop_hands_the_law_the_states_own_density_stack():
+    # a wrapping law records what it is called on: each state's mixture
+    # pressure and its step length read the state's own rho stack, the
+    # BN state's (2, n) stack itself and a view of the flow state's rho,
+    # not a packed copy
+    seen = {"artificial_pressure": [], "d_artificial_pressure": []}
+
+    class Recording(PolytropicEOS):
+        def artificial_pressure(self, r):
+            seen["artificial_pressure"].append(r)
+            return super().artificial_pressure(r)
+
+        def d_artificial_pressure(self, r):
+            seen["d_artificial_pressure"].append(r)
+            return super().d_artificial_pressure(r)
+
+    grid = PeriodicGrid(32)
+    params = PhysicalParams(mu=0.1, kappa=0.02,
+                            eos=Recording(1.0, 2.0, 1.0))
+    config = SolverConfig(dt=1e-3, t_end=5e-3, bounds=(0.05, 20.0))
+    wave = np.sin(2 * np.pi * grid.x)
+    for solver in ("bn", "nsk"):
+        if solver == "bn":
+            state = BNState.make(grid, 0.5 + 0.2 * wave, 1.0 + 0.2 * wave,
+                                 1.2 - 0.1 * wave, 0.3 * wave, params)
+            traj = bn_run(state, params, config)
+        else:
+            state = FluidState.make(grid, 1.0 + 0.2 * wave, 0.3 * wave,
+                                    params)
+            traj = nsk_run(state, params, config)
+        assert len(traj.snapshots) == traj.n_steps + 1 > 2
+        for k, s in enumerate(traj.snapshots):
+            assert any(r is s.rho for r in seen["artificial_pressure"])
+            if k < traj.n_steps:   # the final state takes no step
+                assert any(r is s.rho if solver == "bn" else r.base is s.rho
+                           for r in seen["d_artificial_pressure"])
+        seen["artificial_pressure"].clear()
+        seen["d_artificial_pressure"].clear()
+
+
 def test_batch_row_failing_after_cfl_limited_steps_keeps_its_flag():
     # the second row's velocity puts its CFL bound below dt and compresses
     # it past the upper rail 1.2 mid-run: its error carries the flag, and
@@ -556,24 +650,24 @@ CHECK_VALUES = (np.nan, np.inf, -np.inf,
 
 def checked_states():
     """A clean NSK state, BN state and 3-row NSK batch at t = 0.123456789,
-    with their railed fields."""
+    with their railed densities, as the run loop stacks them."""
     grid = PeriodicGrid(16)
     wave = np.sin(2 * np.pi * grid.x)
     rho = 1.0 + 0.3 * wave
     nsk_state = FluidState(grid, 0.123456789, rho, wave, rho.copy())
     alpha = 0.5 + 0.2 * wave
-    bn_state = BNState(grid, 0.123456789, alpha, 1.0 - alpha, rho,
-                       1.2 - 0.2 * wave, wave, rho.copy())
+    bn_state = BNState(grid, 0.123456789, np.array((alpha, 1.0 - alpha)),
+                       np.array((rho, 1.2 - 0.2 * wave)), wave, rho.copy())
     rows = np.stack([rho, rho[::-1], 1.5 + 0.1 * wave])
     batch = FluidState(grid, 0.123456789, rows, -rows, rows.copy())
-    return ((nsk_state, lambda s: (s.rho,)),
-            (bn_state, lambda s: (s.rho_p, s.rho_m)),
-            (batch, lambda s: (s.rho,)))
+    return ((nsk_state, lambda s: s.rho[None]),
+            (bn_state, lambda s: s.rho),
+            (batch, lambda s: s.rho[None]))
 
 
 def corrupted(state, changes):
-    """A copy of state with node (k or row, k) of field name set to value,
-    for each (name, index, value) of changes."""
+    """A copy of state with node (k, or row and k) of field name set to
+    value, for each (name, index, value) of changes."""
     fields = {f.name: getattr(state, f.name).copy()
               for f in dataclasses.fields(state)[2:]}
     for name, index, value in changes:
@@ -582,16 +676,18 @@ def corrupted(state, changes):
 
 
 def test_state_check_fails_as_its_written_out_form():
-    # every field of each state, NaN, +-inf and each rail crossed, alone
-    # and in pairs of fields (the check order picks the message): the
-    # same BoundsError text or None, so the CLI's exit-4 texts stay
+    # every field of each state, each row of a phase stack apart, NaN,
+    # +-inf and each rail crossed, alone and in pairs of fields (the check
+    # order picks the message): the same BoundsError text or None, so the
+    # CLI's exit-4 texts stay
     cases = 0
     for state, rails in checked_states()[:2]:
-        names = [f.name for f in dataclasses.fields(state)[2:]]
-        singles = [(name, 3, value) for name in names
+        nodes = [(f.name, (*row, 3)) for f in dataclasses.fields(state)[2:]
+                 for row in np.ndindex(getattr(state, f.name).shape[:-1])]
+        singles = [(name, node, value) for name, node in nodes
                    for value in CHECK_VALUES]
         changes = [[a] for a in singles] + [
-            [a, b] for a in singles for b in singles[::7] if a[0] != b[0]]
+            [a, b] for a in singles for b in singles[::7] if a[:2] != b[:2]]
         for change in changes:
             bad = corrupted(state, change)
             expected = failure(check_state_oracle, bad, rails(bad),

@@ -39,7 +39,8 @@ def test_output_formats_name_the_written_columns(tmp_path):
     grid = PeriodicGrid(8)
     records = DiagnosticsRecord(*np.zeros((len(RECORD_COLUMNS), 1)))
     fluid = FluidState(grid, 0.0, *np.ones((3, grid.n)))
-    two_phase = BNState(grid, 0.0, *np.ones((6, grid.n)))
+    two_phase = BNState(grid, 0.0, *np.ones((2, 2, grid.n)),
+                        *np.ones((2, grid.n)))
     headers = []
     for name, state in (("nsk", fluid), ("bn", two_phase)):
         io.write_trajectory(tmp_path / name,

@@ -13,7 +13,9 @@ runs of every end-to-end metric, the output digest at each seed and the
 attempted and failed invocation counts; under ``traced``, per workload,
 the traced run's ``correct`` verdict, failed count and per-layer
 ``metrics`` (value and unit, as perfbench/run.py prints them); the line
-count of each ``src/phasekit`` module and their total; under
+count of each ``src/phasekit`` module and their total, as ``wc -l`` counts
+them (``src_lines``) and as code lines, docstrings, comments and blank
+lines left out (``src_code_lines``, tools/code_lines.py); under
 ``cli_imports``, how many modules a fresh interpreter holds after ``import
 phasekit.cli`` and the top-level packages outside the standard library
 that the import loads; and the tier-1 wall
@@ -35,6 +37,8 @@ import statistics
 import subprocess
 import sys
 import time
+
+from code_lines import src_code_lines
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (101, 201)   # the timed seed first
@@ -165,6 +169,7 @@ def main(argv=None) -> int:
         "workloads": workloads,
         "traced": traced,
         "src_lines": src_lines(),
+        "src_code_lines": src_code_lines(),
         "cli_imports": cli_imports(),
         "tier1": tier1(),
     }
