@@ -218,16 +218,17 @@ def sound_speed_max(rho: np.ndarray, u: np.ndarray, eos: EquationOfState):
 def _check_state(state, railed: np.ndarray, bounds: tuple):
     """The one test of a failed run: the railed densities, each row of a
     phase-leading stack, u and c finite and the railed densities inside
-    the rails, else BoundsError.  A railed row's min and max are NaN or
-    infinite when the row holds a NaN or an inf, so that one pair answers
-    both tests."""
-    extremes = [(float(f.min()), float(f.max())) for f in railed]
-    if not (all(math.isfinite(rmin) and math.isfinite(rmax)
-                for rmin, rmax in extremes)
+    the rails, else BoundsError.  Each phase's densities, a batch's rows
+    included, are reduced once per end: its min and max are NaN or
+    infinite when it holds a NaN or an inf, so that one pair answers both
+    tests."""
+    phases = railed.reshape(len(railed), -1)
+    lows, highs = phases.min(axis=1).tolist(), phases.max(axis=1).tolist()
+    if not (all(map(math.isfinite, lows)) and all(map(math.isfinite, highs))
             and np.isfinite(state.u).all() and np.isfinite(state.c).all()):
         raise BoundsError(f"non-finite field at t = {state.t:.6g}")
     lo, hi = bounds
-    for rmin, rmax in extremes:
+    for rmin, rmax in zip(lows, highs):
         if rmin < lo or rmax > hi:
             raise BoundsError(
                 f"density guard rail violated at t = {state.t:.6g}: "
@@ -374,28 +375,51 @@ def _drop_failed_rows(state, members: list, rails, bounds, results: list,
 _CHUNK_ELEMENTS = 8192
 
 
-def _chunk_record(pending: list, params: PhysicalParams) -> np.ndarray:
-    """The record of the held (state, step_fields) pairs as one (12, rows)
-    array, a column per state or batch row: the 11 RECORD_COLUMNS, then the
-    row's sup |c_x|.  A lone state is recorded from its own arrays; several
-    are stacked once into one carrier FluidState of their t, mixture
-    density, u and c, with their stacked step fields."""
-    state, fields = pending[0]
-    if len(pending) > 1:
-        u, c, *fields = (np.vstack(f) for f in zip(
-            *((s.u, s.c, *f) for s, f in pending)))
-        rows = [len(np.atleast_2d(s.u)) for s, _ in pending]
-        state = FluidState(state.grid, np.repeat([s.t for s, _ in pending],
-                                                 rows), fields[0], u, c)
+def _chunk_record(state, fields: tuple, params: PhysicalParams) -> np.ndarray:
+    """The record of a state and its step_fields as one (12, rows) array, a
+    column per row: the 11 RECORD_COLUMNS, then the row's sup |c_x|.  The
+    state is a single state, a batch state or the carrier of a
+    _RecordBlock's filled rows."""
     record = diagnostics.compute_record(state, params, fields)
     c_x = fields[2]
     chunk = np.empty((len(diagnostics.RECORD_COLUMNS) + 1,
-                      len(np.atleast_2d(c_x))))
+                      c_x.size // state.grid.n))
     # a column of one value (t of a batch state) fills its row
     for row, name in zip(chunk, diagnostics.RECORD_COLUMNS):
         row[...] = getattr(record, name)
     chunk[-1] = torus.max_norm(c_x)
     return chunk
+
+
+class _RecordBlock:
+    """The rows of an open record chunk of two or more states, copied in
+    as each state is checked, so that the run loop holds no state for its
+    record: one (5, K, n) block of u, c and the three step fields and a
+    (K,) row of t, reused by every chunk of the run."""
+
+    def __init__(self, grid: PeriodicGrid, rows: int):
+        self.grid = grid
+        self.planes = np.empty((5, rows, grid.n))
+        self.t = np.empty(rows)
+        self.rows = 0
+
+    def add(self, state, fields: tuple) -> None:
+        """Copy in the rows of a state, one or a batch state's, with its
+        step_fields."""
+        start = self.rows
+        self.rows += 1 if state.u.ndim == 1 else len(state.u)
+        self.t[start:self.rows] = state.t
+        for plane, field in zip(self.planes, (state.u, state.c, *fields)):
+            plane[start:self.rows] = field
+
+    def record(self, params: PhysicalParams) -> np.ndarray:
+        """_chunk_record of the filled rows, read through a carrier
+        FluidState of views into them, its density the mixture density;
+        the block is then empty again."""
+        u, c, *fields = self.planes[:, :self.rows]
+        carrier = FluidState(self.grid, self.t[:self.rows], fields[0], u, c)
+        self.rows = 0
+        return _chunk_record(carrier, tuple(fields), params)
 
 
 def _integrate(initial, params: PhysicalParams, config: SolverConfig, step,
@@ -415,8 +439,8 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig, step,
     t_final = initial.t + config.t_end
     t_stop = t_final - 1e-12 * config.t_end
     chunk_rows = max(1, _CHUNK_ELEMENTS // initial.grid.n)
-    # the held states with their step_fields, and the run of each row
-    pending, pending_runs = [], []
+    block = None   # a _RecordBlock, once a chunk of two or more states opens
+    chunk_runs = []   # the run of each row of the open chunk
     chunks, owners = [], []   # _chunk_record's arrays, the run of each row
     while True:
         try:
@@ -430,14 +454,22 @@ def _integrate(initial, params: PhysicalParams, config: SolverConfig, step,
             if not members:
                 return results
         fields = state.step_fields(params.eos)
-        pending.append((state, fields))
-        pending_runs += members
+        opens = not chunk_runs
+        chunk_runs += members
         done = state.t >= t_stop
         # the next state has at most as many rows as this one
-        if done or len(pending_runs) + len(members) > chunk_rows:
-            chunks.append(_chunk_record(pending, params))
-            owners += pending_runs
-            pending, pending_runs = [], []
+        closes = done or len(chunk_runs) + len(members) > chunk_rows
+        if opens and closes:   # a chunk of one state, read uncopied
+            chunks.append(_chunk_record(state, fields, params))
+        else:
+            if block is None:
+                block = _RecordBlock(state.grid, chunk_rows)
+            block.add(state, fields)
+            if closes:
+                chunks.append(block.record(params))
+        if closes:
+            owners += chunk_runs
+            chunk_runs = []
         if done:
             table, owners = np.hstack(chunks), np.array(owners)
             for j in members:
@@ -485,15 +517,20 @@ def nsk_run(initial: FluidState, params: PhysicalParams,
 
     Each checked state's step_fields (its mixture density and pressure
     and its central c_x) are formed once, for the step from the state and
-    for its record.  Records are computed in chunks: checked states are
-    held while their rows, one per state or per batch row, fit in K =
-    max(1, 8192 // n), or until the final state, and their records and
-    sup |c_x| come from one pass over the stack of their rows, one (12,
-    rows) array of the 11 record columns and the sup |c_x| row.  The record
-    reads a state's mixture only through its step fields, so a chunk
-    stacks t, u, c and the three fields.  A state with more than K rows is
-    a chunk of its own, and a chunk of one state is read from that state's
-    arrays, without the copy a stack makes.
+    for its record.  Records are computed in chunks of at most K = max(1,
+    8192 // n) rows, one per state or per batch row: a chunk closes at the
+    final state, or when the next state's rows, at most as many as this
+    one's, might not fit.  The record reads a state's mixture only
+    through its step fields, so a chunk needs t, u, c and the three
+    fields of each row.  Each checked state's rows of them are copied into
+    one (5, K, n) block and a (K,) row of t, allocated when the run's
+    first chunk of two or more states opens and reused by every chunk, so
+    the loop holds no checked state: each is freed once the next step is
+    taken.  A closing chunk's records and sup |c_x| come from one pass over
+    its filled rows, one (12, rows) array of the 11 record columns and the
+    sup |c_x| row.  A chunk of one state is recorded from that state's own
+    arrays, uncopied, so a run whose chunks each hold one state, one row of
+    K = 1 or a batch of more than K / 2 rows, never allocates the block.
     Each run's table is built once, when the run finishes, from the rows
     its chunks computed; row k equals compute_record of its k-th state
     bitwise.  A checked state's densities lie inside the rails, so its

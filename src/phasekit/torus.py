@@ -28,8 +28,9 @@ from slice shifts, without np.roll's per-call overhead, for the run
 loop's c_x (one per state, for the coupling force, the record's gradient
 density and ``Trajectory.dxc_sup``).  The
 backend is always an explicit argument, never module state.  The Fourier
-symbols (the wavenumbers, i k, -k^2, k^2 and the Sobolev weights of each
-order) are built once per grid and are read-only, and so are the node
+symbols (the wavenumbers, i k, -k^2, k^2, the Sobolev weights of each
+order and the Helmholtz denominator kappa k^2 + gamma of each (kappa,
+gamma)) are built once per grid and are read-only, and so are the node
 coordinates ``grid.x``, which every state on the grid shares; each kernel
 applies the symbols in the order it always did, so every value is bitwise
 what building them per call gave.
@@ -138,6 +139,7 @@ class PeriodicGrid:
         self._k2 = _read_only(k ** 2)
         self._minus_k2 = _read_only(-self._k2)
         self._sobolev = {}   # order -> weights * (1 + k^2)^order
+        self._helmholtz = {}   # (kappa, gamma) -> kappa k^2 + gamma
 
     def __repr__(self):
         return f"PeriodicGrid(n={self.n})"
@@ -161,6 +163,16 @@ class PeriodicGrid:
             sym = (1.0 + self._k2) ** order
             self._sobolev[order] = _read_only(weights * sym)
         return self._sobolev[order]
+
+    def _helmholtz_denominator(self, kappa: float, gamma: float) -> np.ndarray:
+        """kappa k^2 + gamma, the symbol of the Fourier helmholtz_solve,
+        formed once per (kappa, gamma) as that solve formed it per call."""
+        key = (kappa, gamma)
+        if key not in self._helmholtz:
+            den = kappa * self._k2
+            den += gamma
+            self._helmholtz[key] = _read_only(den)
+        return self._helmholtz[key]
 
 
 def _check_field(grid: PeriodicGrid, f: np.ndarray,
@@ -239,14 +251,13 @@ def helmholtz_solve(grid: PeriodicGrid, rho: np.ndarray, kappa: float,
     second-order discretization.  Only the Fourier backend takes a stack.
     """
     rho = _check_field(grid, rho, stack=backend == "fourier")
-    if kappa <= 0.0 or gamma <= 0.0:
-        raise ValueError(f"kappa and gamma must be positive, got {kappa}, {gamma}")
+    if not (0.0 < kappa < math.inf and 0.0 < gamma < math.inf):
+        raise ValueError(f"kappa and gamma must be positive and finite, "
+                         f"got {kappa}, {gamma}")
     if backend == "fourier":
         ch = np.fft.rfft(rho)
         ch *= gamma
-        den = kappa * grid._k2
-        den += gamma
-        ch /= den
+        ch /= grid._helmholtz_denominator(kappa, gamma)
         return np.fft.irfft(ch, n=grid.n)
     if backend == "fd":
         a = kappa / grid.h ** 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from phasekit import nsk
 from phasekit.bn import BNState, bn_run
 from phasekit.eos import PolytropicEOS
 from phasekit.nsk import PhysicalParams, SolverConfig
@@ -68,3 +69,22 @@ def config_text():
                 lines.append(f"{key} = {value}")
         return "\n".join(lines) + "\n"
     return text
+
+
+@pytest.fixture(scope="session")
+def record_chunk():
+    """chunk(states, params): the (12, rows) record chunk of checked
+    states, from their step fields, as the run loop records it: a lone
+    state by nsk._chunk_record from its own arrays, several copied into
+    one nsk._RecordBlock of their rows."""
+    def chunk(states, params):
+        if len(states) == 1:
+            state = states[0]
+            return nsk._chunk_record(state, state.step_fields(params.eos),
+                                     params)
+        rows = sum(1 if s.u.ndim == 1 else len(s.u) for s in states)
+        block = nsk._RecordBlock(states[0].grid, rows)
+        for state in states:
+            block.add(state, state.step_fields(params.eos))
+        return block.record(params)
+    return chunk

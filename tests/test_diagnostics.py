@@ -224,10 +224,11 @@ def table(record):
 
 
 @pytest.mark.parametrize("n", [64, 2048])
-def test_chunk_record_is_the_stacked_states_record(n):
-    # the run loop records a chunk from its states' step fields: bitwise
-    # the record of the stacked states, for two-phase states, for a chunk
-    # of one state (read uncopied) and of several, and for a batch state's
+def test_chunk_record_is_the_stacked_states_record(n, record_chunk):
+    # the run loop records a chunk from its states' step fields, several
+    # states through the rows copied into its record block: bitwise the
+    # record of the stacked states, for two-phase states, for a chunk of
+    # one state (read uncopied) and of several, and for a batch state's
     # rows; the chunk's last row is each row's sup |c_x|
     for params, stacked in record_states(n)[1::2]:
         grid = stacked.grid
@@ -246,8 +247,7 @@ def test_chunk_record_is_the_stacked_states_record(n):
                 (rows, batch),
                 ([batch], batch),
                 ([batch, rows[0]], stack([batch, rows[0]]))):
-            pending = [(s, s.step_fields(params.eos)) for s in states]
-            chunk = nsk._chunk_record(pending, params)
+            chunk = record_chunk(states, params)
             assert chunk.shape == (len(RECORD_COLUMNS) + 1,
                                    len(np.atleast_2d(oracle.u)))
             assert same_bits(chunk[:-1],

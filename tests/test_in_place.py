@@ -96,11 +96,25 @@ def record_args(state):
     return state, PARAMS, state.step_fields(VDW)
 
 
+def lone_args(state):
+    return state, state.step_fields(VDW), PARAMS
+
+
 def pending(make, grid, rng):
-    """_chunk_record's arguments for a chunk of three states as the run
-    loop holds them: each state with its step fields."""
+    """block_record's arguments for a chunk of three states as the run
+    loop checks them: each state with its step fields."""
     states = [make(grid, rng) for _ in range(3)]
     return tuple((s, s.step_fields(VDW)) for s in states), PARAMS
+
+
+def block_record(pending, params):
+    """The record chunk of the states and step fields of pending as the
+    run loop records it: their rows copied into a _RecordBlock, then
+    _chunk_record of its carrier."""
+    block = nsk._RecordBlock(pending[0][0].grid, len(pending))
+    for state, fields in pending:
+        block.add(state, fields)
+    return block.record(params)
 
 
 # kernel name -> a function of (grid, rng) giving (kernel, arguments)
@@ -133,10 +147,13 @@ KERNELS = {
         given_fields(bn.bn_step), step_args(two_phase, g, r)),
     "compute_record-given_fields": lambda g, r: (
         diagnostics.compute_record, record_args(two_phase(g, r))),
+    # a chunk of one state, recorded from its own arrays
+    "_chunk_record-lone": lambda g, r: (
+        nsk._chunk_record, lone_args(two_phase(g, r))),
     "_chunk_record-fluid": lambda g, r: (
-        nsk._chunk_record, pending(fluid, g, r)),
+        block_record, pending(fluid, g, r)),
     "_chunk_record-two_phase": lambda g, r: (
-        nsk._chunk_record, pending(two_phase, g, r)),
+        block_record, pending(two_phase, g, r)),
     "central_c_x": lambda g, r: (
         nsk.central_c_x, (g, velocity(g, r, (2,)))),
     "cubic_interp_periodic": lambda g, r: (
@@ -206,14 +223,26 @@ def bits(value):
     return None
 
 
+def grid_symbols(grid):
+    """The bytes of the grid's node coordinates and of every Fourier
+    symbol it holds, the cached ones included; each must be read-only."""
+    symbols = [grid.x, grid._k, grid._ik, grid._k2, grid._minus_k2,
+               *grid._sobolev.values(), *grid._helmholtz.values()]
+    assert not any(s.flags.writeable for s in symbols)
+    return [s.tobytes() for s in symbols]
+
+
 @pytest.mark.parametrize("n", [10, 64, 16384])
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_kernels_leave_their_inputs_unchanged(kernel, n):
-    function, args = KERNELS[kernel](PeriodicGrid(n),
-                                     np.random.default_rng(n))
+    # the grid's symbols too, which every kernel call on the grid shares
+    grid = PeriodicGrid(n)
+    function, args = KERNELS[kernel](grid, np.random.default_rng(n))
     writable = [copied(a, True) for a in args]
     before = bits(writable)
     expected = function(*writable)
     assert bits(writable) == before
+    symbols = grid_symbols(grid)
     got = function(*(copied(a, False) for a in args))
     assert bits(got) == bits(expected)
+    assert grid_symbols(grid) == symbols

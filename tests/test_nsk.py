@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -338,6 +339,38 @@ def test_rail_failure_inside_a_chunk(solver):
     with pytest.raises(BoundsError) as exc:
         chunk_run(solver, bounds)
     assert str(exc.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("solver", ["nsk", "bn"])
+def test_checked_states_are_freed_once_stepped(solver):
+    # no snapshot falls inside the run, which spans one and a half record
+    # chunks: the run loop copies each checked state's rows into its record
+    # block and keeps no state, so state k is freed before state k + 2 is
+    # checked; the initial state is a snapshot
+    grid = PeriodicGrid(128)
+    params = poly_params()
+    chunk = nsk._CHUNK_ELEMENTS // grid.n
+    config = SolverConfig(dt=1e-3, t_end=1e-3 * (chunk + chunk // 2),
+                          bounds=(0.05, 20.0), snapshot_every=10 * chunk)
+    rho0 = 1.0 + 0.1 * np.cos(2 * np.pi * grid.x)
+    u0 = -0.5 * np.sin(2 * np.pi * grid.x)
+    if solver == "nsk":
+        initial, step = FluidState.make(grid, rho0, u0, params), nsk_step
+        railed = lambda s: s.rho[None]   # noqa: E731
+    else:
+        initial = BNState.make(grid, 0.3, rho0, 1.1 * rho0, u0, params)
+        step, railed = bn_step, lambda s: s.rho   # noqa: E731
+    checked = []
+
+    def rails(state):
+        if not checked or checked[-1]() is not state:
+            checked.append(weakref.ref(state))
+            assert all(ref() is None for ref in checked[1:-2])
+        return railed(state)
+
+    traj = nsk._integrate(initial, params, config, step, rails)
+    assert len(checked) == traj.n_steps + 1 > chunk + 2
+    assert len(traj.snapshots) == 2
 
 
 def batch_and_own_runs(amplitudes, bounds=(0.05, 20.0)):

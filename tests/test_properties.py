@@ -19,7 +19,7 @@ from phasekit.config import parse_config  # noqa: E402
 from phasekit.diagnostics import compute_record  # noqa: E402
 from phasekit.eos import PolytropicEOS, VanDerWaalsEOS  # noqa: E402
 from phasekit.nsk import (FluidState, PhysicalParams,  # noqa: E402
-                          SolverConfig, _chunk_record, central_c_x,
+                          SolverConfig, central_c_x,
                           continuity_update, momentum_update, nsk_step,
                           sound_speed_max)
 from phasekit.torus import (_WINDOW_BITS, PeriodicGrid,  # noqa: E402
@@ -490,16 +490,17 @@ def record_table(record):
 @FAST
 @given(data=st.data(), n=st.integers(4, 128).map(lambda k: 2 * k),
        k=st.integers(1, 6), two_phase=st.booleans())
-def test_stacked_record_equals_per_state_records(data, n, k, two_phase):
+def test_stacked_record_equals_per_state_records(data, n, k, two_phase,
+                                                 record_chunk):
     grid = PeriodicGrid(n)
     eos = VanDerWaalsEOS(1.0, 3.0, 1.0, 0.2, 2.0)
     params = PhysicalParams(mu=0.1, kappa=0.1, eos=eos)
     rho = stack_of(data, grid, k, 0.6, 1.0)
     u = stack_of(data, grid, k, 2.0, 0.0)
     times = data.draw(st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k))
-    # a chunk of k states as the run loop records it, from the stack of
-    # their t, u, c and step fields: each column is the state's record
-    # followed by its sup |c_x|
+    # a chunk of k states as the run loop records it, from the rows of
+    # their t, u, c and step fields copied into its record block: each
+    # column is the state's record followed by its sup |c_x|
     if two_phase:
         alpha = stack_of(data, grid, k, 0.4, 0.5)
         ratio = stack_of(data, grid, k, 0.4, 1.0)
@@ -508,7 +509,7 @@ def test_stacked_record_equals_per_state_records(data, n, k, two_phase):
     else:
         states = [FluidState.make(grid, r, v, params, t=t)
                   for r, v, t in zip(rho, u, times)]
-    chunk = _chunk_record([(s, s.step_fields(eos)) for s in states], params)
+    chunk = record_chunk(states, params)
     per_state = [[*record_table(compute_record(s, params)),
                   np.max(np.abs(central_c_x(grid, s.c)))] for s in states]
     assert chunk.dtype == np.float64 and chunk.shape == (12, k)

@@ -590,6 +590,35 @@ def test_wavenumbers_are_read_only():
         grid.x *= 2.0
 
 
+def test_helmholtz_denominator_is_cached_per_pair():
+    # one read-only kappa k^2 + gamma per (kappa, gamma) on a grid, each
+    # solve bitwise the formula with the denominator formed per call
+    grid = PeriodicGrid(64)
+    rng = np.random.default_rng(3)
+    k2 = (TWO_PI * np.arange(33)) ** 2
+    for kappa, gamma in ((0.1, 2.0), (0.02, 1.0), (0.1, 2.0)):
+        f = 1.0 + 0.3 * rng.standard_normal((2, 64))
+        fh = np.fft.rfft(f)
+        fh *= gamma
+        den = kappa * k2
+        den += gamma
+        fh /= den
+        assert helmholtz_solve(grid, f, kappa, gamma).tobytes() == (
+            np.fft.irfft(fh, n=64).tobytes())
+        cached = grid._helmholtz_denominator(kappa, gamma)
+        assert cached is grid._helmholtz_denominator(kappa, gamma)
+        assert cached.tobytes() == den.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            cached[1] = 0.0
+    assert len(grid._helmholtz) == 2
+    # a NaN or infinite coefficient is refused before it reaches the cache
+    for kappa, gamma in ((math.nan, 1.0), (0.1, math.nan), (math.inf, 1.0),
+                         (0.1, math.inf)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            helmholtz_solve(grid, f, kappa, gamma)
+    assert len(grid._helmholtz) == 2
+
+
 @pytest.mark.parametrize("n", [8, 512, 2048, 16384])
 def test_spectral_kernels_equal_their_per_call_formulas(n):
     # the symbols built once per grid give every kernel the bits of its
